@@ -1,17 +1,19 @@
 """Closed-form concentration and gut-amount trajectories.
 
 Single doses follow the classic two-exponential oral curve; repeated
-dosing yields a piecewise solution whose cycle-n coefficients are
-geometric sums (constant regimens) or running remainders (arbitrary
-schedules). Evaluation is exact closed form everywhere: no
-interpolation, cycle lookup by binary search over precomputed dose
-times.
+dosing yields a piecewise solution. Every piece is the two-exponential
+x = c1*e^{-ke s} - c2*e^{-ka s}, y = y0*e^{-ka s}, whose coefficients
+come from the state (x, y) entering it: c2 = gain*y, c1 = x + c2. For
+constant regimens those states are geometric sums, computed on the fly;
+for any other schedule one remainder recursion tabulates them. The IV
+bolus and finite-absorption-time models in `extmodels` are the same
+table with other dose rules, so one evaluator serves all three models.
 
 Conventions: evaluation exactly at a dose time t_n returns the incoming
 cycle's values, i.e. the (continuous) concentration and the post-dose
-gut amount. For a finite arbitrary schedule the final cycle's form
-remains valid for all later times, so queries beyond the last interval
-simply keep decaying.
+gut amount. For a finite schedule the final cycle's form remains valid
+for all later times, so queries beyond the last interval simply keep
+decaying.
 """
 
 from __future__ import annotations
@@ -25,15 +27,22 @@ from .core import (
     PkParams,
     Regimen,
     ValidationError,
-    dose_times,
     validate_params,
     validate_regimen,
 )
 
 
 def absorption_gain(p: PkParams) -> float:
-    """The factor ka*gamma / (V*(ka - ke)) that scales every dose into x."""
+    """The factor ka*gamma / (V*(ka - ke)) that scales every dose into x.
+
+    Only the attributes ka, ke, gamma and volume of `p` are read.
+    """
     return p.ka * p.gamma / (p.volume * (p.ka - p.ke))
+
+
+def _shaped_like(t, values: np.ndarray):
+    """`values` as a Python number for a scalar query t, else as an array."""
+    return values if np.ndim(t) else values.item()
 
 
 @dataclass(frozen=True)
@@ -45,14 +54,13 @@ class SingleDoseCurve:
 
     def x(self, t):
         p = self.params
-        t = np.asarray(t, dtype=float)
-        out = absorption_gain(p) * self.dose * (np.exp(-p.ke * t) - np.exp(-p.ka * t))
-        return out if out.shape else float(out)
+        s = np.atleast_1d(np.asarray(t, dtype=float))
+        out = absorption_gain(p) * self.dose * (np.exp(-p.ke * s) - np.exp(-p.ka * s))
+        return _shaped_like(t, out)
 
     def y(self, t):
-        t = np.asarray(t, dtype=float)
-        out = self.dose * np.exp(-self.params.ka * t)
-        return out if out.shape else float(out)
+        s = np.atleast_1d(np.asarray(t, dtype=float))
+        return _shaped_like(t, self.dose * np.exp(-self.params.ka * s))
 
     def __call__(self, t):
         return self.x(t), self.y(t)
@@ -68,12 +76,13 @@ def single_dose(p: PkParams, d: float) -> SingleDoseCurve:
 
 @dataclass(frozen=True)
 class CycleCoefficients:
-    """Closed-form coefficients of cycle n over [t_start, t_start + tau].
+    """Closed-form coefficients of the piece opening cycle n.
 
-    Within the cycle, x(t) = c1*exp(-ke*(t - t_start)) -
+    Over [t_start, t_start + tau], x(t) = c1*exp(-ke*(t - t_start)) -
     c2*exp(-ka*(t - t_start)) and y(t) = y_start*exp(-ka*(t - t_start)),
     where y_start is the gut amount just after the cycle's dose. alpha
-    and beta are the per-cycle decay factors exp(-ka*tau), exp(-ke*tau).
+    and beta are the decay factors exp(-ka*tau), exp(-ke*tau). tau is the
+    cycle's interval, or its absorption window in the FAT model.
     """
 
     n: int
@@ -86,12 +95,18 @@ class CycleCoefficients:
     beta: float
 
 
+def _oral_dose(x: float, y: float, d: float) -> tuple[float, float]:
+    """An oral dose lands in the gut."""
+    return x, y + d
+
+
 class PiecewiseSolution:
     """Multi-dose closed-form solution, immutable after construction.
 
     Equi-dose regimens have coefficients available for every cycle index
-    (computed on the fly from the geometric sums); arbitrary regimens
-    carry the finite coefficient table built by the remainder recursion.
+    (computed on the fly from the geometric sums); other regimens carry
+    the finite coefficient table built by `_tabulate`. `evaluate` is the
+    one evaluator; x, y, __call__ and cycle_index read from it.
     """
 
     def __init__(self, params: PkParams, regimen: Regimen):
@@ -99,78 +114,98 @@ class PiecewiseSolution:
         validate_regimen(regimen)
         self.params = params
         self.regimen = regimen
-        p = params
-        self._gain = absorption_gain(p)
+        self._ka, self._ke = params.ka, params.ke
+        self._gain = absorption_gain(params)
         if isinstance(regimen, EquiDose):
             self._equi = True
-            self._alpha = float(np.exp(-p.ka * regimen.interval))
-            self._beta = float(np.exp(-p.ke * regimen.interval))
-            self._n_cycles = None
+            self._alpha = float(np.exp(-params.ka * regimen.interval))
+            self._beta = float(np.exp(-params.ke * regimen.interval))
         else:
-            self._equi = False
-            self._n_cycles = len(regimen.entries)
-            self._build_arbitrary_table()
+            self._tabulate(regimen.entries, _oral_dose)
 
     # -- construction ---------------------------------------------------
 
-    def _build_arbitrary_table(self) -> None:
-        p = self.params
-        entries = self.regimen.entries
-        starts = dose_times(self.regimen)
-        c1 = np.empty(len(entries))
-        c2 = np.empty(len(entries))
-        y0 = np.empty(len(entries))
-        rem_x = np.zeros(len(entries) + 1)
-        rem_y = np.zeros(len(entries) + 1)
-        for i, (d, tau) in enumerate(entries):
-            amount = rem_y[i] + d
-            c2[i] = self._gain * amount
-            c1[i] = c2[i] + rem_x[i]
-            y0[i] = amount
-            a = np.exp(-p.ka * tau)
-            b = np.exp(-p.ke * tau)
-            rem_y[i + 1] = amount * a
-            rem_x[i + 1] = c1[i] * b - c2[i] * a
-        self._c1 = c1
-        self._c2 = c2
-        self._y0 = y0
-        self._rem_x = rem_x
-        self._rem_y = rem_y
-        self._starts = starts
+    def _tabulate(self, entries, dose) -> None:
+        """Coefficient table of a finite schedule, by the remainder recursion.
+
+        Each entry is (amount, interval), or (amount, interval, window)
+        when absorption stops `window` into the cycle. `dose(x, y, amount)`
+        is the state right after a dose, given the state just before it.
+        A window splits its cycle in two pieces: the second starts with
+        an empty gut, so x decays alone.
+        """
+        self._equi = False
+        self._n_cycles = len(entries)
+        taus = np.array([e[1] for e in entries])
+        self._starts = np.concatenate(([0.0], np.cumsum(taus)))
+        if len(entries[0]) > 2:
+            self._cut = np.array([e[2] for e in entries])
+            spans = np.column_stack((self._cut, taus - self._cut)).ravel()
+        else:
+            self._cut = None
+            spans = taus
+        self._per_cycle = len(spans) // len(entries)
+        self._spans = spans
+        self._a = np.exp(-self._ka * spans)
+        self._b = np.exp(-self._ke * spans)
+        a, b = self._a.tolist(), self._b.tolist()
+        windowed = self._cut is not None
+        c1, c2, y0 = [], [], []
+        rem_x, rem_y = [0.0], [0.0]
+        x = y = 0.0
+        for i, entry in enumerate(entries):
+            x, y = dose(x, y, entry[0])
+            for j in range(i * self._per_cycle, (i + 1) * self._per_cycle):
+                k2 = self._gain * y
+                k1 = x + k2
+                c1.append(k1)
+                c2.append(k2)
+                y0.append(y)
+                # A window's end empties the gut for the rest of the cycle.
+                x, y = k1 * b[j] - k2 * a[j], 0.0 if windowed else y * a[j]
+            rem_x.append(x)
+            rem_y.append(y)
+        self._c1, self._c2, self._y0 = np.array(c1), np.array(c2), np.array(y0)
+        self._rem_x, self._rem_y = np.array(rem_x), np.array(rem_y)
 
     # -- coefficient access ----------------------------------------------
 
     @property
     def n_cycles(self) -> int | None:
         """Number of cycles, or None for an unbounded equi-dose schedule."""
-        return self._n_cycles
+        return None if self._equi else self._n_cycles
 
-    def coefficients(self, n: int) -> CycleCoefficients:
-        """Closed-form coefficients of cycle n (1-based)."""
-        if n < 1:
-            raise ValidationError(f"cycle number must be >= 1, got {n}")
-        p = self.params
-        if self._equi:
-            r = self.regimen
-            geo_b = (1.0 - self._beta ** n) / (1.0 - self._beta)
-            geo_a = (1.0 - self._alpha ** n) / (1.0 - self._alpha)
-            g = self._gain * r.dose
-            return CycleCoefficients(
-                n=n, c1=g * geo_b, c2=g * geo_a, y_start=r.dose * geo_a,
-                t_start=(n - 1) * r.interval, tau=r.interval,
-                alpha=self._alpha, beta=self._beta,
-            )
-        if n > self._n_cycles:
+    def _check_cycle(self, n: int, lowest: int = 1) -> None:
+        if n < lowest:
+            raise ValidationError(f"cycle number must be >= {lowest}, got {n}")
+        if not self._equi and n > self._n_cycles:
             raise ValidationError(
                 f"cycle {n} exceeds the {self._n_cycles} cycles of the regimen"
             )
-        i = n - 1
-        tau = float(self.regimen.entries[i][1])
+
+    def _equi_coefficients(self, n):
+        """(c1, c2, y_start, t_start) of cycle n: an int, or an index array."""
+        r = self.regimen
+        geo_b = (1.0 - self._beta ** n) / (1.0 - self._beta)
+        geo_a = (1.0 - self._alpha ** n) / (1.0 - self._alpha)
+        g = self._gain * r.dose
+        return g * geo_b, g * geo_a, r.dose * geo_a, (n - 1) * r.interval
+
+    def coefficients(self, n: int) -> CycleCoefficients:
+        """Closed-form coefficients of cycle n (1-based)."""
+        self._check_cycle(n)
+        if self._equi:
+            c1, c2, y_start, t_start = self._equi_coefficients(n)
+            return CycleCoefficients(
+                n=n, c1=c1, c2=c2, y_start=y_start, t_start=t_start,
+                tau=self.regimen.interval, alpha=self._alpha, beta=self._beta,
+            )
+        j = (n - 1) * self._per_cycle
         return CycleCoefficients(
-            n=n, c1=float(self._c1[i]), c2=float(self._c2[i]),
-            y_start=float(self._y0[i]), t_start=float(self._starts[i]),
-            tau=tau, alpha=float(np.exp(-p.ka * tau)),
-            beta=float(np.exp(-p.ke * tau)),
+            n=n, c1=float(self._c1[j]), c2=float(self._c2[j]),
+            y_start=float(self._y0[j]), t_start=float(self._starts[n - 1]),
+            tau=float(self._spans[j]), alpha=float(self._a[j]),
+            beta=float(self._b[j]),
         )
 
     def remainders(self, n: int) -> tuple[float, float]:
@@ -179,15 +214,10 @@ class PiecewiseSolution:
         n = 0 returns (0, 0); the gut remainder is the pre-jump left
         limit at t_n.
         """
-        if n < 0:
-            raise ValidationError(f"cycle number must be >= 0, got {n}")
+        self._check_cycle(n, lowest=0)
         if n == 0:
             return 0.0, 0.0
         if not self._equi:
-            if n > self._n_cycles:
-                raise ValidationError(
-                    f"cycle {n} exceeds the {self._n_cycles} cycles of the regimen"
-                )
             return float(self._rem_x[n]), float(self._rem_y[n])
         c = self.coefficients(n)
         a, b = self._alpha, self._beta
@@ -195,62 +225,75 @@ class PiecewiseSolution:
 
     # -- evaluation -------------------------------------------------------
 
-    def _dose_grid(self, t_max: float) -> np.ndarray:
+    def _cycles(self, t: np.ndarray) -> np.ndarray:
+        """1-based cycle covering each t >= 0; dose instants open the new cycle.
+
+        For equi regimens this counts the dose times k*tau <= t, as
+        searchsorted over the grid k*tau would, without building the grid.
+        """
+        if not self._equi:
+            idx = np.searchsorted(self._starts[:-1], t, side="right")
+            return np.minimum(idx, self._n_cycles)
+        tau = self.regimen.interval
+        k = np.floor(t / tau)
+        if k.size and k.max() >= 2.0 ** 53:
+            raise ValidationError(
+                f"t={t.max():g} lies beyond 2**53 dosing intervals of {tau:g} h; "
+                "cycle numbers are no longer exact there"
+            )
+        k -= k * tau > t
+        k += (k + 1.0) * tau <= t
+        return k.astype(np.int64) + 1
+
+    def _query(self, t) -> np.ndarray:
+        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        if not np.all(t_arr >= 0.0):
+            raise ValidationError("trajectory is defined for t >= 0 only")
+        return t_arr
+
+    def evaluate(self, t):
+        """(x, y, cycle) at t from one cycle lookup.
+
+        Plasma concentration, gut amount (post-dose at dose instants) and
+        1-based cycle; Python numbers for a scalar t, arrays otherwise.
+        """
+        t_arr = self._query(t)
+        cycle = self._cycles(t_arr)
         if self._equi:
-            tau = self.regimen.interval
-            n = max(1, int(np.floor(t_max / tau)) + 2)
-            return np.arange(n, dtype=float) * tau
-        return self._starts[:-1]
+            c1, c2, y0, t0 = self._equi_coefficients(cycle)
+            s = t_arr - t0
+        else:
+            i = cycle - 1
+            s = t_arr - self._starts[i]
+            if self._cut is None:
+                piece = i
+            else:
+                # Past the absorption cutoff the cycle's second piece
+                # applies, timed from the cutoff.
+                cut = self._cut[i]
+                clearing = s >= cut
+                piece = 2 * i + clearing
+                s = s - np.where(clearing, cut, 0.0)
+            c1, c2, y0 = self._c1[piece], self._c2[piece], self._y0[piece]
+        decay_a = np.exp(-self._ka * s)
+        x = c1 * np.exp(-self._ke * s) - c2 * decay_a
+        y = y0 * decay_a
+        return _shaped_like(t, x), _shaped_like(t, y), _shaped_like(t, cycle)
 
     def cycle_index(self, t) -> np.ndarray | int:
         """1-based cycle covering t; dose instants map to the new cycle."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t_arr < 0.0):
-            raise ValidationError("trajectory is defined for t >= 0 only")
-        starts = self._dose_grid(float(t_arr.max()) if t_arr.size else 0.0)
-        idx = np.searchsorted(starts, t_arr, side="right")
-        if self._n_cycles is not None:
-            idx = np.minimum(idx, self._n_cycles)
-        if np.isscalar(t) or np.asarray(t).shape == ():
-            return int(idx[0])
-        return idx
-
-    def _cycle_arrays(self, idx: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(c1, c2, y_start, t_start) for an array of 1-based cycle indices."""
-        if not self._equi:
-            i = idx - 1
-            return self._c1[i], self._c2[i], self._y0[i], self._starts[i]
-        r = self.regimen
-        geo_b = (1.0 - self._beta ** idx) / (1.0 - self._beta)
-        geo_a = (1.0 - self._alpha ** idx) / (1.0 - self._alpha)
-        g = self._gain * r.dose
-        return (g * geo_b, g * geo_a, r.dose * geo_a,
-                (idx - 1) * r.interval)
+        return _shaped_like(t, self._cycles(self._query(t)))
 
     def x(self, t):
         """Plasma concentration at t (scalar or array)."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        idx = np.atleast_1d(self.cycle_index(t_arr))
-        c1, c2, _, t0 = self._cycle_arrays(idx)
-        s = t_arr - t0
-        p = self.params
-        out = c1 * np.exp(-p.ke * s) - c2 * np.exp(-p.ka * s)
-        if np.isscalar(t) or np.asarray(t).shape == ():
-            return float(out[0])
-        return out
+        return self.evaluate(t)[0]
 
     def y(self, t):
         """Gut amount at t (post-dose at exact dose instants)."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        idx = np.atleast_1d(self.cycle_index(t_arr))
-        _, _, y0, t0 = self._cycle_arrays(idx)
-        out = y0 * np.exp(-self.params.ka * (t_arr - t0))
-        if np.isscalar(t) or np.asarray(t).shape == ():
-            return float(out[0])
-        return out
+        return self.evaluate(t)[1]
 
     def __call__(self, t):
-        return self.x(t), self.y(t)
+        return self.evaluate(t)[:2]
 
 
 def equi_multidose(p: PkParams, d: float, tau: float) -> PiecewiseSolution:

@@ -217,6 +217,12 @@ class RegimenFile:
             entries = self.entries
         return extmodels.fat_multidose(self.params, extmodels.FatRegimen(entries))
 
+    def solution(self) -> bateman.PiecewiseSolution:
+        """The closed-form solution of the file's model."""
+        build = {"oral": self.oral_solution, "bolus": self.bolus_solution,
+                 "fat": self.fat_solution}
+        return build[self.model]()
+
 
 def load_regimen_file(path: str) -> RegimenFile:
     try:
@@ -244,33 +250,13 @@ def _sample_times(horizon: float, step: float) -> np.ndarray:
 def cmd_simulate(args) -> int:
     regfile = load_regimen_file(args.regimen)
     times = _sample_times(regfile.horizon, regfile.sample_step)
+    sol = regfile.solution()
+    x, y, cycles = sol.evaluate(times)
 
-    if regfile.model == "oral":
-        sol = regfile.oral_solution()
-        x = sol.x(times) if times.size else np.array([])
-        y = sol.y(times) if times.size else np.array([])
-        cycles = sol.cycle_index(times) if times.size else np.array([], dtype=int)
-        reference = None
-        if args.verify and times.size:
-            regimen = sol.regimen
-            reference = oracle.superpose(regfile.params, regimen)(times)
-    elif regfile.model == "bolus":
-        sol = regfile.bolus_solution()
-        x = sol.x(times) if times.size else np.array([])
-        y = np.zeros_like(x)
-        starts = sol._starts[:-1]
-        cycles = (np.minimum(np.searchsorted(starts, times, side="right"),
-                             sol.n_cycles) if times.size else np.array([], dtype=int))
-        reference = _bolus_superposition(sol, times) if args.verify and times.size else None
-    else:
-        sol = regfile.fat_solution()
-        x = sol.x(times) if times.size else np.array([])
-        y = sol.y(times) if times.size else np.array([])
-        cycles = sol._locate(times) if times.size else np.array([], dtype=int)
-        reference = _fat_superposition(sol, times) if args.verify and times.size else None
-
-    if reference is not None:
-        deviation = float(np.max(np.abs(np.atleast_1d(x) - reference)))
+    if args.verify:
+        rates = regfile.ke if regfile.model == "bolus" else regfile.params
+        reference = oracle.superpose(rates, sol.regimen)(times)
+        deviation = float(np.max(np.abs(x - reference), initial=0.0))
         if deviation > VERIFY_TOLERANCE:
             print(
                 f"verification failed: closed form deviates from the "
@@ -286,32 +272,6 @@ def cmd_simulate(args) -> int:
         writer.writerow([_fmt(times[i]), _fmt(x[i]), _fmt(y[i]), int(cycles[i])])
     _write_text(args.out, buffer.getvalue())
     return EXIT_OK
-
-
-def _bolus_superposition(sol: extmodels.BolusSolution, times: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(times)
-    starts = sol._starts[:-1]
-    for t0, (delta, _) in zip(starts, sol.regimen.entries):
-        live = times >= t0
-        out += np.where(live, delta * np.exp(-sol.ke * np.where(live, times - t0, 0.0)), 0.0)
-    return out
-
-
-def _fat_superposition(sol: extmodels.FatSolution, times: np.ndarray) -> np.ndarray:
-    p = sol.params
-    gain = p.ka * p.gamma / (p.volume * (p.ka - p.ke))
-    out = np.zeros_like(times)
-    starts = sol._starts[:-1]
-    for t0, (dose, _, cut) in zip(starts, sol.regimen.entries):
-        dt = times - t0
-        rising = (dt >= 0.0) & (dt <= cut)
-        falling = dt > cut
-        term = np.zeros_like(times)
-        term[rising] = gain * dose * (np.exp(-p.ke * dt[rising]) - np.exp(-p.ka * dt[rising]))
-        at_cut = gain * dose * (np.exp(-p.ke * cut) - np.exp(-p.ka * cut))
-        term[falling] = at_cut * np.exp(-p.ke * (dt[falling] - cut))
-        out += term
-    return out
 
 
 # -- fit ---------------------------------------------------------------------
@@ -437,9 +397,8 @@ def cmd_design(args) -> int:
     if args.tau_grid:
         grid = _parse_grid(args.tau_grid)
         tau_r = min(grid, key=lambda g: abs(g - tau_star))
-        ctx = dosing.SolverContext.for_params(p)
-        d_r = target.lower * p.volume * (p.ka - p.ke) / (
-            p.ka * p.gamma * ctx.trough_shape(tau_r))
+        d_r = dosing._dose_for_trough(dosing.SolverContext.for_params(p),
+                                      target.lower, tau_r)
         payload["rounded"] = {
             "tau": tau_r,
             "d": d_r,
@@ -550,7 +509,7 @@ def _analyze_fat(regfile: RegimenFile) -> dict:
     if regfile.equi is not None:
         dose, interval, offset = regfile.equi
         p = regfile.params
-        gain = p.ka * p.gamma / (p.volume * (p.ka - p.ke))
+        gain = bateman.absorption_gain(p)
         b_cut = np.exp(-p.ke * offset)
         a_cut = np.exp(-p.ka * offset)
         beta = np.exp(-p.ke * interval)

@@ -11,9 +11,12 @@ to exactly d_n, discarding whatever the previous cycle left unabsorbed;
 concentration stays continuous at both s_n and t_n while the slope
 kinks at s_n.
 
-The printed constant-interval formulas generalize verbatim to per-cycle
-intervals and absorption windows; the recursions below reproduce them
-exactly at constant settings.
+Both are the oral piecewise table of `bateman` with other dose rules
+(bolus: x += delta, no gut; FAT: y = d, and the gut empties at each
+cutoff), so they share its remainder recursion and its evaluator. The
+printed constant-interval formulas generalize verbatim to per-cycle
+intervals and absorption windows; the recursion reproduces them exactly
+at constant settings.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .bateman import PiecewiseSolution, absorption_gain
 from .core import (
     NonPositiveParameter,
     PkParams,
@@ -81,11 +85,12 @@ class FatRegimen:
         object.__setattr__(self, "entries", normalized)
 
 
-class BolusSolution:
+class BolusSolution(PiecewiseSolution):
     """Piecewise exponential decay with instantaneous dose jumps.
 
-    Evaluation at an exact dose time returns the post-dose value. The
-    final cycle extends indefinitely.
+    The oral table with no gut: each dose lifts x directly. Evaluation at
+    an exact dose time returns the post-dose value. The final cycle
+    extends indefinitely.
     """
 
     def __init__(self, ke: float, regimen: BolusRegimen):
@@ -93,47 +98,20 @@ class BolusSolution:
             raise NonPositiveParameter(f"ke must be > 0, got {ke!r}")
         self.ke = ke
         self.regimen = regimen
-        deltas = np.array([d for d, _ in regimen.entries])
-        taus = np.array([tau for _, tau in regimen.entries])
-        self._starts = np.concatenate(([0.0], np.cumsum(taus)))
-        betas = np.exp(-ke * taus)
-        amps = np.empty(len(deltas))
-        rem = np.zeros(len(deltas) + 1)
-        for i, d in enumerate(deltas):
-            amps[i] = rem[i] + d
-            rem[i + 1] = amps[i] * betas[i]
-        self._amps = amps
-        self._rem = rem
-
-    @property
-    def n_cycles(self) -> int:
-        return len(self._amps)
+        # No gut: with ka and the gain at zero its terms vanish exactly.
+        self._ka, self._ke, self._gain = 0.0, ke, 0.0
+        self._tabulate(regimen.entries, lambda x, y, delta: (x + delta, y))
 
     def start_value(self, n: int) -> float:
         """Concentration right after dose n (1-based)."""
-        if not 1 <= n <= self.n_cycles:
-            raise ValidationError(f"cycle {n} out of range 1..{self.n_cycles}")
-        return float(self._amps[n - 1])
+        return self.coefficients(n).c1
 
     def remainder(self, n: int) -> float:
         """Concentration just before dose n+1; 0 for n = 0."""
-        if not 0 <= n <= self.n_cycles:
-            raise ValidationError(f"cycle {n} out of range 0..{self.n_cycles}")
-        return float(self._rem[n])
+        return self.remainders(n)[0]
 
-    def x(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t_arr < 0.0):
-            raise ValidationError("trajectory is defined for t >= 0 only")
-        idx = np.searchsorted(self._starts[:-1], t_arr, side="right")
-        idx = np.minimum(idx, self.n_cycles)
-        out = self._amps[idx - 1] * np.exp(-self.ke * (t_arr - self._starts[idx - 1]))
-        if np.isscalar(t) or np.asarray(t).shape == ():
-            return float(out[0])
-        return out
-
-    def __call__(self, t):
-        return self.x(t)
+    # The model has no gut state: calling the solution gives x alone.
+    __call__ = PiecewiseSolution.x
 
 
 def bolus_multidose(ke: float, r: BolusRegimen) -> BolusSolution:
@@ -149,104 +127,39 @@ def bolus_equi_remainder_limit(ke: float, delta: float, tau: float) -> float:
     return delta * beta / (1.0 - beta)
 
 
-class FatSolution:
+class FatSolution(PiecewiseSolution):
     """Two-phase piecewise solution with per-cycle absorption cutoffs.
 
     Cycle n spans [t_{n-1}, t_n] and splits at s_n = t_{n-1} +
     s_offset_n. Assimilation: x = c1*e^{-ke dt} - c2*e^{-ka dt},
     y = d_n*e^{-ka dt} with dt measured from t_{n-1}. Clearance:
-    x = c3*e^{-ke (t - s_n)}, y = 0. Queries past the final interval
-    keep the last clearance decay (or, if that cycle has no clearance
-    phase, decay from its closing value).
+    x = c3*e^{-ke (t - s_n)}, y = 0; the gut is empty from s_n on.
+    Queries past the final interval keep the last clearance decay (or,
+    if that cycle has no clearance phase, decay from its closing value).
     """
 
     def __init__(self, params: PkParams, regimen: FatRegimen):
         validate_params(params)
         self.params = params
         self.regimen = regimen
-        p = params
-        gain = p.ka * p.gamma / (p.volume * (p.ka - p.ke))
-        n = len(regimen.entries)
-        taus = np.array([e[1] for e in regimen.entries])
-        self._starts = np.concatenate(([0.0], np.cumsum(taus)))
-        self._cut_offsets = np.array([e[2] for e in regimen.entries])
-        self._c1 = np.empty(n)
-        self._c2 = np.empty(n)
-        self._c3 = np.empty(n)
-        # rem_cut[i]: x at the cutoff of cycle i+1; rem_end[i]: x at its end.
-        rem_end = 0.0
-        for i, (d, tau, s) in enumerate(regimen.entries):
-            a_cut = np.exp(-p.ka * s)
-            b_cut = np.exp(-p.ke * s)
-            self._c2[i] = gain * d
-            self._c1[i] = self._c2[i] + rem_end
-            self._c3[i] = self._c1[i] * b_cut - self._c2[i] * a_cut
-            rem_end = self._c3[i] * np.exp(-p.ke * (tau - s))
-        self._rem_end = rem_end
-
-    @property
-    def n_cycles(self) -> int:
-        return len(self._c1)
+        self._ka, self._ke = params.ka, params.ke
+        self._gain = absorption_gain(params)
+        # The dose resets the gut, discarding what the last cycle left.
+        self._tabulate(regimen.entries, lambda x, y, d: (x, d))
 
     def cutoff_times(self) -> np.ndarray:
         """Absolute times s_n where absorption stops, one per cycle."""
-        return self._starts[:-1] + self._cut_offsets
+        return self._starts[:-1] + self._cut
 
     def cutoff_value(self, n: int) -> float:
         """Concentration at the cycle-n absorption cutoff (1-based)."""
-        if not 1 <= n <= self.n_cycles:
-            raise ValidationError(f"cycle {n} out of range 1..{self.n_cycles}")
-        return float(self._c3[n - 1])
+        self._check_cycle(n)
+        return float(self._c1[2 * n - 1])
 
     def end_value(self, n: int) -> float:
         """Concentration at the end of cycle n (1-based)."""
-        if not 1 <= n <= self.n_cycles:
-            raise ValidationError(f"cycle {n} out of range 1..{self.n_cycles}")
-        p = self.params
-        d, tau, s = self.regimen.entries[n - 1]
-        return float(self._c3[n - 1] * np.exp(-p.ke * (tau - s)))
-
-    def _locate(self, t_arr: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self._starts[:-1], t_arr, side="right")
-        return np.minimum(idx, self.n_cycles)
-
-    def x(self, t):
-        p = self.params
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t_arr < 0.0):
-            raise ValidationError("trajectory is defined for t >= 0 only")
-        idx = self._locate(t_arr)
-        i = idx - 1
-        dt = t_arr - self._starts[i]
-        cut = self._cut_offsets[i]
-        assim = t_arr <= self._starts[i] + cut
-        # Exactly at the cutoff both phases agree; the assimilation form
-        # is used there (continuity makes the choice unobservable).
-        x_assim = self._c1[i] * np.exp(-p.ke * dt) - self._c2[i] * np.exp(-p.ka * dt)
-        x_clear = self._c3[i] * np.exp(-p.ke * (dt - cut))
-        out = np.where(assim, x_assim, x_clear)
-        if np.isscalar(t) or np.asarray(t).shape == ():
-            return float(out[0])
-        return out
-
-    def y(self, t):
-        p = self.params
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t_arr < 0.0):
-            raise ValidationError("trajectory is defined for t >= 0 only")
-        idx = self._locate(t_arr)
-        i = idx - 1
-        dt = t_arr - self._starts[i]
-        cut = self._cut_offsets[i]
-        doses = np.array([e[0] for e in self.regimen.entries])[i]
-        live = dt < cut
-        out = np.where(live, doses * np.exp(-p.ka * dt), 0.0)
-        if np.isscalar(t) or np.asarray(t).shape == ():
-            return float(out[0])
-        return out
-
-    def __call__(self, t):
-        return self.x(t), self.y(t)
+        self._check_cycle(n)
+        return self.remainders(n)[0]
 
 
 def fat_multidose(p: PkParams, r: FatRegimen) -> FatSolution:

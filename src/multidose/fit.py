@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,23 +60,19 @@ class FitResult:
     sse_path: tuple[float, ...] = ()
 
 
-def _model_and_jacobian(theta: np.ndarray, t: np.ndarray, d: float,
-                        v: float) -> tuple[np.ndarray, np.ndarray]:
-    """Curve values and d(model)/d(log-params) at log-params theta."""
-    ka, ke, gamma = np.exp(theta)
-    amp = ka * gamma * d / (v * (ka - ke))
-    ee = np.exp(-ke * t)
-    ea = np.exp(-ka * t)
-    x = amp * (ee - ea)
-    dx_dka = -ke / (ka * (ka - ke)) * x + amp * t * ea
-    dx_dke = x / (ka - ke) - amp * t * ee
-    dx_dgamma = x / gamma
-    jac = np.column_stack((ka * dx_dka, ke * dx_dke, gamma * dx_dgamma))
-    return x, jac
+class _Rates(NamedTuple):
+    """(ka, ke, gamma, volume) for `absorption_gain` at each iterate:
+    cheaper to build than a PkParams, and never validated."""
+
+    ka: float
+    ke: float
+    gamma: float
+    volume: float
 
 
-def curve_jacobian(p: PkParams, t: np.ndarray, d: float) -> np.ndarray:
-    """Analytic d x(t)/d(ka, ke, gamma) in the original parameter scale."""
+def _curve_and_jacobian(p, t: np.ndarray, d: float
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Curve values and d x(t)/d(ka, ke, gamma) in the original scale."""
     amp = absorption_gain(p) * d
     ee = np.exp(-p.ke * t)
     ea = np.exp(-p.ka * t)
@@ -83,7 +80,21 @@ def curve_jacobian(p: PkParams, t: np.ndarray, d: float) -> np.ndarray:
     dx_dka = -p.ke / (p.ka * (p.ka - p.ke)) * x + amp * t * ea
     dx_dke = x / (p.ka - p.ke) - amp * t * ee
     dx_dgamma = x / p.gamma
-    return np.column_stack((dx_dka, dx_dke, dx_dgamma))
+    return x, np.column_stack((dx_dka, dx_dke, dx_dgamma))
+
+
+def curve_jacobian(p: PkParams, t: np.ndarray, d: float) -> np.ndarray:
+    """Analytic d x(t)/d(ka, ke, gamma) in the original parameter scale."""
+    return _curve_and_jacobian(p, t, d)[1]
+
+
+def _model_and_jacobian(theta: np.ndarray, t: np.ndarray, d: float,
+                        v: float) -> tuple[np.ndarray, np.ndarray]:
+    """Curve values and d(model)/d(log-params) at log-params theta."""
+    rates = np.exp(theta)
+    x, jac = _curve_and_jacobian(_Rates(*rates, v), t, d)
+    # d/d(log k) = k * d/dk, column by column.
+    return x, jac * rates
 
 
 def _initial_guess(t: np.ndarray, c: np.ndarray, d: float,

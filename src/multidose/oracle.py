@@ -4,7 +4,9 @@ Two cross-checks for the closed-form trajectories: a fixed-step RK4
 integrator of the absorption-elimination system with impulsive gut
 refills at dose times, and a superposition evaluator that rebuilds the
 multi-dose response as a sum of time-shifted single-dose responses
-(valid because the governing system is linear).
+(valid because the governing system is linear). One dose-sum loop
+serves the oral concentration and gut amount, the IV bolus and the
+finite-absorption models.
 
 Nothing here is used by the analytic code paths; keep it that way.
 """
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    Arbitrary,
     ConcentrationSeries,
     EquiDose,
     PkParams,
@@ -32,7 +35,6 @@ class OracleConfig:
     """Fixed-step RK4 settings. `step` is the nominal step in hours."""
 
     step: float = 1e-3
-    method: str = "rk4"
 
 
 @dataclass(frozen=True)
@@ -150,71 +152,80 @@ def integrate_ode(p: PkParams, r: Regimen, t_end: float,
     return integrate_impulses(p, impulses, t_end, cfg)
 
 
-def superpose(p: PkParams, r: Regimen, n_doses: int | None = None):
+def superpose(p, r, n_doses: int | None = None):
     """Concentration as a sum of shifted single-dose responses.
 
-    Returns a vectorized callable t -> x(t). For an equi-dose regimen
-    `n_doses` caps how many doses contribute (default: enough to cover
-    the largest queried time, recomputed per call).
+    Oral regimens (EquiDose, Arbitrary) and finite-absorption regimens
+    (entries (dose, interval, window), as FatRegimen holds) take PkParams;
+    an IV bolus regimen (entries (delta, interval)) takes the elimination
+    rate ke instead, as bolus_multidose does. Returns a vectorized
+    callable t -> x(t). For an equi-dose regimen `n_doses` caps how many
+    doses contribute (default: enough to cover the largest queried time,
+    recomputed per call).
     """
+    if not isinstance(p, PkParams):
+        # IV bolus: each delta enters plasma directly and decays at ke = p.
+        return _dose_sum(r, n_doses, 1.0, float(p))
     validate_params(p)
-    validate_regimen(r)
+    if isinstance(r, (EquiDose, Arbitrary)):
+        validate_regimen(r)
     amplitude = p.ka * p.gamma / (p.volume * (p.ka - p.ke))
-
-    if isinstance(r, EquiDose):
-        dose_amounts = None
-        tau = r.interval
-    else:
-        starts = dose_times(r)[:-1]
-        dose_amounts = [(float(t), d) for t, (d, _) in zip(starts, r.entries)]
-
-    def evaluate(t):
-        t_arr = np.asarray(t, dtype=float)
-        out = np.zeros_like(t_arr, dtype=float)
-        if dose_amounts is None:
-            count = n_doses
-            if count is None:
-                count = int(np.floor(t_arr.max() / tau)) + 1 if t_arr.size else 1
-            events = [(k * tau, r.dose) for k in range(count)]
-        else:
-            events = dose_amounts
-        for t0, d in events:
-            dt = t_arr - t0
-            live = dt >= 0.0
-            dt = np.where(live, dt, 0.0)
-            term = amplitude * d * (np.exp(-p.ke * dt) - np.exp(-p.ka * dt))
-            out += np.where(live, term, 0.0)
-        return out if out.shape else float(out)
-
-    return evaluate
+    return _dose_sum(r, n_doses, amplitude, p.ke, p.ka)
 
 
 def superpose_gut(p: PkParams, r: Regimen, n_doses: int | None = None):
     """Gut amount as a sum of shifted exponential decays (post-dose at t_n)."""
     validate_params(p)
     validate_regimen(r)
+    return _dose_sum(r, n_doses, 1.0, p.ka)
 
+
+def _dose_sum(r, n_doses: int | None, weight: float, k_out: float,
+              k_in: float | None = None):
+    """Evaluator of the sum over doses of weight*amount*response(t - t_dose).
+
+    The response is e^{-k_out u} - e^{-k_in u}, or e^{-k_out u} alone
+    without k_in, for u >= 0 and zero before the dose. An entry with a
+    third field, an absorption window w, holds its response at u = w and
+    lets it decay at k_out after that.
+    """
     if isinstance(r, EquiDose):
-        dose_amounts = None
-        tau = r.interval
+        schedule = None
     else:
-        starts = dose_times(r)[:-1]
-        dose_amounts = [(float(t), d) for t, (d, _) in zip(starts, r.entries)]
+        starts = np.concatenate(([0.0], np.cumsum([e[1] for e in r.entries])))
+        schedule = [(float(t0), e[0], e[2] if len(e) > 2 else None)
+                    for t0, e in zip(starts, r.entries)]
+
+    def response(u):
+        out = np.exp(-k_out * u)
+        return out if k_in is None else out - np.exp(-k_in * u)
 
     def evaluate(t):
         t_arr = np.asarray(t, dtype=float)
-        out = np.zeros_like(t_arr, dtype=float)
-        if dose_amounts is None:
+        events = schedule
+        if events is None:
             count = n_doses
             if count is None:
-                count = int(np.floor(t_arr.max() / tau)) + 1 if t_arr.size else 1
-            events = [(k * tau, r.dose) for k in range(count)]
-        else:
-            events = dose_amounts
-        for t0, d in events:
-            dt = t_arr - t0
-            live = dt >= 0.0
-            out += np.where(live, d * np.exp(-p.ka * np.where(live, dt, 0.0)), 0.0)
+                count = int(np.floor(t_arr.max() / r.interval)) + 1 if t_arr.size else 1
+            events = [(k * r.interval, r.dose, None) for k in range(count)]
+        # On sorted times each dose reaches a suffix; only that is computed.
+        order = np.argsort(t_arr, axis=None, kind="stable")
+        ts = t_arr.ravel()[order]
+        total = np.zeros_like(ts)
+        for t0, amount, window in events:
+            first = np.searchsorted(ts, t0)
+            u = ts[first:] - t0
+            scale = weight * amount
+            if window is None:
+                total[first:] += scale * response(u)
+                continue
+            cut = np.searchsorted(u, window, side="right")
+            total[first:first + cut] += scale * response(u[:cut])
+            total[first + cut:] += (scale * response(window)
+                                    * np.exp(-k_out * (u[cut:] - window)))
+        out = np.empty_like(total)
+        out[order] = total
+        out = out.reshape(t_arr.shape)
         return out if out.shape else float(out)
 
     return evaluate

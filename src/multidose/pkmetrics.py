@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import PkParams, ValidationError, validate_params
+from .core import Arbitrary, EquiDose, PkParams, ValidationError, validate_params
 from .bateman import (
     CycleCoefficients,
     PiecewiseSolution,
@@ -95,5 +95,11 @@ def peak(p: PkParams, d: float, tau: float, n: int) -> CycleMetrics:
 
 
 def cycle_metrics(sol: PiecewiseSolution, n: int) -> CycleMetrics:
-    """AUC and peak for cycle n of any piecewise solution."""
+    """AUC and peak for cycle n of an oral piecewise solution.
+
+    Bolus and FAT solutions are rejected: their cycles are not the single
+    two-exponential these formulas integrate.
+    """
+    if not isinstance(sol.regimen, (EquiDose, Arbitrary)):
+        raise ValidationError("cycle metrics are defined for oral regimens only")
     return _peak_from_coefficients(sol.params, sol.coefficients(n))

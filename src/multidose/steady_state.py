@@ -26,6 +26,9 @@ from .pkmetrics import auc_single
 #: Grid density for sup-norm gap measurements (points per cycle).
 GAP_GRID_POINTS = 10_000
 
+#: Cycles n_epsilon may scan before it reports that no steady state is near.
+N_EPSILON_MAX_CYCLES = 100_000
+
 
 @dataclass(frozen=True)
 class SteadyStateSummary:
@@ -99,7 +102,7 @@ def gap_envelope(p: PkParams, d: float, tau: float, n: int) -> float:
     if n < 1:
         raise ValidationError(f"cycle number must be >= 1, got {n}")
     alpha, beta = _decay_factors(p, tau)
-    g = p.ka * p.gamma * d / (p.volume * abs(p.ka - p.ke))
+    g = abs(absorption_gain(p)) * d
     return g * (alpha ** (n - 1) + beta ** (n - 1))
 
 
@@ -144,13 +147,22 @@ def n_epsilon(p: PkParams, d: float, tau: float, eps: float = 1e-6) -> int:
 
     Scanning starts at cycle 2 (cycle 1 has no predecessor to compare
     against); the exponential envelope caps the search, so once it drops
-    below eps no further cycles need measuring.
+    below eps no further cycles need measuring. The envelope decreases
+    in n, so whether it drops below eps within N_EPSILON_MAX_CYCLES is
+    known before scanning; if not, the error names the slow rate.
     """
     validate_params(p)
     if not eps > 0.0:
         raise ValidationError(f"eps must be > 0, got {eps!r}")
     if not (d > 0.0 and tau > 0.0):
         raise ValidationError("dose and interval must be > 0")
+    if gap_envelope(p, d, tau, N_EPSILON_MAX_CYCLES) >= eps:
+        name, rate = ("elimination", "ke") if p.ke <= p.ka else ("absorption", "ka")
+        raise ValidationError(
+            f"no steady state within {N_EPSILON_MAX_CYCLES} cycles at "
+            f"eps={eps:g}: {name} is slow relative to the dosing interval "
+            f"({rate}*tau={min(p.ka, p.ke) * tau:.3g})"
+        )
     sol = equi_multidose(p, d, tau)
     n = 2
     candidate = None
@@ -164,8 +176,6 @@ def n_epsilon(p: PkParams, d: float, tau: float, eps: float = 1e-6) -> int:
         else:
             candidate = None
         n += 1
-        if n > 100_000:
-            raise ValidationError("eps too small: no steady state within 1e5 cycles")
 
 
 def auc_equality_check(p: PkParams, d: float, tau: float

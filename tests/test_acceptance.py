@@ -289,13 +289,15 @@ def test_criterion_09_extension_models():
     p = FAT_COMPANION
     worst_cont = 0.0
     for n in range(1, 7):
-        left = (fat._c1[n - 1] * math.exp(-p.ke * 2.0)
-                - fat._c2[n - 1] * math.exp(-p.ka * 2.0))
+        c = fat.coefficients(n)
+        left = (c.c1 * math.exp(-p.ke * 2.0)
+                - c.c2 * math.exp(-p.ka * 2.0))
         worst_cont = max(worst_cont, abs(left - fat.cutoff_value(n)))
         if n < 6:
             end = fat.cutoff_value(n) * math.exp(-p.ke * 3.0)
+            nxt = fat.coefficients(n + 1)
             worst_cont = max(worst_cont,
-                             abs(end - (fat._c1[n] - fat._c2[n])))
+                             abs(end - (nxt.c1 - nxt.c2)))
     assert worst_cont <= 1e-12
     t = np.linspace(0.0, 30.0, 6001)[:-1]
     clearance = (t % 5.0) >= 2.0

@@ -218,3 +218,35 @@ class TestInvariants:
         sol = equi_multidose(canonical, 100.0, 6.0)
         with pytest.raises(ValidationError):
             sol.x(-1.0)
+
+
+class TestEquiLookup:
+    @pytest.mark.parametrize("tau", [0.1, 1.0 / 3.0, 12.0, 1e-8])
+    def test_dose_instants_match_grid_search(self, canonical, tau):
+        sol = equi_multidose(canonical, 100.0, tau)
+        grid = np.arange(1_000_001, dtype=float) * tau
+        below = np.nextafter(grid[1:], 0.0)
+        above = np.nextafter(grid, np.inf)
+        for t in (grid, below, above):
+            expected = np.searchsorted(grid, t, side="right")
+            assert np.array_equal(sol.cycle_index(t), expected)
+
+    def test_far_horizon_query_returns(self, canonical):
+        sol = equi_multidose(canonical, 100.0, 1.0)
+        assert sol.cycle_index(1e12) == 10**12 + 1
+        x, y = sol(1e12)
+        assert x == sol.x(1e12) > 0.0
+        assert y == pytest.approx(100.0 / (1.0 - math.exp(-canonical.ka)), rel=1e-9)
+        with pytest.raises(ValidationError, match="2\\*\\*53"):
+            equi_multidose(canonical, 100.0, 1e-8).x(1e12)
+
+    def test_every_query_shape(self, canonical):
+        sol = equi_multidose(canonical, 100.0, 6.0)
+        assert sol.x(np.array([])).shape == (0,)
+        x, y, cycle = sol.evaluate(np.array([]))
+        assert x.shape == y.shape == cycle.shape == (0,)
+        grid = np.linspace(0.0, 30.0, 12).reshape(3, 4)
+        assert sol.x(grid).shape == (3, 4)
+        assert np.array_equal(sol.x(grid).ravel(), sol.x(grid.ravel()))
+        assert isinstance(sol.cycle_index(6.0), int)
+        assert isinstance(sol.x(np.float64(6.0)), float)

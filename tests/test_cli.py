@@ -21,6 +21,8 @@ class TestGoldenOutputs:
     @pytest.mark.parametrize("regimen,golden", [
         ("oral_equi.json", "golden_simulate_oral_equi.csv"),
         ("oral_skip.json", "golden_simulate_oral_skip.csv"),
+        ("bolus_mixed.json", "golden_simulate_bolus_mixed.csv"),
+        ("fat_mixed.json", "golden_simulate_fat_mixed.csv"),
     ])
     def test_simulate_bytes(self, tmp_path, regimen, golden):
         out = tmp_path / "out.csv"
@@ -31,6 +33,7 @@ class TestGoldenOutputs:
     @pytest.mark.parametrize("regimen,golden", [
         ("oral_equi.json", "golden_analyze_oral_equi.json"),
         ("bolus_mixed.json", "golden_analyze_bolus_mixed.json"),
+        ("fat_mixed.json", "golden_analyze_fat_mixed.json"),
     ])
     def test_analyze_bytes(self, tmp_path, regimen, golden):
         out = tmp_path / "out.json"
@@ -65,7 +68,8 @@ class TestSimulate:
         assert cp.stdout == "t_hours,x_conc,y_mg,cycle\n"
 
     def test_verify_passes_for_all_models(self, tmp_path):
-        for name in ("oral_equi.json", "oral_skip.json", "bolus_mixed.json"):
+        for name in ("oral_equi.json", "oral_skip.json", "bolus_mixed.json",
+                     "fat_mixed.json"):
             cp = run_cli("simulate", str(DATA / name), "--verify")
             assert cp.returncode == 0, (name, cp.stderr)
 

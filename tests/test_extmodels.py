@@ -102,12 +102,14 @@ class TestFat:
         sol = fat_multidose(FAT_PARAMS, FatRegimen(entries))
         p = FAT_PARAMS
         for n in range(1, 7):
-            left = (sol._c1[n - 1] * math.exp(-p.ke * 2.0)
-                    - sol._c2[n - 1] * math.exp(-p.ka * 2.0))
+            c = sol.coefficients(n)
+            left = (c.c1 * math.exp(-p.ke * 2.0)
+                    - c.c2 * math.exp(-p.ka * 2.0))
             assert abs(left - sol.cutoff_value(n)) <= 1e-12
             if n < 6:
                 end = sol.cutoff_value(n) * math.exp(-p.ke * 3.0)
-                start_next = sol._c1[n] - sol._c2[n]
+                nxt = sol.coefficients(n + 1)
+                start_next = nxt.c1 - nxt.c2
                 assert abs(end - start_next) <= 1e-12
 
     def test_gut_empty_through_clearance_phase(self):
@@ -136,7 +138,8 @@ class TestFat:
         sol = fat_multidose(FAT_PARAMS, FatRegimen([(600.0, 5.0, 2.0)] * 3))
         p = FAT_PARAMS
         n = 2
-        c1, c2, c3 = sol._c1[n - 1], sol._c2[n - 1], sol._c3[n - 1]
+        c = sol.coefficients(n)
+        c1, c2, c3 = c.c1, c.c2, sol.cutoff_value(n)
         left = -p.ke * c1 * math.exp(-p.ke * 2.0) + p.ka * c2 * math.exp(-p.ka * 2.0)
         right = -p.ke * c3
         assert left - right == pytest.approx(

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from multidose.core import Arbitrary, EquiDose, StepTooLarge
+from multidose.core import Arbitrary, EquiDose, PkParams, StepTooLarge
 from multidose.bateman import arbitrary_multidose, equi_multidose, single_dose
+from multidose.extmodels import (
+    BolusRegimen,
+    FatRegimen,
+    bolus_multidose,
+    fat_multidose,
+)
 from multidose.oracle import (
     OracleConfig,
     integrate_impulses,
@@ -83,3 +89,26 @@ def test_superpose_gut_tracks_solution(canonical):
     t = np.linspace(0.0, 12.0, 1201)
     inside = ~np.isin(t, [0.0, 3.0, 8.0])
     assert np.max(np.abs(sol.y(t[inside]) - ref(t[inside]))) <= 1e-10
+
+
+def test_superpose_bolus_takes_ke():
+    reg = BolusRegimen([(600.0, 4.0), (700.0, 8.0), (300.0, 4.0)])
+    sol = bolus_multidose(0.3838, reg)
+    t = np.linspace(0.0, 24.0, 2401)
+    assert np.max(np.abs(sol.x(t) - superpose(0.3838, reg)(t))) <= 1e-10
+
+
+def test_superpose_fat_windows():
+    p = PkParams(0.42, 0.4, 0.00449, 1.0)
+    reg = FatRegimen([(600.0, 6.0, 2.0), (400.0, 4.0, 4.0), (700.0, 5.0, 1.5)])
+    sol = fat_multidose(p, reg)
+    t = np.linspace(0.0, 20.0, 2001)
+    assert np.max(np.abs(sol.x(t) - superpose(p, reg)(t))) <= 1e-10
+
+
+def test_superpose_keeps_query_order_and_shape(canonical):
+    reg = Arbitrary([(100.0, 3.0), (50.0, 5.0)])
+    ref = superpose(canonical, reg)
+    t = np.array([[7.0, 0.5], [3.0, 0.0]])
+    expected = np.array([[ref(7.0), ref(0.5)], [ref(3.0), ref(0.0)]])
+    assert np.array_equal(ref(t), expected)

@@ -128,3 +128,14 @@ class TestCycleMetricsForArbitrary:
             m = cycle_metrics(sol, n)
             assert m.auc == pytest.approx(quad, rel=1e-8)
             assert m.x_max >= np.max(sol.x(t)) - 1e-12 * m.x_max
+
+
+def test_cycle_metrics_rejects_bolus_and_fat():
+    from multidose.extmodels import (BolusRegimen, FatRegimen, bolus_multidose,
+                                     fat_multidose)
+
+    fat = fat_multidose(PARAM_SETS[0], FatRegimen([(100.0, 6.0, 2.0)] * 3))
+    bolus = bolus_multidose(0.3, BolusRegimen([(100.0, 6.0)] * 3))
+    for sol in (fat, bolus):
+        with pytest.raises(ValidationError, match="oral"):
+            cycle_metrics(sol, 2)

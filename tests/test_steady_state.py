@@ -135,6 +135,17 @@ class TestNEpsilon:
         with pytest.raises(ValidationError):
             n_epsilon(canonical, 100.0, 6.0, 0.0)
 
+    def test_slow_elimination_fails_before_scanning(self, monkeypatch):
+        from multidose import steady_state
+
+        calls = []
+        monkeypatch.setattr(steady_state, "periodicity_gap",
+                            lambda sol, n: calls.append(n))
+        p = PkParams(1.0, 5e-5, 1.0, 1.0)
+        with pytest.raises(ValidationError, match=r"ke\*tau=5e-05"):
+            n_epsilon(p, 100.0, 1.0, 1e-6)
+        assert calls == []
+
 
 class TestAucEquality:
     def test_identity_holds_analytically(self, canonical):
