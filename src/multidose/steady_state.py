@@ -3,8 +3,9 @@
 After many doses the trajectory settles into identical cycles. This
 module computes the limiting trough and peak of that cycle (the
 asymptotic concentration range), its width, the limiting per-cycle AUC,
-the cycle-to-cycle sup-norm gap with its exponential envelope, and the
-first cycle index at which the gap stays below a given epsilon.
+the exact cycle-to-cycle sup-norm gap (endpoints and one interior
+extremum) with its exponential envelope, and, in one array pass bounded
+by the envelope, the first cycle index whose gap stays below epsilon.
 
 The limiting quantities are defined for equi-dose regimens. For an
 arbitrary schedule whose (dose, interval) entries converge, the
@@ -20,11 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EquiDose, PkParams, ValidationError, validate_params
-from .bateman import PiecewiseSolution, absorption_gain, equi_multidose
+from .bateman import PiecewiseSolution, absorption_gain
 from .pkmetrics import auc_single
-
-#: Grid density for sup-norm gap measurements (points per cycle).
-GAP_GRID_POINTS = 10_000
 
 #: Cycles n_epsilon may scan before it reports that no steady state is near.
 N_EPSILON_MAX_CYCLES = 100_000
@@ -106,8 +104,25 @@ def gap_envelope(p: PkParams, d: float, tau: float, n: int) -> float:
     return g * (alpha ** (n - 1) + beta ** (n - 1))
 
 
+def _gap_sup(p: PkParams, dc1, dc2, tau: float) -> np.ndarray:
+    """Exact sup over s in [0, tau] of |dc1 e^{-ke s} - dc2 e^{-ka s}|.
+
+    Elementwise in dc1, dc2. Candidates: s = 0, s = tau and s* with
+    e^{(ka-ke)s*} = ka*dc2/(ke*dc1), from logs as the ratio can under- or
+    overflow (for opposite signs s* is no extremum, just a lower bound).
+    """
+    def gap(s):
+        return np.abs(dc1 * np.exp(-p.ke * s) - dc2 * np.exp(-p.ka * s))
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s_star = (math.log(p.ka) - math.log(p.ke) + np.log(np.abs(dc2))
+                  - np.log(np.abs(dc1))) / (p.ka - p.ke)
+    s_star = np.where((s_star > 0.0) & (s_star < tau), s_star, 0.0)
+    return np.maximum(np.maximum(gap(0.0), gap(tau)), gap(s_star))
+
+
 def periodicity_gap(sol: PiecewiseSolution, n: int) -> float:
-    """Sup over cycle n of |x_n(t) - x_{n-1}(t - tau)|.
+    """Exact sup over cycle n of |x_n(t) - x_{n-1}(t - tau)|.
 
     Both cycles are compared at equal post-dose offsets over cycle n's
     span (the previous cycle's closed form extends naturally if its own
@@ -116,40 +131,27 @@ def periodicity_gap(sol: PiecewiseSolution, n: int) -> float:
     """
     if n < 1:
         raise ValidationError(f"cycle number must be >= 1, got {n}")
-    p = sol.params
     cur = sol.coefficients(n)
     if n == 1:
         dc1, dc2 = cur.c1, cur.c2
     elif isinstance(sol.regimen, EquiDose):
         # The geometric sums telescope: the coefficient increments are
         # single powers, cheaper and free of subtractive cancellation.
-        g = absorption_gain(p) * sol.regimen.dose
-        dc1 = g * cur.beta ** (n - 1)
-        dc2 = g * cur.alpha ** (n - 1)
+        g = absorption_gain(sol.params) * sol.regimen.dose
+        dc1, dc2 = g * cur.beta ** (n - 1), g * cur.alpha ** (n - 1)
     else:
         prev = sol.coefficients(n - 1)
         dc1, dc2 = cur.c1 - prev.c1, cur.c2 - prev.c2
-    # The difference is itself a two-exponential; its only interior
-    # extremum joins the endpoints and a uniform grid in the candidate set.
-    s = np.linspace(0.0, cur.tau, GAP_GRID_POINTS)
-    candidates = np.abs(dc1 * np.exp(-p.ke * s) - dc2 * np.exp(-p.ka * s))
-    best = float(candidates.max())
-    if dc1 != 0.0 and dc2 != 0.0 and (p.ka * dc2) / (p.ke * dc1) > 0.0:
-        s_star = math.log((p.ka * dc2) / (p.ke * dc1)) / (p.ka - p.ke)
-        if 0.0 < s_star < cur.tau:
-            best = max(best, abs(dc1 * math.exp(-p.ke * s_star)
-                                 - dc2 * math.exp(-p.ka * s_star)))
-    return best
+    return float(_gap_sup(sol.params, dc1, dc2, cur.tau))
 
 
 def n_epsilon(p: PkParams, d: float, tau: float, eps: float = 1e-6) -> int:
     """First cycle from which every later sup gap stays below eps.
 
-    Scanning starts at cycle 2 (cycle 1 has no predecessor to compare
-    against); the exponential envelope caps the search, so once it drops
-    below eps no further cycles need measuring. The envelope decreases
-    in n, so whether it drops below eps within N_EPSILON_MAX_CYCLES is
-    known before scanning; if not, the error names the slow rate.
+    Gaps start at cycle 2. The envelope dominates them and decreases in
+    n: unless it is below eps within N_EPSILON_MAX_CYCLES, the error names
+    the slow rate. Else one array pass computes the exact gaps before it
+    drops below eps; the answer starts their trailing run below eps.
     """
     validate_params(p)
     if not eps > 0.0:
@@ -163,19 +165,17 @@ def n_epsilon(p: PkParams, d: float, tau: float, eps: float = 1e-6) -> int:
             f"eps={eps:g}: {name} is slow relative to the dosing interval "
             f"({rate}*tau={min(p.ka, p.ke) * tau:.3g})"
         )
-    sol = equi_multidose(p, d, tau)
-    n = 2
-    candidate = None
-    while True:
-        if gap_envelope(p, d, tau, n) < eps:
-            # Everything from here on is below eps by the envelope.
-            return candidate if candidate is not None else n
-        if periodicity_gap(sol, n) < eps:
-            if candidate is None:
-                candidate = n
-        else:
-            candidate = None
-        n += 1
+    alpha, beta = _decay_factors(p, tau)
+    g = absorption_gain(p) * d
+    # k = n - 1 up to where the envelope, at most 2|g| max(alpha, beta)^k,
+    # is below eps (+2 for rounding): O(n_epsilon) memory, not O(cap). If
+    # that factor rounds to 1, every gap is at most |g| < eps: answer 2.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = (np.log(eps) - np.log(2.0 * abs(g))) / np.log(max(alpha, beta))
+    k = np.arange(1, int(min(N_EPSILON_MAX_CYCLES, max(bound + 2.0, 1.0))) + 1)
+    k = k[:np.argmax(abs(g) * (alpha ** k + beta ** k) < eps)]
+    failing = np.flatnonzero(_gap_sup(p, g * beta ** k, g * alpha ** k, tau) >= eps)
+    return int(failing[-1]) + 3 if failing.size else 2  # index i is cycle i + 2
 
 
 def auc_equality_check(p: PkParams, d: float, tau: float

@@ -284,6 +284,23 @@ class TestAnalyzeCommand:
                                    "--eps", "1e-9").stdout)
         assert loose["steady_state"]["n_epsilon"] < tight["steady_state"]["n_epsilon"]
 
+    def test_flip_flop_with_underflowing_gap_increments(self, tmp_path):
+        doc = {
+            "schema": 1, "model": "oral",
+            "params": {"ka": 0.00403841574832288, "ke": 0.41772963543151187,
+                       "gamma": 0.5603865033489327, "volume": 151.95165233930004,
+                       "time_unit": "h"},
+            "schedule": {"equi": {"dose": 622.8616103053552,
+                                  "interval": 4.479712767430023}},
+            "horizon": 44.8, "sample_step": 1.0,
+        }
+        path = tmp_path / "flipflop.json"
+        path.write_text(json.dumps(doc))
+        cp = run_cli("analyze", str(path), "--eps", "3.0640370820196855e-10")
+        assert cp.returncode == 0, cp.stderr
+        # The cycle-by-cycle scan reference in test_steady_state.py gives 1002.
+        assert json.loads(cp.stdout)["steady_state"]["n_epsilon"] == 1002
+
     def test_fat_equi_limits_match_long_recursion(self, tmp_path):
         from multidose.extmodels import FatRegimen, fat_multidose
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from multidose.core import PkParams, ValidationError
-from multidose.bateman import equi_multidose
+from multidose.core import Arbitrary, PkParams, ValidationError
+from multidose.bateman import absorption_gain, arbitrary_multidose, equi_multidose
 from multidose.pkmetrics import auc_single, peak
 from multidose.steady_state import (
     auc_equality_check,
@@ -24,6 +24,62 @@ PARAM_SETS = [
     PkParams(0.7480, 0.2031, 19.1933, 5000.0),
     PkParams(0.4, 1.6, 2.0, 250.0),  # flip-flop
 ]
+
+# Flip-flop regimen whose cycle increments underflow: at cycle 397 ke*dc1
+# rounds to 0 while dc1 does not.
+UNDERFLOW = (PkParams(0.00403841574832288, 0.41772963543151187,
+                      0.5603865033489327, 151.95165233930004),
+             622.8616103053552, 4.479712767430023, 3.0640370820196855e-10)
+
+
+def scan_reference(p, d, tau, eps):
+    """n_epsilon by the cycle-by-cycle scan: each equi gap on a
+    10,000-point grid plus its interior extremum (skipped where ke*dc1
+    underflows to 0), until the envelope drops below eps."""
+    sol = equi_multidose(p, d, tau)
+    g = absorption_gain(p) * d
+    s = np.linspace(0.0, tau, 10_000)
+    e_ke, e_ka = np.exp(-p.ke * s), np.exp(-p.ka * s)
+    n, candidate = 2, None
+    while gap_envelope(p, d, tau, n) >= eps:
+        c = sol.coefficients(n)
+        dc1, dc2 = g * c.beta ** (n - 1), g * c.alpha ** (n - 1)
+        gap = float(np.abs(dc1 * e_ke - dc2 * e_ka).max())
+        num, den = p.ka * dc2, p.ke * dc1
+        if den != 0.0 and num / den > 0.0:
+            s_star = math.log(num / den) / (p.ka - p.ke)
+            if 0.0 < s_star < tau:
+                gap = max(gap, abs(dc1 * math.exp(-p.ke * s_star)
+                                   - dc2 * math.exp(-p.ka * s_star)))
+        if gap >= eps:
+            candidate = None
+        elif candidate is None:
+            candidate = n
+        n += 1
+    return candidate if candidate is not None else n
+
+
+def reference_cases(count):
+    """Seeded (p, d, tau, eps) cases: ka > ke and flip-flop, ka/ke - 1
+    down to 1e-3, tau 0.1-30 h, eps 1e-12-1, keeping those whose scan
+    stops within 2,000 cycles so that the reference stays fast."""
+    rng = np.random.default_rng(20261018)
+    cases = []
+    while len(cases) < count:
+        ke = 10 ** rng.uniform(-2.0, 0.5)
+        if rng.uniform() < 0.3:
+            ratio = 1.0 + 10 ** rng.uniform(-3.0, -1.0)
+        else:
+            ratio = 10 ** rng.uniform(0.05, 1.5)
+        ka = ke * ratio
+        if rng.uniform() < 0.5:
+            ka, ke = ke, ka
+        p = PkParams(ka, ke, rng.uniform(0.2, 5.0), 10 ** rng.uniform(0.0, 3.7))
+        d, tau = rng.uniform(10.0, 1000.0), 10 ** rng.uniform(-1.0, math.log10(30.0))
+        eps = 10 ** rng.uniform(-12.0, 0.0)
+        if gap_envelope(p, d, tau, 2_000) < eps:
+            cases.append((p, d, tau, eps))
+    return cases
 
 
 class TestBounds:
@@ -115,6 +171,47 @@ class TestPeriodicityGap:
         with pytest.raises(ValidationError):
             periodicity_gap(sol, 0)
 
+    @pytest.mark.parametrize("p", PARAM_SETS[::2], ids=["normal", "flipflop"])
+    @pytest.mark.parametrize("equi", [True, False], ids=["equi", "arbitrary"])
+    def test_exact_sup_against_dense_grid(self, p, equi):
+        if equi:
+            sol = equi_multidose(p, 100.0, 6.0)
+        else:
+            sol = arbitrary_multidose(p, Arbitrary([
+                (100.0, 6.0), (50.0, 2.0), (200.0, 12.0), (80.0, 1.0),
+                (120.0, 8.0), (30.0, 5.0)]))
+        # Later equi gaps are too small against their coefficients to be
+        # differenced from them to 1e-12.
+        for n in range(1, 4 if equi else 7):
+            cur = sol.coefficients(n)
+            dc1, dc2 = cur.c1, cur.c2
+            if n > 1:
+                prev = sol.coefficients(n - 1)
+                dc1, dc2 = dc1 - prev.c1, dc2 - prev.c2
+
+            def diff(s):
+                return np.abs(dc1 * np.exp(-p.ke * s) - dc2 * np.exp(-p.ka * s))
+
+            # A 100,001-point grid, refined once between the neighbours of
+            # its maximum so that an interior peak is resolved too.
+            s = np.linspace(0.0, cur.tau, 100_001)
+            i = int(np.argmax(diff(s)))
+            fine = np.linspace(s[max(i - 1, 0)], s[min(i + 1, s.size - 1)], 100_001)
+            grid = max(diff(s).max(), diff(fine).max())
+            gap = periodicity_gap(sol, n)
+            scale = max(abs(dc1), abs(dc2))
+            assert grid * (1.0 - 1e-12) <= gap <= grid + 1e-12 * scale, n
+
+    def test_underflowing_increment(self):
+        p, d, tau, _ = UNDERFLOW
+        sol = equi_multidose(p, d, tau)
+        g = absorption_gain(p) * d
+        for n in range(390, 405):
+            # The ke-term is subnormal, so the gap is the ka-term at s = 0.
+            alpha = sol.coefficients(n).alpha
+            assert periodicity_gap(sol, n) == pytest.approx(
+                abs(g) * alpha ** (n - 1), rel=1e-12)
+
 
 class TestNEpsilon:
     def test_frozen_direct_scan_value(self, canonical):
@@ -135,16 +232,31 @@ class TestNEpsilon:
         with pytest.raises(ValidationError):
             n_epsilon(canonical, 100.0, 6.0, 0.0)
 
-    def test_slow_elimination_fails_before_scanning(self, monkeypatch):
+    def test_eps_above_every_envelope(self, canonical):
+        eps = 10.0 * gap_envelope(canonical, 100.0, 6.0, 1)
+        assert n_epsilon(canonical, 100.0, 6.0, eps) == 2
+
+    def test_slow_elimination_fails_before_scanning(self, monkeypatch, canonical):
         from multidose import steady_state
 
         calls = []
-        monkeypatch.setattr(steady_state, "periodicity_gap",
-                            lambda sol, n: calls.append(n))
+        kernel = steady_state._gap_sup
+        monkeypatch.setattr(steady_state, "_gap_sup",
+                            lambda *args: calls.append(args) or kernel(*args))
         p = PkParams(1.0, 5e-5, 1.0, 1.0)
         with pytest.raises(ValidationError, match=r"ke\*tau=5e-05"):
             n_epsilon(p, 100.0, 1.0, 1e-6)
         assert calls == []
+        # The spy does see the gaps of a scan that runs.
+        assert n_epsilon(canonical, 100.0, 6.0, 1e-6) == 32 and calls
+
+    def test_underflowing_increments(self):
+        assert n_epsilon(*UNDERFLOW) == scan_reference(*UNDERFLOW) == 1002
+
+    def test_matches_scan_reference(self):
+        cases = reference_cases(200)
+        assert ([n_epsilon(*case) for case in cases]
+                == [scan_reference(*case) for case in cases])
 
 
 class TestAucEquality:
