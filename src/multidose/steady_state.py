@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EquiDose, PkParams, ValidationError, validate_params
-from .bateman import PiecewiseSolution, absorption_gain
+from .bateman import PiecewiseSolution, absorption_gain, equi_multidose
 from .pkmetrics import auc_single
 
 #: Cycles n_epsilon may scan before it reports that no steady state is near.
@@ -89,15 +89,15 @@ def width_limit(p: PkParams, d: float) -> float:
     )
 
 
-def gap_envelope(p: PkParams, d: float, tau: float, n: int) -> float:
-    """Exponential bound dominating the cycle-n sup gap.
+def gap_envelope(p: PkParams, d: float, tau: float, n):
+    """Exponential bound dominating the cycle-n sup gap (n: int or array).
 
     The gap between cycle n and the previous cycle, both measured from
     their own dose instant, is (C1(n)-C1(n-1))e^{-ke s} -
     (C2(n)-C2(n-1))e^{-ka s} with coefficient differences g*beta^(n-1)
     and g*alpha^(n-1); the triangle inequality at s=0 gives this bound.
     """
-    if n < 1:
+    if np.min(n, initial=1) < 1:
         raise ValidationError(f"cycle number must be >= 1, got {n}")
     alpha, beta = _decay_factors(p, tau)
     g = abs(absorption_gain(p)) * d
@@ -121,24 +121,26 @@ def _gap_sup(p: PkParams, dc1, dc2, tau: float) -> np.ndarray:
     return np.maximum(np.maximum(gap(0.0), gap(tau)), gap(s_star))
 
 
-def periodicity_gap(sol: PiecewiseSolution, n: int) -> float:
+def periodicity_gap(sol: PiecewiseSolution, n):
     """Exact sup over cycle n of |x_n(t) - x_{n-1}(t - tau)|.
 
     Both cycles are compared at equal post-dose offsets over cycle n's
     span (the previous cycle's closed form extends naturally if its own
     interval is shorter). n = 1 compares against the zero function, i.e.
-    returns the sup of the first cycle itself.
+    returns the sup of the first cycle itself. Equi-dose solutions also
+    take an array of cycle numbers.
     """
-    if n < 1:
+    if np.min(n, initial=1) < 1:
         raise ValidationError(f"cycle number must be >= 1, got {n}")
+    if isinstance(sol.regimen, EquiDose):
+        # The geometric sums telescope: the coefficient increments are
+        # cycle 1's times single powers, free of subtractive cancellation.
+        c, k = sol.coefficients(1), np.asarray(n) - 1
+        gaps = _gap_sup(sol.params, c.c1 * c.beta ** k, c.c2 * c.alpha ** k, c.tau)
+        return gaps if k.ndim else float(gaps)
     cur = sol.coefficients(n)
     if n == 1:
         dc1, dc2 = cur.c1, cur.c2
-    elif isinstance(sol.regimen, EquiDose):
-        # The geometric sums telescope: the coefficient increments are
-        # single powers, cheaper and free of subtractive cancellation.
-        g = absorption_gain(sol.params) * sol.regimen.dose
-        dc1, dc2 = g * cur.beta ** (n - 1), g * cur.alpha ** (n - 1)
     else:
         prev = sol.coefficients(n - 1)
         dc1, dc2 = cur.c1 - prev.c1, cur.c2 - prev.c2
@@ -150,8 +152,8 @@ def n_epsilon(p: PkParams, d: float, tau: float, eps: float = 1e-6) -> int:
 
     Gaps start at cycle 2. The envelope dominates them and decreases in
     n: unless it is below eps within N_EPSILON_MAX_CYCLES, the error names
-    the slow rate. Else one array pass computes the exact gaps before it
-    drops below eps; the answer starts their trailing run below eps.
+    the slow rate. Else one periodicity_gap call gives the exact gaps up
+    to there; the answer starts their trailing run below eps.
     """
     validate_params(p)
     if not eps > 0.0:
@@ -165,17 +167,15 @@ def n_epsilon(p: PkParams, d: float, tau: float, eps: float = 1e-6) -> int:
             f"eps={eps:g}: {name} is slow relative to the dosing interval "
             f"({rate}*tau={min(p.ka, p.ke) * tau:.3g})"
         )
-    alpha, beta = _decay_factors(p, tau)
-    g = absorption_gain(p) * d
-    # k = n - 1 up to where the envelope, at most 2|g| max(alpha, beta)^k,
+    # Cycles until the envelope, at most gap_envelope(1) max(alpha, beta)^(n-1),
     # is below eps (+2 for rounding): O(n_epsilon) memory, not O(cap). If
     # that factor rounds to 1, every gap is at most |g| < eps: answer 2.
     with np.errstate(divide="ignore", invalid="ignore"):
-        bound = (np.log(eps) - np.log(2.0 * abs(g))) / np.log(max(alpha, beta))
-    k = np.arange(1, int(min(N_EPSILON_MAX_CYCLES, max(bound + 2.0, 1.0))) + 1)
-    k = k[:np.argmax(abs(g) * (alpha ** k + beta ** k) < eps)]
-    failing = np.flatnonzero(_gap_sup(p, g * beta ** k, g * alpha ** k, tau) >= eps)
-    return int(failing[-1]) + 3 if failing.size else 2  # index i is cycle i + 2
+        bound = np.log(eps / gap_envelope(p, d, tau, 1)) / np.log(max(_decay_factors(p, tau)))
+    n = np.arange(2, int(min(N_EPSILON_MAX_CYCLES, max(bound + 2.0, 1.0))) + 2)
+    n = n[:np.argmax(gap_envelope(p, d, tau, n) < eps)]
+    failing = n[periodicity_gap(equi_multidose(p, d, tau), n) >= eps]
+    return int(failing[-1]) + 1 if failing.size else 2
 
 
 def auc_equality_check(p: PkParams, d: float, tau: float

@@ -170,6 +170,20 @@ class TestPeriodicityGap:
         sol = equi_multidose(canonical, 100.0, 6.0)
         with pytest.raises(ValidationError):
             periodicity_gap(sol, 0)
+        with pytest.raises(ValidationError):
+            periodicity_gap(sol, np.array([2, 0, 3]))
+        with pytest.raises(ValidationError):
+            gap_envelope(canonical, 100.0, 6.0, np.array([0, 1]))
+
+    @pytest.mark.parametrize("p", PARAM_SETS, ids=["canonical", "fitted", "flipflop"])
+    def test_array_of_cycles_matches_scalar_calls(self, p):
+        sol = equi_multidose(p, 100.0, 6.0)
+        n = np.arange(1, 61)
+        gaps, bounds = periodicity_gap(sol, n), gap_envelope(p, 100.0, 6.0, n)
+        assert gaps.shape == bounds.shape == n.shape
+        for i, k in enumerate(n.tolist()):
+            assert gaps[i] == pytest.approx(periodicity_gap(sol, k), rel=1e-14)
+            assert bounds[i] == pytest.approx(gap_envelope(p, 100.0, 6.0, k), rel=1e-14)
 
     @pytest.mark.parametrize("p", PARAM_SETS[::2], ids=["normal", "flipflop"])
     @pytest.mark.parametrize("equi", [True, False], ids=["equi", "arbitrary"])
