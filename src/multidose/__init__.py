@@ -48,7 +48,6 @@ from .steady_state import (
     width_limit,
 )
 from .dosing import (
-    SolverContext,
     TherapeuticTarget,
     design,
     f_ratio,
@@ -61,6 +60,7 @@ from .extmodels import (
     FatRegimen,
     bolus_equi_remainder_limit,
     bolus_multidose,
+    fat_equi_limits,
     fat_multidose,
 )
 

@@ -170,13 +170,9 @@ class RegimenFile:
             )
         if self.model == "fat":
             rows = [self.equi] if self.equi else self.entries
-            for i, row in enumerate(rows):
-                if self.equi:
-                    dose, interval, offset = row
-                    where = "schedule.equi.fat_offset"
-                else:
-                    dose, interval, offset = row
-                    where = f"schedule.arbitrary[{i}].fat_offset"
+            for i, (dose, interval, offset) in enumerate(rows):
+                where = ("schedule.equi.fat_offset" if self.equi
+                         else f"schedule.arbitrary[{i}].fat_offset")
                 if offset > interval:
                     raise RegimenFileError(
                         f"{where}: absorption window {offset:g} exceeds the "
@@ -397,8 +393,7 @@ def cmd_design(args) -> int:
     if args.tau_grid:
         grid = _parse_grid(args.tau_grid)
         tau_r = min(grid, key=lambda g: abs(g - tau_star))
-        d_r = dosing._dose_for_trough(dosing.SolverContext.for_params(p),
-                                      target.lower, tau_r)
+        d_r = dosing._dose_for_trough(p, target.lower, tau_r)
         payload["rounded"] = {
             "tau": tau_r,
             "d": d_r,
@@ -447,27 +442,21 @@ def _analyze_oral(regfile: RegimenFile, eps: float) -> dict:
     n_cycles = regfile.n_cycles_in_horizon()
     cycles = [_cycle_row(pkmetrics.cycle_metrics(sol, n))
               for n in range(1, n_cycles + 1)]
-    if regfile.equi is not None:
-        dose, interval, _ = regfile.equi
-        asymptote = {"dose": dose, "interval": interval}
-    else:
-        # A convergent schedule settles into its limiting entry's cycle.
-        dose, interval = regfile.entries[-1]
-        asymptote = {"dose": dose, "interval": interval}
-    p = regfile.params
-    summary = steady_state.summarize(p, dose, interval, eps)
-    auc_one, auc_ss, rel = steady_state.auc_equality_check(p, dose, interval)
+    # A convergent schedule settles into its limiting entry's cycle.
+    dose, interval = (regfile.equi[:2] if regfile.equi is not None
+                      else regfile.entries[-1])
+    summary = steady_state.summarize(regfile.params, dose, interval, eps)
     return {
         "model": "oral",
         "schema": SCHEMA_VERSION,
-        "asymptote_of": asymptote,
+        "asymptote_of": {"dose": dose, "interval": interval},
         "steady_state": {
             "ss_lower": summary.ss_lower,
             "ss_upper": summary.ss_upper,
             "width": summary.width,
-            "auc_ss": auc_ss,
-            "auc_single": auc_one,
-            "auc_rel_diff": rel,
+            "auc_ss": summary.auc_ss,
+            "auc_single": summary.auc_single,
+            "auc_rel_diff": summary.auc_rel_diff,
             "n_epsilon": summary.n_epsilon,
             "epsilon": summary.epsilon,
         },
@@ -507,17 +496,8 @@ def _analyze_fat(regfile: RegimenFile) -> dict:
         "cycles": cycles,
     }
     if regfile.equi is not None:
-        dose, interval, offset = regfile.equi
-        p = regfile.params
-        gain = bateman.absorption_gain(p)
-        b_cut = np.exp(-p.ke * offset)
-        a_cut = np.exp(-p.ka * offset)
-        beta = np.exp(-p.ke * interval)
-        payload["steady_state"] = {
-            "cutoff_limit": float(gain * dose * (b_cut - a_cut) / (1.0 - beta)),
-            "end_limit": float(gain * dose * (b_cut - a_cut) / (1.0 - beta)
-                               * np.exp(-p.ke * (interval - offset))),
-        }
+        cutoff, end = extmodels.fat_equi_limits(regfile.params, *regfile.equi)
+        payload["steady_state"] = {"cutoff_limit": cutoff, "end_limit": end}
     return payload
 
 

@@ -1,8 +1,9 @@
 """Regimen design: invert the steady-state bounds into a (dose, interval).
 
-The peak/trough ratio of the limiting cycle depends on the interval
-alone, is strictly increasing in it, and sweeps (1, inf); the dose then
-scales the trough linearly. Designing a regimen therefore reduces to a
+The peak/trough ratio of the limiting cycle is the quotient of the two
+gain-free shapes in `steady_state`: it depends on the interval alone,
+is strictly increasing in it, and sweeps (1, inf); the dose then scales
+the trough linearly. Designing a regimen therefore reduces to a
 one-dimensional bracketed root find on the ratio followed by a linear
 solve for the dose. The ratio map is invariant under swapping the two
 rate constants, so flip-flop parameter vectors need no special casing.
@@ -62,89 +63,34 @@ class TherapeuticTarget:
             )
 
 
-@dataclass(frozen=True)
-class SolverContext:
-    """Precomputed exponents and shape functions of the bound ratio.
-
-    p1, p2 are the peak-formula exponents -ka/(ka-ke), -ke/(ka-ke)
-    (p2 - p1 = 1); p3, p4 their powers of ka/ke. trough_shape and
-    peak_shape give the steady-state bounds once multiplied by the dose
-    gain, and their quotient f = peak/trough is the strictly increasing
-    map inverted by the designer.
-    """
-
-    params: PkParams
-    p1: float
-    p2: float
-    p3: float
-    p4: float
-
-    @classmethod
-    def for_params(cls, p: PkParams) -> "SolverContext":
-        validate_params(p)
-        p1 = -p.ka / (p.ka - p.ke)
-        p2 = -p.ke / (p.ka - p.ke)
-        return cls(params=p, p1=p1, p2=p2,
-                   p3=(p.ka / p.ke) ** p1, p4=(p.ka / p.ke) ** p2)
-
-    def trough_shape(self, tau: float) -> float:
-        """Psi: the trough bound with the dose gain divided out."""
-        p = self.params
-        z = -math.expm1(-p.ka * tau)
-        w = -math.expm1(-p.ke * tau)
-        # beta/w - alpha/z = (beta - alpha)/(w z); the numerator is
-        # factored through the slower rate so neither orientation can
-        # overflow or cancel.
-        k_slow, k_fast = min(p.ka, p.ke), max(p.ka, p.ke)
-        diff = -math.exp(-k_slow * tau) * math.expm1(-(k_fast - k_slow) * tau)
-        if p.ka < p.ke:
-            diff = -diff
-        return diff / (w * z)
-
-    def peak_shape(self, tau: float) -> float:
-        """Phi: the peak bound with the dose gain divided out."""
-        p = self.params
-        z = -math.expm1(-p.ka * tau)
-        w = -math.expm1(-p.ke * tau)
-        ratio = p.ka * w / (p.ke * z)
-        return ratio ** self.p2 / w - ratio ** self.p1 / z
-
-    def f(self, tau: float) -> float:
-        """Peak/trough ratio of the limiting cycle; increasing, range (1, inf)."""
-        trough = self.trough_shape(tau)
-        if trough == 0.0:
-            # The trough underflows once the slow exponential does; the
-            # ratio has genuinely outgrown float range by then.
-            return math.inf
-        return self.peak_shape(tau) / trough
-
-    def f_excess(self, tau: float) -> float:
-        """f(tau) - 1 without the cancellation that hits tiny intervals."""
-        p = self.params
-        if (p.ka + p.ke) * tau < _SERIES_THRESHOLD:
-            return p.ka * p.ke * tau * tau / 8.0
-        return self.f(tau) - 1.0
+def _check_interval(p: PkParams, tau: float) -> None:
+    if not tau > 0.0:
+        raise ValidationError(f"interval must be > 0, got {tau!r}")
+    validate_params(p)
 
 
 def f_ratio(p: PkParams, tau: float) -> float:
-    """Limiting peak/trough ratio for the given interval."""
-    if not tau > 0.0:
-        raise ValidationError(f"interval must be > 0, got {tau!r}")
-    return SolverContext.for_params(p).f(tau)
+    """Limiting peak/trough ratio; increasing in the interval, range (1, inf)."""
+    _check_interval(p, tau)
+    trough = steady_state.trough_shape(p, tau)
+    if trough == 0.0:
+        # The trough underflows once the slow exponential does; the
+        # ratio has genuinely outgrown float range by then.
+        return math.inf
+    return steady_state.peak_shape(p, tau) / trough
 
 
 def f_ratio_excess(p: PkParams, tau: float) -> float:
     """f_ratio(p, tau) - 1, accurate down to vanishing intervals."""
-    if not tau > 0.0:
-        raise ValidationError(f"interval must be > 0, got {tau!r}")
-    return SolverContext.for_params(p).f_excess(tau)
+    _check_interval(p, tau)
+    if (p.ka + p.ke) * tau < _SERIES_THRESHOLD:
+        return p.ka * p.ke * tau * tau / 8.0
+    return f_ratio(p, tau) - 1.0
 
 
-def _dose_for_trough(ctx: SolverContext, target_lower: float,
-                     tau: float) -> float:
-    p = ctx.params
+def _dose_for_trough(p: PkParams, target_lower: float, tau: float) -> float:
     return target_lower * p.volume * (p.ka - p.ke) / (
-        p.ka * p.gamma * ctx.trough_shape(tau)
+        p.ka * p.gamma * steady_state.trough_shape(p, tau)
     )
 
 
@@ -155,19 +101,19 @@ def design(p: PkParams, target: TherapeuticTarget) -> tuple[float, float]:
     ratio map is strictly increasing), then the dose from the trough
     equation, and verifies both achieved bounds to 1e-8 relative.
     """
-    ctx = SolverContext.for_params(p)
+    validate_params(p)
     ratio_excess = (target.upper - target.lower) / target.lower
     if not ratio_excess > 0.0:
         raise ValidationError("target upper must strictly exceed target lower")
 
     lo, hi = TAU_FLOOR, 1.0
-    if ctx.f_excess(lo) > ratio_excess:
+    if f_ratio_excess(p, lo) > ratio_excess:
         raise NoConvergence(
             "target ratio is below the resolvable range at the bracket floor",
             bracket=(lo, hi), ratio=1.0 + ratio_excess,
         )
     expansions = 0
-    while ctx.f_excess(hi) < ratio_excess:
+    while f_ratio_excess(p, hi) < ratio_excess:
         hi *= 2.0
         expansions += 1
         if expansions > 200:
@@ -179,7 +125,7 @@ def design(p: PkParams, target: TherapeuticTarget) -> tuple[float, float]:
     tau = 0.5 * (lo + hi)
     for _ in range(MAX_BISECT):
         tau = 0.5 * (lo + hi)
-        excess = ctx.f_excess(tau)
+        excess = f_ratio_excess(p, tau)
         if abs(excess - ratio_excess) <= RATIO_RTOL * (1.0 + ratio_excess):
             break
         if excess < ratio_excess:
@@ -189,11 +135,11 @@ def design(p: PkParams, target: TherapeuticTarget) -> tuple[float, float]:
     else:
         raise NoConvergence(
             "bisection did not reach the ratio tolerance",
-            bracket=(lo, hi), achieved_ratio=1.0 + ctx.f_excess(tau),
+            bracket=(lo, hi), achieved_ratio=1.0 + f_ratio_excess(p, tau),
             ratio=1.0 + ratio_excess,
         )
 
-    d = _dose_for_trough(ctx, target.lower, tau)
+    d = _dose_for_trough(p, target.lower, tau)
     achieved_lower = steady_state.ss_lower(p, d, tau)
     achieved_upper = steady_state.ss_upper(p, d, tau)
     if (abs(achieved_lower - target.lower) > DESIGN_VERIFY_RTOL * target.lower

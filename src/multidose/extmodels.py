@@ -127,6 +127,25 @@ def bolus_equi_remainder_limit(ke: float, delta: float, tau: float) -> float:
     return delta * beta / (1.0 - beta)
 
 
+def fat_equi_limits(p: PkParams, d: float, tau: float,
+                    offset: float) -> tuple[float, float]:
+    """Limiting (cutoff, end-of-cycle) concentrations for constant FAT dosing.
+
+    Every cycle absorbs for `offset` hours of its `tau`, so the cutoff
+    values obey x <- x*beta + gain*d*(b_cut - a_cut), whose fixed point
+    decays by e^{-ke (tau - offset)} to the end of the cycle.
+    """
+    validate_params(p)
+    if not (d > 0.0 and 0.0 < offset <= tau):
+        raise ValidationError(
+            "dose must be > 0 and the absorption window within (0, interval]")
+    b_cut = np.exp(-p.ke * offset)
+    a_cut = np.exp(-p.ka * offset)
+    beta = np.exp(-p.ke * tau)
+    cutoff = absorption_gain(p) * d * (b_cut - a_cut) / (1.0 - beta)
+    return float(cutoff), float(cutoff * np.exp(-p.ke * (tau - offset)))
+
+
 class FatSolution(PiecewiseSolution):
     """Two-phase piecewise solution with per-cycle absorption cutoffs.
 

@@ -2,10 +2,15 @@
 
 After many doses the trajectory settles into identical cycles. This
 module computes the limiting trough and peak of that cycle (the
-asymptotic concentration range), its width, the limiting per-cycle AUC,
-the exact cycle-to-cycle sup-norm gap (endpoints and one interior
-extremum) with its exponential envelope, and, in one array pass bounded
-by the envelope, the first cycle index whose gap stays below epsilon.
+asymptotic concentration range), its width, the limiting per-cycle AUC
+checked against the single-dose AUC, the exact cycle-to-cycle sup-norm
+gap (endpoints and one interior extremum) with its exponential envelope,
+and, in one array pass bounded by the envelope, the first cycle index
+whose gap stays below epsilon.
+
+The two bounds are the dose gain times a gain-free shape of the
+interval, trough_shape and peak_shape. These are the one implementation
+of each: `dosing` inverts their quotient to design regimens.
 
 The limiting quantities are defined for equi-dose regimens. For an
 arbitrary schedule whose (dose, interval) entries converge, the
@@ -22,7 +27,7 @@ import numpy as np
 
 from .core import EquiDose, PkParams, ValidationError, validate_params
 from .bateman import PiecewiseSolution, absorption_gain, equi_multidose
-from .pkmetrics import auc_single
+from .pkmetrics import _auc_from_coefficients, _dose_gain, _peak_powers, auc_single
 
 #: Cycles n_epsilon may scan before it reports that no steady state is near.
 N_EPSILON_MAX_CYCLES = 100_000
@@ -30,12 +35,14 @@ N_EPSILON_MAX_CYCLES = 100_000
 
 @dataclass(frozen=True)
 class SteadyStateSummary:
-    """Limiting-cycle summary: bounds, width, AUC, convergence index."""
+    """Limiting-cycle summary: bounds, width, AUC check, convergence index."""
 
     ss_lower: float
     ss_upper: float
     width: float
     auc_ss: float
+    auc_single: float
+    auc_rel_diff: float
     n_epsilon: int
     epsilon: float
 
@@ -44,33 +51,41 @@ def _decay_factors(p: PkParams, tau: float) -> tuple[float, float]:
     return math.exp(-p.ka * tau), math.exp(-p.ke * tau)
 
 
+def _decay_complements(p: PkParams, tau: float) -> tuple[float, float]:
+    """(1 - alpha, 1 - beta) from expm1, exact at tiny intervals."""
+    return -math.expm1(-p.ka * tau), -math.expm1(-p.ke * tau)
+
+
+def trough_shape(p: PkParams, tau: float) -> float:
+    """The limiting trough with the dose gain divided out (p assumed valid)."""
+    za, zb = _decay_complements(p, tau)
+    # beta/zb - alpha/za = (beta - alpha)/(zb za); the numerator is factored
+    # through the slower rate so neither orientation can overflow or cancel.
+    k_slow, k_fast = min(p.ka, p.ke), max(p.ka, p.ke)
+    diff = -math.exp(-k_slow * tau) * math.expm1(-(k_fast - k_slow) * tau)
+    if p.ka < p.ke:
+        diff = -diff
+    return diff / (zb * za)
+
+
+def peak_shape(p: PkParams, tau: float) -> float:
+    """The limiting peak with the dose gain divided out (p assumed valid)."""
+    za, zb = _decay_complements(p, tau)
+    e2, e1 = _peak_powers(p, (p.ka * zb) / (p.ke * za))
+    return e2 / zb - e1 / za
+
+
 def ss_lower(p: PkParams, d: float, tau: float) -> float:
     """Limiting trough: the concentration left just before each dose.
 
     Equals the limit of the end-of-cycle remainders.
     """
-    validate_params(p)
-    if not (d > 0.0 and tau > 0.0):
-        raise ValidationError("dose and interval must be > 0")
-    # Denominators via expm1 (exact at tiny intervals), numerators via
-    # exp (exact at huge ones).
-    za = -math.expm1(-p.ka * tau)
-    zb = -math.expm1(-p.ke * tau)
-    alpha, beta = math.exp(-p.ka * tau), math.exp(-p.ke * tau)
-    return absorption_gain(p) * d * (beta / zb - alpha / za)
+    return _dose_gain(p, d, tau) * trough_shape(p, tau)
 
 
 def ss_upper(p: PkParams, d: float, tau: float) -> float:
     """Limiting peak: the cycle maximum after many doses."""
-    validate_params(p)
-    if not (d > 0.0 and tau > 0.0):
-        raise ValidationError("dose and interval must be > 0")
-    za = -math.expm1(-p.ka * tau)
-    zb = -math.expm1(-p.ke * tau)
-    ratio = (p.ka * zb) / (p.ke * za)
-    e2 = ratio ** (-p.ke / (p.ka - p.ke))
-    e1 = ratio ** (-p.ka / (p.ka - p.ke))
-    return absorption_gain(p) * d * (e2 / zb - e1 / za)
+    return _dose_gain(p, d, tau) * peak_shape(p, tau)
 
 
 def width(p: PkParams, d: float, tau: float) -> float:
@@ -83,10 +98,8 @@ def width_limit(p: PkParams, d: float) -> float:
     validate_params(p)
     if not d > 0.0:
         raise ValidationError(f"dose must be > 0, got {d!r}")
-    r = p.ka / p.ke
-    return absorption_gain(p) * d * (
-        r ** (-p.ke / (p.ka - p.ke)) - r ** (-p.ka / (p.ka - p.ke))
-    )
+    e2, e1 = _peak_powers(p, p.ka / p.ke)
+    return absorption_gain(p) * d * (e2 - e1)
 
 
 def gap_envelope(p: PkParams, d: float, tau: float, n):
@@ -155,11 +168,9 @@ def n_epsilon(p: PkParams, d: float, tau: float, eps: float = 1e-6) -> int:
     the slow rate. Else one periodicity_gap call gives the exact gaps up
     to there; the answer starts their trailing run below eps.
     """
-    validate_params(p)
+    _dose_gain(p, d, tau)  # validates p, d and tau
     if not eps > 0.0:
         raise ValidationError(f"eps must be > 0, got {eps!r}")
-    if not (d > 0.0 and tau > 0.0):
-        raise ValidationError("dose and interval must be > 0")
     if gap_envelope(p, d, tau, N_EPSILON_MAX_CYCLES) >= eps:
         name, rate = ("elimination", "ke") if p.ke <= p.ka else ("absorption", "ka")
         raise ValidationError(
@@ -182,15 +193,14 @@ def auc_equality_check(p: PkParams, d: float, tau: float
                        ) -> tuple[float, float, float]:
     """Self-test: the limiting per-cycle AUC equals the single-dose AUC.
 
-    Returns (auc_single, auc_ss, relative difference). The limit of the
-    per-cycle expression drops its geometric terms, leaving the same
-    closed form, so the relative difference is zero to rounding.
+    Returns (auc_single, auc_ss, relative difference). auc_ss integrates
+    the limiting cycle, whose coefficients are g/(1-beta) and
+    g/(1-alpha), over one interval; the identity holds to rounding.
     """
-    validate_params(p)
-    if not (d > 0.0 and tau > 0.0):
-        raise ValidationError("dose and interval must be > 0")
+    g = _dose_gain(p, d, tau)
     total = auc_single(p, d)
-    limiting = absorption_gain(p) * d * (1.0 / p.ke - 1.0 / p.ka)
+    za, zb = _decay_complements(p, tau)
+    limiting = _auc_from_coefficients(p, g / zb, g / za, za, zb)
     denom = max(abs(total), abs(limiting))
     rel = abs(total - limiting) / denom if denom else 0.0
     return total, limiting, rel
@@ -201,11 +211,14 @@ def summarize(p: PkParams, d: float, tau: float,
     """Full steady-state summary for an equi-dose regimen."""
     lower = ss_lower(p, d, tau)
     upper = ss_upper(p, d, tau)
+    total, limiting, rel = auc_equality_check(p, d, tau)
     return SteadyStateSummary(
         ss_lower=lower,
         ss_upper=upper,
         width=upper - lower,
-        auc_ss=auc_equality_check(p, d, tau)[1],
+        auc_ss=limiting,
+        auc_single=total,
+        auc_rel_diff=rel,
         n_epsilon=n_epsilon(p, d, tau, eps),
         epsilon=eps,
     )

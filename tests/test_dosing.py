@@ -3,7 +3,6 @@ import pytest
 
 from multidose.core import PkParams, ValidationError
 from multidose.dosing import (
-    SolverContext,
     TherapeuticTarget,
     design,
     f_ratio,
@@ -35,24 +34,6 @@ class TestTherapeuticTarget:
             TherapeuticTarget(mic=-1.0, tc=4.0, lower=1.0, upper=3.0)
 
 
-class TestSolverContext:
-    def test_exponent_identities(self, canonical):
-        ctx = SolverContext.for_params(canonical)
-        assert ctx.p2 - ctx.p1 == pytest.approx(1.0, rel=1e-14)
-        assert ctx.p4 > ctx.p3
-
-    def test_shapes_match_bounds(self, canonical):
-        # gain * d * shape reproduces the steady-state bound formulas.
-        p = canonical
-        gain = p.ka * p.gamma / (p.volume * (p.ka - p.ke))
-        ctx = SolverContext.for_params(p)
-        for tau in (0.5, 3.0, 12.0):
-            assert gain * 100.0 * ctx.trough_shape(tau) == pytest.approx(
-                ss_lower(p, 100.0, tau), rel=1e-12)
-            assert gain * 100.0 * ctx.peak_shape(tau) == pytest.approx(
-                ss_upper(p, 100.0, tau), rel=1e-12)
-
-
 class TestFRatio:
     def test_near_one_at_tiny_interval(self, canonical):
         excess = f_ratio_excess(canonical, 1e-8)
@@ -67,8 +48,7 @@ class TestFRatio:
 
     @pytest.mark.parametrize("p", PARAM_SETS, ids=["normal", "fitted", "flipflop"])
     def test_equals_bound_ratio_independently(self, p):
-        # Dose cancels: f computed from the shape functions must match
-        # the ratio of the separately implemented bound formulas.
+        # Dose and gain cancel: f must match the ratio of the bounds.
         for tau in (0.8, 4.0, 24.0):
             direct = ss_upper(p, 37.0, tau) / ss_lower(p, 37.0, tau)
             assert abs(f_ratio(p, tau) - direct) <= 1e-10 * direct

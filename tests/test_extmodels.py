@@ -9,6 +9,7 @@ from multidose.extmodels import (
     FatRegimen,
     bolus_equi_remainder_limit,
     bolus_multidose,
+    fat_equi_limits,
     fat_multidose,
 )
 from multidose.oracle import _rk4_segment
@@ -179,6 +180,14 @@ class TestFat:
         for n in range(1, 7):
             assert sol.end_value(n) / sol.cutoff_value(n) == pytest.approx(
                 expected, rel=1e-13)
+
+    def test_equi_limits_match_long_recursion(self):
+        sol = fat_multidose(FAT_PARAMS, FatRegimen([(600.0, 5.0, 2.0)] * 400))
+        cutoff, end = fat_equi_limits(FAT_PARAMS, 600.0, 5.0, 2.0)
+        assert cutoff == pytest.approx(sol.cutoff_value(400), rel=1e-12)
+        assert end == pytest.approx(sol.end_value(400), rel=1e-12)
+        with pytest.raises(ValidationError):
+            fat_equi_limits(FAT_PARAMS, 600.0, 5.0, 6.0)
 
     def test_window_validation(self):
         with pytest.raises(ValidationError):

@@ -1,12 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
 from multidose.core import Arbitrary, PkParams, ValidationError
 from multidose.bateman import absorption_gain, arbitrary_multidose, equi_multidose
-from multidose.pkmetrics import auc_single, peak
+from multidose.pkmetrics import auc_single, cycle_metrics, peak
 from multidose.steady_state import (
     auc_equality_check,
     gap_envelope,
@@ -30,6 +31,18 @@ PARAM_SETS = [
 UNDERFLOW = (PkParams(0.00403841574832288, 0.41772963543151187,
                       0.5603865033489327, 151.95165233930004),
              622.8616103053552, 4.479712767430023, 3.0640370820196855e-10)
+
+
+def mp_bounds(p, d, tau):
+    """ss_lower and ss_upper at p's exact binary values, to 60 digits."""
+    with mpmath.workdps(60):
+        ka, ke, t = mpmath.mpf(p.ka), mpmath.mpf(p.ke), mpmath.mpf(tau)
+        g = ka * p.gamma * mpmath.mpf(d) / (p.volume * (ka - ke))
+        za, zb = -mpmath.expm1(-ka * t), -mpmath.expm1(-ke * t)
+        r = ka * zb / (ke * za)
+        lower = g * (mpmath.exp(-ke * t) / zb - mpmath.exp(-ka * t) / za)
+        upper = g * (r ** (-ke / (ka - ke)) / zb - r ** (-ka / (ka - ke)) / za)
+        return lower, upper
 
 
 def scan_reference(p, d, tau, eps):
@@ -129,6 +142,23 @@ class TestBounds:
                    for a, b in zip(doses, doses[1:]))
         assert all(ss_upper(p, b, 8.0) > ss_upper(p, a, 8.0)
                    for a, b in zip(doses, doses[1:]))
+
+
+class TestHighPrecisionReference:
+    @pytest.mark.parametrize("delta", [1e-1, 1e-3, 1e-5, 1e-8])
+    @pytest.mark.parametrize("flip", [False, True], ids=["normal", "flipflop"])
+    def test_bounds_against_mpmath(self, delta, flip):
+        # The trough factors through expm1 and stays exact as ka -> ke. The
+        # peak's powers of r = 1 + O(tau*delta) lose about rounding/delta
+        # (2.9e-8 at delta = 1e-8); its bound follows that curve.
+        upper_rtol = 1e-14 + 1e-15 / delta
+        for ke in (0.05, 0.3, 2.0):
+            ka = ke * (1.0 + delta)
+            p = PkParams(*((ke, ka) if flip else (ka, ke)), 1.7, 300.0)
+            for tau in np.geomspace(1e-3, 30.0, 15):
+                lower, upper = mp_bounds(p, 100.0, tau)
+                assert abs(ss_lower(p, 100.0, tau) - lower) <= 1e-14 * lower, tau
+                assert abs(ss_upper(p, 100.0, tau) - upper) <= upper_rtol * upper, tau
 
 
 class TestWidth:
@@ -286,6 +316,12 @@ class TestAucEquality:
         quad = simpson(sol.x(t), x=t)
         assert quad == pytest.approx(auc_single(canonical, 100.0), rel=1e-8)
 
+    @pytest.mark.parametrize("p", PARAM_SETS, ids=["normal", "fitted", "flipflop"])
+    def test_limiting_cycle_matches_late_cycle(self, p):
+        auc_ss = auc_equality_check(p, 100.0, 6.0)[1]
+        late = cycle_metrics(equi_multidose(p, 100.0, 6.0), 400).auc
+        assert abs(late - auc_ss) <= 1e-12 * auc_ss
+
     def test_linear_in_dose(self, canonical):
         t1 = auc_equality_check(canonical, 100.0, 6.0)
         t2 = auc_equality_check(canonical, 200.0, 6.0)
@@ -311,3 +347,5 @@ def test_summarize_bundles_everything(canonical):
     assert s.width == pytest.approx(s.ss_upper - s.ss_lower, rel=1e-13)
     assert s.n_epsilon == 32
     assert s.auc_ss == pytest.approx(auc_single(canonical, 100.0), rel=1e-12)
+    assert (s.auc_single, s.auc_ss, s.auc_rel_diff) == auc_equality_check(
+        canonical, 100.0, 6.0)
