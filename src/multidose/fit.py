@@ -145,39 +145,44 @@ def fit_single_dose(series: ConcentrationSeries, d: float, v: float,
     sse_path = [sse]
     lam = 1e-3
     iterations = 0
-    for iterations in range(1, MAX_ITERATIONS + 1):
-        jtj = jac.T @ jac
-        gradient = -2.0 * (jac.T @ residual)
-        if np.linalg.norm(gradient) < GRADIENT_ATOL:
-            break
-        accepted = False
-        for _ in range(40):
-            damped = jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-30))
-            try:
-                step = np.linalg.solve(damped, jac.T @ residual)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            trial = theta + step
-            trial_sse, trial_residual, trial_jac = objective(trial)
-            if np.isfinite(trial_sse) and trial_sse <= sse:
-                accepted = True
+    # A trial step can underflow exp(theta) to a zero rate: a zero curve and
+    # a NaN Jacobian. Such a step is rejected unless it lowers the SSE, and a
+    # zero rate that is kept fails validate_params below, so the numpy
+    # warnings it raises tell nothing the fit does not report.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for iterations in range(1, MAX_ITERATIONS + 1):
+            jtj = jac.T @ jac
+            gradient = -2.0 * (jac.T @ residual)
+            if np.linalg.norm(gradient) < GRADIENT_ATOL:
                 break
-            lam *= 10.0
-        if not accepted:
-            break
-        improvement = sse - trial_sse
-        theta, residual, jac = trial, trial_residual, trial_jac
-        sse_prev, sse = sse, trial_sse
-        sse_path.append(sse)
-        lam = max(lam * 0.3, 1e-12)
-        if improvement <= SSE_RTOL * max(sse_prev, 1e-300):
-            break
-    else:
-        raise NoConvergence(
-            "iteration limit reached before convergence",
-            sse=sse, params=tuple(np.exp(theta)), iterations=MAX_ITERATIONS,
-        )
+            accepted = False
+            for _ in range(40):
+                damped = jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-30))
+                try:
+                    step = np.linalg.solve(damped, jac.T @ residual)
+                except np.linalg.LinAlgError:
+                    lam *= 10.0
+                    continue
+                trial = theta + step
+                trial_sse, trial_residual, trial_jac = objective(trial)
+                if np.isfinite(trial_sse) and trial_sse <= sse:
+                    accepted = True
+                    break
+                lam *= 10.0
+            if not accepted:
+                break
+            improvement = sse - trial_sse
+            theta, residual, jac = trial, trial_residual, trial_jac
+            sse_prev, sse = sse, trial_sse
+            sse_path.append(sse)
+            lam = max(lam * 0.3, 1e-12)
+            if improvement <= SSE_RTOL * max(sse_prev, 1e-300):
+                break
+        else:
+            raise NoConvergence(
+                "iteration limit reached before convergence",
+                sse=sse, params=tuple(np.exp(theta)), iterations=MAX_ITERATIONS,
+            )
 
     ka, ke, gamma = (float(x) for x in np.exp(theta))
     fitted = PkParams(ka=ka, ke=ke, gamma=gamma, volume=v)

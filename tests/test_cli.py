@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from multidose.cli import CSV_BLOCK_ROWS, load_regimen_file
 from multidose.core import PkParams
 from multidose.bateman import single_dose
 
@@ -68,10 +69,39 @@ class TestSimulate:
         assert cp.stdout == "t_hours,x_conc,y_mg,cycle\n"
 
     def test_verify_passes_for_all_models(self, tmp_path):
-        for name in ("oral_equi.json", "oral_skip.json", "bolus_mixed.json",
-                     "fat_mixed.json"):
-            cp = run_cli("simulate", str(DATA / name), "--verify")
+        for name in ("oral_equi", "oral_skip", "bolus_mixed", "fat_mixed"):
+            cp = run_cli("simulate", str(DATA / f"{name}.json"), "--verify")
             assert cp.returncode == 0, (name, cp.stderr)
+            golden = DATA / f"golden_simulate_{name}.csv"
+            assert cp.stdout == golden.read_text(), name
+
+    @pytest.mark.parametrize("model,params,schedule", [
+        ("oral", {"ka": 1.0, "ke": 0.1, "gamma": 1.0, "volume": 1.0},
+         {"equi": {"dose": 100.0, "interval": 6.0}}),
+        ("bolus", {"ke": 0.3838}, {"equi": {"dose": 600.0, "interval": 4.0}}),
+        ("fat", {"ka": 0.9, "ke": 0.25, "gamma": 0.05, "volume": 10.0},
+         {"equi": {"dose": 600.0, "interval": 5.0, "fat_offset": 2.0}}),
+    ], ids=["oral", "bolus", "fat"])
+    def test_rows_across_block_seams(self, tmp_path, model, params, schedule):
+        # More than two blocks, the last one partial.
+        rows = 2 * CSV_BLOCK_ROWS + 1001
+        step = 1.0 / 64.0
+        doc = {"schema": 1, "model": model,
+               "params": {**params, "time_unit": "h"}, "schedule": schedule,
+               "horizon": (rows - 1) * step, "sample_step": step}
+        path = tmp_path / "regimen.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out.csv"
+        cp = run_cli("simulate", str(path), "--out", str(out))
+        assert cp.returncode == 0, cp.stderr
+
+        times = np.arange(rows) * step
+        x, y, cycles = load_regimen_file(str(path)).solution().evaluate(times)
+        lines = ["t_hours,x_conc,y_mg,cycle"]
+        for t, xv, yv, c in zip(times, x, y, cycles):
+            lines.append(",".join([format(t, ".6g"), format(xv, ".6g"),
+                                   format(yv, ".6g"), str(int(c))]))
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_fat_model_simulation(self, tmp_path):
         doc = {

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from multidose import fit
 from multidose.core import ConcentrationSeries, InsufficientData, PkParams
 from multidose.bateman import single_dose
 from multidose.fit import curve_jacobian, fit_single_dose, predict
@@ -79,6 +82,45 @@ class TestObjectivePath:
         assert len(path) >= 2
         assert all(b <= a for a, b in zip(path, path[1:]))
         assert path[-1] == result.sse
+
+
+class TestRejectedTrials:
+    # One Monte Carlo replicate of `multidose fit --mc-reps` (seed 267191831)
+    # whose LM search tries a step that underflows ka to 0.0.
+    TIMES = [0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0, 12.0, 16.0, 24.0]
+    VALUES = [0.2943741300334129, 0.44602541479278174, 0.5516901749935504,
+              0.5738280671892867, 0.5415662194222128, 0.498581241533306,
+              0.3682936909441243, 0.25378135474037167, 0.15648044474686973,
+              0.09844657199484141, 0.08185656631272362, 0.0]
+
+    def test_underflowing_trial_is_rejected_silently(self, monkeypatch):
+        tried = []
+        model = fit._model_and_jacobian
+
+        def spy(theta, *args):
+            tried.append(np.exp(theta))
+            return model(theta, *args)
+
+        monkeypatch.setattr(fit, "_model_and_jacobian", spy)
+        series = ConcentrationSeries(self.TIMES, self.VALUES)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = fit_single_dose(series, 250.0, 5000.0)
+        assert any(rates[0] == 0.0 for rates in tried)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        # The fit's values, bit for bit, as with warnings enabled.
+        assert result.params == PkParams(ka=0.8460261261176348,
+                                         ke=0.19122354490637708,
+                                         gamma=17.778745696377598,
+                                         volume=5000.0)
+        assert result.sse == 0.002033335288851834
+        assert result.r2 == 0.9955529583792159
+        assert result.stderr == (0.061116431954544345, 0.011150625204586335,
+                                 0.7261040992419932)
+        assert result.covariance_status == "ok"
+        assert result.n_iterations == 30
+        assert len(result.sse_path) == 31
+        assert result.sse_path[:2] == (1.0994176968116245, 0.8881377897690279)
 
 
 class TestJacobian:
