@@ -32,7 +32,6 @@ from .bateman import (
     SingleDoseCurve,
     arbitrary_multidose,
     equi_multidose,
-    remainders,
     single_dose,
 )
 from .pkmetrics import CycleMetrics, auc_cycle, auc_single, cycle_metrics, peak
@@ -54,7 +53,7 @@ from .dosing import (
     f_ratio_excess,
     feasible_set_check,
 )
-from .fit import FitResult, fit_single_dose, predict
+from .fit import FitResult, fit_batch, fit_single_dose, predict
 from .extmodels import (
     BolusRegimen,
     FatRegimen,

@@ -304,8 +304,3 @@ def equi_multidose(p: PkParams, d: float, tau: float) -> PiecewiseSolution:
 def arbitrary_multidose(p: PkParams, r: Regimen) -> PiecewiseSolution:
     """Piecewise solution for any dosing schedule."""
     return PiecewiseSolution(p, r)
-
-
-def remainders(sol: PiecewiseSolution, n: int) -> tuple[float, float]:
-    """Module-level alias for PiecewiseSolution.remainders."""
-    return sol.remainders(n)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from collections.abc import Iterator
@@ -62,23 +63,14 @@ def _require(doc: dict, key: str, path: str = ""):
     return doc[key]
 
 
-def _positive(value, where: str) -> float:
+def _positive(value, where: str, zero_ok: bool = False) -> float:
     try:
         out = float(value)
     except (TypeError, ValueError):
         raise RegimenFileError(f"{where}: expected a number, got {value!r}") from None
-    if not np.isfinite(out) or out <= 0.0:
-        raise RegimenFileError(f"{where}: must be > 0, got {value!r}")
-    return out
-
-
-def _nonnegative(value, where: str) -> float:
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise RegimenFileError(f"{where}: expected a number, got {value!r}") from None
-    if not np.isfinite(out) or out < 0.0:
-        raise RegimenFileError(f"{where}: must be >= 0, got {value!r}")
+    if not np.isfinite(out) or out < 0.0 or (out == 0.0 and not zero_ok):
+        bound = ">=" if zero_ok else ">"
+        raise RegimenFileError(f"{where}: must be {bound} 0, got {value!r}")
     return out
 
 
@@ -129,7 +121,7 @@ class RegimenFile:
                 "schedule: expected an object with exactly one of 'equi' or 'arbitrary'"
             )
         self._load_schedule(schedule, scale)
-        self.horizon = _nonnegative(_require(doc, "horizon"), "horizon") * scale
+        self.horizon = _positive(_require(doc, "horizon"), "horizon", zero_ok=True) * scale
         self.sample_step = _positive(_require(doc, "sample_step"), "sample_step") * scale
 
     def _load_schedule(self, schedule: dict, scale: float) -> None:
@@ -199,23 +191,21 @@ class RegimenFile:
             self.params, Arbitrary([(d, tau) for d, tau in self.entries])
         )
 
+    def _dose_entries(self) -> list[tuple]:
+        """Bolus or FAT entries; an equi schedule is repeated to cover the
+        horizon: floor(horizon/interval) + 1 doses."""
+        if self.equi is None:
+            return self.entries
+        count = max(1, int(np.floor(self.horizon / self.equi[1])) + 1)
+        return [self.equi if self.model == "fat" else self.equi[:2]] * count
+
     def bolus_solution(self) -> extmodels.BolusSolution:
-        if self.equi is not None:
-            dose, interval, _ = self.equi
-            count = max(1, int(np.floor(self.horizon / interval)) + 1)
-            entries = [(dose, interval)] * count
-        else:
-            entries = self.entries
-        return extmodels.bolus_multidose(self.ke, extmodels.BolusRegimen(entries))
+        regimen = extmodels.BolusRegimen(self._dose_entries())
+        return extmodels.bolus_multidose(self.ke, regimen)
 
     def fat_solution(self) -> extmodels.FatSolution:
-        if self.equi is not None:
-            dose, interval, offset = self.equi
-            count = max(1, int(np.floor(self.horizon / interval)) + 1)
-            entries = [(dose, interval, offset)] * count
-        else:
-            entries = self.entries
-        return extmodels.fat_multidose(self.params, extmodels.FatRegimen(entries))
+        regimen = extmodels.FatRegimen(self._dose_entries())
+        return extmodels.fat_multidose(self.params, regimen)
 
     def solution(self) -> bateman.PiecewiseSolution:
         """The closed-form solution of the file's model."""
@@ -349,19 +339,13 @@ def _monte_carlo(series: ConcentrationSeries, base: fitmod.FitResult, args) -> d
     t = series.times_array()
     clean = fitmod.predict(t, base, args.dose, args.volume).values_array()
     sigma = args.mc_noise * clean.max()
+    # One draw for all replicates: row r is what the r-th per-row draw gives.
+    noisy = np.maximum(clean + rng.normal(0.0, sigma, size=(args.mc_reps, t.size)), 0.0)
     truth = base.params
     covered = 0
     failed = 0
-    for _ in range(args.mc_reps):
-        noisy = np.maximum(clean + rng.normal(0.0, sigma, size=t.size), 0.0)
-        try:
-            rep = fitmod.fit_single_dose(
-                ConcentrationSeries(t.tolist(), noisy.tolist()),
-                args.dose, args.volume)
-        except (ValidationError, NumericalError):
-            failed += 1
-            continue
-        if rep.stderr is None:
+    for rep in fitmod.fit_batch(t, noisy, args.dose, args.volume):
+        if isinstance(rep, NumericalError) or rep.stderr is None:
             failed += 1
             continue
         ok = (abs(rep.params.ka - truth.ka) <= 3.0 * rep.stderr[0]
@@ -390,30 +374,26 @@ def cmd_design(args) -> int:
     payload = {
         "d_star": d_star,
         "tau_star": tau_star,
-        "achieved": {
-            "ss_lower": steady_state.ss_lower(p, d_star, tau_star),
-            "ss_upper": steady_state.ss_upper(p, d_star, tau_star),
-        },
+        **_achieved(p, d_star, tau_star, target),
         "targets": {"ss_lower": target.lower, "ss_upper": target.upper},
         "mic": target.mic,
         "tc": target.tc,
-        "feasible": dosing.feasible_set_check(p, d_star, tau_star, target),
     }
     if args.tau_grid:
         grid = _parse_grid(args.tau_grid)
         tau_r = min(grid, key=lambda g: abs(g - tau_star))
         d_r = dosing._dose_for_trough(p, target.lower, tau_r)
-        payload["rounded"] = {
-            "tau": tau_r,
-            "d": d_r,
-            "achieved": {
-                "ss_lower": steady_state.ss_lower(p, d_r, tau_r),
-                "ss_upper": steady_state.ss_upper(p, d_r, tau_r),
-            },
-            "feasible": dosing.feasible_set_check(p, d_r, tau_r, target),
-        }
+        payload["rounded"] = {"tau": tau_r, "d": d_r,
+                              **_achieved(p, d_r, tau_r, target)}
     _write_text(args.out, _json_dumps(payload))
     return EXIT_OK
+
+
+def _achieved(p: PkParams, d: float, tau: float, target) -> dict:
+    """A regimen's steady-state bounds, and whether they lie in [mic, tc]."""
+    return {"achieved": {"ss_lower": steady_state.ss_lower(p, d, tau),
+                         "ss_upper": steady_state.ss_upper(p, d, tau)},
+            "feasible": dosing.feasible_set_check(p, d, tau, target)}
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -459,16 +439,8 @@ def _analyze_oral(regfile: RegimenFile, eps: float) -> dict:
         "model": "oral",
         "schema": SCHEMA_VERSION,
         "asymptote_of": {"dose": dose, "interval": interval},
-        "steady_state": {
-            "ss_lower": summary.ss_lower,
-            "ss_upper": summary.ss_upper,
-            "width": summary.width,
-            "auc_ss": summary.auc_ss,
-            "auc_single": summary.auc_single,
-            "auc_rel_diff": summary.auc_rel_diff,
-            "n_epsilon": summary.n_epsilon,
-            "epsilon": summary.epsilon,
-        },
+        # Every field of the summary, under its own name.
+        "steady_state": dataclasses.asdict(summary),
         "cycles": cycles,
     }
 
@@ -478,10 +450,8 @@ def _analyze_bolus(regfile: RegimenFile) -> dict:
     shown = min(sol.n_cycles, regfile.n_cycles_in_horizon())
     cycles = [{"n": n, "start_value": sol.start_value(n),
                "remainder": sol.remainder(n)} for n in range(1, shown + 1)]
-    if regfile.equi is not None:
-        delta, interval, _ = regfile.equi
-    else:
-        delta, interval = regfile.entries[-1]
+    delta, interval = (regfile.equi[:2] if regfile.equi is not None
+                       else regfile.entries[-1])
     return {
         "model": "bolus",
         "schema": SCHEMA_VERSION,

@@ -72,6 +72,10 @@ def _check_interval(p: PkParams, tau: float) -> None:
 def f_ratio(p: PkParams, tau: float) -> float:
     """Limiting peak/trough ratio; increasing in the interval, range (1, inf)."""
     _check_interval(p, tau)
+    return _ratio(p, tau)
+
+
+def _ratio(p: PkParams, tau: float) -> float:
     trough = steady_state.trough_shape(p, tau)
     if trough == 0.0:
         # The trough underflows once the slow exponential does; the
@@ -83,9 +87,14 @@ def f_ratio(p: PkParams, tau: float) -> float:
 def f_ratio_excess(p: PkParams, tau: float) -> float:
     """f_ratio(p, tau) - 1, accurate down to vanishing intervals."""
     _check_interval(p, tau)
+    return _ratio_excess(p, tau)
+
+
+def _ratio_excess(p: PkParams, tau: float) -> float:
+    """f_ratio_excess for a valid p and tau > 0, unchecked."""
     if (p.ka + p.ke) * tau < _SERIES_THRESHOLD:
         return p.ka * p.ke * tau * tau / 8.0
-    return f_ratio(p, tau) - 1.0
+    return _ratio(p, tau) - 1.0
 
 
 def _dose_for_trough(p: PkParams, target_lower: float, tau: float) -> float:
@@ -99,7 +108,8 @@ def design(p: PkParams, target: TherapeuticTarget) -> tuple[float, float]:
 
     Solves f(tau) = upper/lower by expanding-bracket bisection (the
     ratio map is strictly increasing), then the dose from the trough
-    equation, and verifies both achieved bounds to 1e-8 relative.
+    equation, and verifies both achieved bounds to 1e-8 relative. p is
+    validated once here; the root find evaluates the unchecked ratio.
     """
     validate_params(p)
     ratio_excess = (target.upper - target.lower) / target.lower
@@ -107,13 +117,13 @@ def design(p: PkParams, target: TherapeuticTarget) -> tuple[float, float]:
         raise ValidationError("target upper must strictly exceed target lower")
 
     lo, hi = TAU_FLOOR, 1.0
-    if f_ratio_excess(p, lo) > ratio_excess:
+    if _ratio_excess(p, lo) > ratio_excess:
         raise NoConvergence(
             "target ratio is below the resolvable range at the bracket floor",
             bracket=(lo, hi), ratio=1.0 + ratio_excess,
         )
     expansions = 0
-    while f_ratio_excess(p, hi) < ratio_excess:
+    while _ratio_excess(p, hi) < ratio_excess:
         hi *= 2.0
         expansions += 1
         if expansions > 200:
@@ -125,7 +135,7 @@ def design(p: PkParams, target: TherapeuticTarget) -> tuple[float, float]:
     tau = 0.5 * (lo + hi)
     for _ in range(MAX_BISECT):
         tau = 0.5 * (lo + hi)
-        excess = f_ratio_excess(p, tau)
+        excess = _ratio_excess(p, tau)
         if abs(excess - ratio_excess) <= RATIO_RTOL * (1.0 + ratio_excess):
             break
         if excess < ratio_excess:
@@ -135,7 +145,7 @@ def design(p: PkParams, target: TherapeuticTarget) -> tuple[float, float]:
     else:
         raise NoConvergence(
             "bisection did not reach the ratio tolerance",
-            bracket=(lo, hi), achieved_ratio=1.0 + f_ratio_excess(p, tau),
+            bracket=(lo, hi), achieved_ratio=1.0 + _ratio_excess(p, tau),
             ratio=1.0 + ratio_excess,
         )
 

@@ -166,10 +166,6 @@ class FatSolution(PiecewiseSolution):
         # The dose resets the gut, discarding what the last cycle left.
         self._tabulate(regimen.entries, lambda x, y, d: (x, d))
 
-    def cutoff_times(self) -> np.ndarray:
-        """Absolute times s_n where absorption stops, one per cycle."""
-        return self._starts[:-1] + self._cut
-
     def cutoff_value(self, n: int) -> float:
         """Concentration at the cycle-n absorption cutoff (1-based)."""
         self._check_cycle(n)

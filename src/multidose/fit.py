@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -60,19 +59,15 @@ class FitResult:
     sse_path: tuple[float, ...] = ()
 
 
-class _Rates(NamedTuple):
-    """(ka, ke, gamma, volume) for `absorption_gain` at each iterate:
-    cheaper to build than a PkParams, and never validated."""
-
-    ka: float
-    ke: float
-    gamma: float
-    volume: float
+#: Index of the diagonals of a stack of 3 x 3 matrices.
+_DIAG = (slice(None), range(3), range(3))
 
 
 def _curve_and_jacobian(p, t: np.ndarray, d: float
                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Curve values and d x(t)/d(ka, ke, gamma) in the original scale."""
+    """Curve values and d x(t)/d(ka, ke, gamma) in the original scale:
+    shapes (m,) and (m, 3) for scalar rates in p, (R, m) and (R, m, 3)
+    for (R, 1) columns of R parameter vectors."""
     amp = absorption_gain(p) * d
     ee = np.exp(-p.ke * t)
     ea = np.exp(-p.ka * t)
@@ -80,7 +75,7 @@ def _curve_and_jacobian(p, t: np.ndarray, d: float
     dx_dka = -p.ke / (p.ka * (p.ka - p.ke)) * x + amp * t * ea
     dx_dke = x / (p.ka - p.ke) - amp * t * ee
     dx_dgamma = x / p.gamma
-    return x, np.column_stack((dx_dka, dx_dke, dx_dgamma))
+    return x, np.stack((dx_dka, dx_dke, dx_dgamma), axis=-1)
 
 
 def curve_jacobian(p: PkParams, t: np.ndarray, d: float) -> np.ndarray:
@@ -90,26 +85,37 @@ def curve_jacobian(p: PkParams, t: np.ndarray, d: float) -> np.ndarray:
 
 def _model_and_jacobian(theta: np.ndarray, t: np.ndarray, d: float,
                         v: float) -> tuple[np.ndarray, np.ndarray]:
-    """Curve values and d(model)/d(log-params) at log-params theta."""
+    """Curves (R, m) and d(model)/d(log-params) (R, m, 3) at theta (R, 3)."""
     rates = np.exp(theta)
-    x, jac = _curve_and_jacobian(_Rates(*rates, v), t, d)
+    x, jac = _curve_and_jacobian(PkParams(*rates.T[:, :, None], v), t, d)
     # d/d(log k) = k * d/dk, column by column.
-    return x, jac * rates
+    return x, jac * rates[:, None, :]
+
+
+def _sum_squares(r: np.ndarray) -> np.ndarray:
+    """r @ r for each row of r (R, n)."""
+    return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Steps (R, 3) from systems a (R, 3, 3), b (R, 3, 1); NaN where a is
+    singular, as one singular matrix makes numpy fail the whole stack."""
+    try:
+        return np.linalg.solve(a, b)[..., 0]
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.full((1, 3), np.nan)
+        return np.concatenate([_solve(a[i:i + 1], b[i:i + 1]) for i in range(len(a))])
 
 
 def _initial_guess(t: np.ndarray, c: np.ndarray, d: float,
                    v: float) -> np.ndarray:
     """Standard heuristics: terminal slope for ke, then peak matching."""
-    tail = slice(-3, None)
-    tt, cc = t[tail], c[tail]
+    tt, cc = t[-3:], c[-3:]
     positive = cc > 0.0
-    ke = np.nan
-    if positive.sum() >= 2:
-        slope = np.polyfit(tt[positive], np.log(cc[positive]), 1)[0]
-        if slope < 0.0:
-            ke = -slope
-    if not np.isfinite(ke) or ke <= 0.0:
-        ke = 1.0 / max(t[-1], 1e-6)
+    slope = (np.polyfit(tt[positive], np.log(cc[positive]), 1)[0]
+             if positive.sum() >= 2 else np.nan)
+    ke = -slope if slope < 0.0 else 1.0 / max(t[-1], 1e-6)
     ka = 5.0 * ke
     ref = PkParams(ka=ka, ke=ke, gamma=1.0, volume=v)
     t_peak = math.log(ka / ke) / (ka - ke)
@@ -121,102 +127,131 @@ def _initial_guess(t: np.ndarray, c: np.ndarray, d: float,
 def fit_single_dose(series: ConcentrationSeries, d: float, v: float,
                     init: PkParams | None = None) -> FitResult:
     """Least-squares fit of the single-dose curve to a sampled series."""
+    result, = fit_batch(series.times_array(), series.values_array()[None, :], d, v, init)
+    if isinstance(result, NoConvergence):
+        raise result
+    return result
+
+
+def fit_batch(times, values, d: float, v: float, init: PkParams | None = None
+              ) -> list[FitResult | NoConvergence]:
+    """Fit every row of `values` (R, m), sampled at `times` (m,), at once.
+
+    One Levenberg-Marquardt iteration over the rows, each with its own
+    damping, steps, stopping rule and iteration count. Each row gets what
+    it gets when fitted alone, bit for bit (every reduction is a stacked
+    matmul, which calls the BLAS routine one row's product calls): its
+    FitResult, or the NoConvergence `fit_single_dose` raises for it. A
+    failing row never stops the others; bad d, v, init or shapes raise.
+    """
     if not (d > 0.0 and v > 0.0):
         raise ValidationError("dose and volume must be > 0")
-    t = series.times_array()
-    c = series.values_array()
+    t = np.asarray(times, dtype=float)
+    c = np.atleast_2d(np.asarray(values, dtype=float))
     if len(t) < 4:
         raise InsufficientData(
             f"need at least 4 data points to fit 3 parameters, got {len(t)}"
         )
-
+    if c.shape[1] != len(t):
+        raise ValidationError(f"{c.shape[1]} values per row for {len(t)} times")
     if init is not None:
         validate_params(init)
-        theta = np.log(np.array([init.ka, init.ke, init.gamma]))
+        theta = np.tile(np.log(np.array([init.ka, init.ke, init.gamma])), (len(c), 1))
     else:
-        theta = _initial_guess(t, c, d, v)
+        theta = np.array([_initial_guess(t, row, d, v) for row in c]).reshape(-1, 3)
 
-    def objective(th: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        x, jac = _model_and_jacobian(th, t, d, v)
-        residual = c - x
-        return float(residual @ residual), residual, jac
-
-    sse, residual, jac = objective(theta)
-    sse_path = [sse]
-    lam = 1e-3
-    iterations = 0
     # A trial step can underflow exp(theta) to a zero rate: a zero curve and
     # a NaN Jacobian. Such a step is rejected unless it lowers the SSE, and a
     # zero rate that is kept fails validate_params below, so the numpy
     # warnings it raises tell nothing the fit does not report.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for iterations in range(1, MAX_ITERATIONS + 1):
-            jtj = jac.T @ jac
-            gradient = -2.0 * (jac.T @ residual)
-            if np.linalg.norm(gradient) < GRADIENT_ATOL:
+        x, jac = _model_and_jacobian(theta, t, d, v)
+        residual = c - x
+        sse = _sum_squares(residual)
+        sse_paths = [[s] for s in sse.tolist()]
+        lam = np.full(len(c), 1e-3)
+        iterations = np.zeros(len(c), dtype=int)
+        running = np.ones(len(c), dtype=bool)
+        for k in range(1, MAX_ITERATIONS + 1):
+            rows = np.flatnonzero(running)
+            if not rows.size:
                 break
-            accepted = False
+            iterations[rows] = k
+            jac_k = jac[rows]
+            jtj = jac_k.transpose(0, 2, 1) @ jac_k
+            jtr = jac_k.transpose(0, 2, 1) @ residual[rows, :, None]
+            flat = np.sqrt(_sum_squares(-2.0 * jtr[..., 0])) < GRADIENT_ATOL
+            running[rows[flat]] = False
+            rows, jtj, jtr = rows[~flat], jtj[~flat], jtr[~flat]
+            scale = np.zeros_like(jtj)
+            scale[_DIAG] = np.maximum(jtj[_DIAG], 1e-30)
             for _ in range(40):
-                damped = jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-30))
-                try:
-                    step = np.linalg.solve(damped, jac.T @ residual)
-                except np.linalg.LinAlgError:
-                    lam *= 10.0
-                    continue
-                trial = theta + step
-                trial_sse, trial_residual, trial_jac = objective(trial)
-                if np.isfinite(trial_sse) and trial_sse <= sse:
-                    accepted = True
+                if not rows.size:
                     break
-                lam *= 10.0
-            if not accepted:
-                break
-            improvement = sse - trial_sse
-            theta, residual, jac = trial, trial_residual, trial_jac
-            sse_prev, sse = sse, trial_sse
-            sse_path.append(sse)
-            lam = max(lam * 0.3, 1e-12)
-            if improvement <= SSE_RTOL * max(sse_prev, 1e-300):
-                break
-        else:
-            raise NoConvergence(
+                trial = theta[rows] + _solve(jtj + lam[rows, None, None] * scale, jtr)
+                trial_x, trial_jac = _model_and_jacobian(trial, t, d, v)
+                trial_residual = c[rows] - trial_x
+                trial_sse = _sum_squares(trial_residual)
+                ok = np.isfinite(trial_sse) & (trial_sse <= sse[rows])
+                lam[rows[~ok]] *= 10.0
+                won = rows[ok]
+                gain = sse[won] - trial_sse[ok]
+                running[won[gain <= SSE_RTOL * np.maximum(sse[won], 1e-300)]] = False
+                theta[won], sse[won] = trial[ok], trial_sse[ok]
+                residual[won], jac[won] = trial_residual[ok], trial_jac[ok]
+                lam[won] = np.maximum(lam[won] * 0.3, 1e-12)
+                for i, s in zip(won.tolist(), trial_sse[ok].tolist()):
+                    sse_paths[i].append(s)
+                rows, jtj, jtr, scale = rows[~ok], jtj[~ok], jtr[~ok], scale[~ok]
+            # No step accepted in 40 trials: these rows stop where they are.
+            running[rows] = False
+        rates = np.exp(theta)
+        stderr = _standard_errors(rates, v, t, d, sse, len(t))
+
+    tss = ((c - c.mean(axis=1)[:, None]) ** 2).sum(axis=1).tolist()
+    results: list[FitResult | NoConvergence] = []
+    for i, ((ka, ke, gamma), fit_sse) in enumerate(zip(rates.tolist(), sse.tolist())):
+        if running[i]:
+            results.append(NoConvergence(
                 "iteration limit reached before convergence",
-                sse=sse, params=tuple(np.exp(theta)), iterations=MAX_ITERATIONS,
-            )
+                sse=fit_sse, params=tuple(rates[i]), iterations=MAX_ITERATIONS,
+            ))
+            continue
+        fitted = PkParams(ka=ka, ke=ke, gamma=gamma, volume=v)
+        try:
+            validate_params(fitted)
+        except ValidationError as exc:
+            results.append(NoConvergence(
+                f"optimizer converged to an invalid parameter vector: {exc}",
+                params=(ka, ke, gamma), sse=fit_sse,
+            ))
+            results[-1].__cause__ = exc
+            continue
+        r2 = (1.0 - fit_sse / tss[i] if tss[i] > 0.0
+              else (1.0 if fit_sse == 0.0 else 0.0))
+        results.append(FitResult(
+            params=fitted, sse=fit_sse, r2=r2, stderr=stderr[i],
+            covariance_status="singular" if stderr[i] is None else "ok",
+            n_points=len(t), n_iterations=int(iterations[i]),
+            sse_path=tuple(sse_paths[i])))
+    return results
 
-    ka, ke, gamma = (float(x) for x in np.exp(theta))
-    fitted = PkParams(ka=ka, ke=ke, gamma=gamma, volume=v)
-    try:
-        validate_params(fitted)
-    except ValidationError as exc:
-        raise NoConvergence(
-            f"optimizer converged to an invalid parameter vector: {exc}",
-            params=(ka, ke, gamma), sse=sse,
-        ) from exc
 
-    stderr, status = _standard_errors(fitted, t, d, sse, len(t))
-    mean = c.mean()
-    tss = float(((c - mean) ** 2).sum())
-    r2 = 1.0 - sse / tss if tss > 0.0 else (1.0 if sse == 0.0 else 0.0)
-    return FitResult(params=fitted, sse=sse, r2=r2, stderr=stderr,
-                     covariance_status=status, n_points=len(t),
-                     n_iterations=iterations, sse_path=tuple(sse_path))
-
-
-def _standard_errors(p: PkParams, t: np.ndarray, d: float, sse: float,
-                     m: int) -> tuple[tuple[float, float, float] | None, str]:
-    jac = curve_jacobian(p, t, d)
-    jtj = jac.T @ jac
-    if not np.all(np.isfinite(jtj)) or np.linalg.cond(jtj) > COVARIANCE_CONDITION_LIMIT:
-        return None, "singular"
-    dof = max(m - 3, 1)
-    sigma2 = sse / dof
-    cov = sigma2 * np.linalg.inv(jtj)
-    diag = np.diag(cov)
-    if np.any(diag < 0.0):
-        return None, "singular"
-    se = np.sqrt(diag)
-    return (float(se[0]), float(se[1]), float(se[2])), "ok"
+def _standard_errors(rates: np.ndarray, v: float, t: np.ndarray, d: float,
+                     sse: np.ndarray, m: int) -> list[tuple[float, float, float] | None]:
+    """sqrt(diag(sigma^2 (J'J)^-1)) for each row of rates (R, 3), or None
+    where J'J is not finite, too ill-conditioned or not positive."""
+    jac = _curve_and_jacobian(PkParams(*rates.T[:, :, None], v), t, d)[1]
+    jtj = jac.transpose(0, 2, 1) @ jac
+    ok = np.all(np.isfinite(jtj), axis=(1, 2))
+    ok[ok] = ~(np.linalg.cond(jtj[ok]) > COVARIANCE_CONDITION_LIMIT)
+    diag = np.full((len(jtj), 3), np.nan)
+    sigma2 = sse[ok] / max(m - 3, 1)
+    diag[ok] = (sigma2[:, None, None] * np.linalg.inv(jtj[ok]))[_DIAG]
+    ok &= ~np.any(diag < 0.0, axis=1)
+    diag[~ok] = np.nan
+    return [tuple(se) if good else None
+            for se, good in zip(np.sqrt(diag).tolist(), ok.tolist())]
 
 
 def predict(times, fitted: FitResult, d: float, v: float) -> ConcentrationSeries:

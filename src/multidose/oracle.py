@@ -19,7 +19,6 @@ import numpy as np
 
 from .core import (
     Arbitrary,
-    ConcentrationSeries,
     EquiDose,
     PkParams,
     Regimen,
@@ -44,10 +43,6 @@ class OdeTrajectory:
     times: np.ndarray
     x: np.ndarray
     y: np.ndarray
-
-    def series(self, unit: str = "ug/mL") -> ConcentrationSeries:
-        x = np.maximum(self.x, 0.0)
-        return ConcentrationSeries(self.times.tolist(), x.tolist(), unit)
 
 
 def _rk4_segment(p: PkParams, y0: float, x0: float, duration: float,

@@ -10,7 +10,6 @@ from multidose.bateman import (
     absorption_gain,
     arbitrary_multidose,
     equi_multidose,
-    remainders,
     single_dose,
 )
 from multidose.oracle import superpose
@@ -146,7 +145,7 @@ class TestRemainders:
 
     def test_frozen_value_and_oracle_agreement(self, canonical):
         sol = equi_multidose(canonical, 100.0, 6.0)
-        rem_x, rem_y = remainders(sol, 3)
+        rem_x, rem_y = sol.remainders(3)
         assert rem_x == pytest.approx(112.53553606764616, rel=1e-12)
         assert rem_y == pytest.approx(0.2484911618999432, rel=1e-12)
         ref = superpose(canonical, EquiDose(100.0, 6.0), n_doses=3)

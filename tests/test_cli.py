@@ -2,13 +2,15 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from multidose.cli import CSV_BLOCK_ROWS, load_regimen_file
-from multidose.core import PkParams
+from multidose.cli import CSV_BLOCK_ROWS, _monte_carlo, load_regimen_file
+from multidose.core import ConcentrationSeries, NoConvergence, PkParams
 from multidose.bateman import single_dose
+from multidose.fit import fit_single_dose, predict
 
 DATA = Path(__file__).parent / "data"
 
@@ -248,6 +250,42 @@ class TestFitCommand:
             "--time-unit", "h", "--mc-reps", "25", "--mc-noise", "0.02",
             "--seed", "12345").stdout)
         assert again["monte_carlo"] == mc
+
+    def test_monte_carlo_equals_one_fit_per_replicate(self):
+        # The batched summary against a loop that draws each replicate's
+        # noise and fits it alone, on 50 seeds; at 5% noise some rows fail.
+        truth = PkParams(ka=0.7480, ke=0.2031, gamma=19.1933, volume=5000.0)
+        t = np.array([0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0, 12.0, 16.0, 24.0])
+        series = ConcentrationSeries(t, single_dose(truth, 250.0).x(t))
+        base = fit_single_dose(series, 250.0, 5000.0)
+        clean = predict(t, base, 250.0, 5000.0).values_array()
+        reps, noise, all_failed = 12, 0.05, 0
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            covered = failed = 0
+            for _ in range(reps):
+                noise_row = rng.normal(0.0, noise * clean.max(), t.size)
+                noisy = np.maximum(clean + noise_row, 0.0)
+                try:
+                    rep = fit_single_dose(ConcentrationSeries(t, noisy), 250.0, 5000.0)
+                except NoConvergence:
+                    failed += 1
+                    continue
+                if rep.stderr is None:
+                    failed += 1
+                    continue
+                estimates = (rep.params.ka, rep.params.ke, rep.params.gamma)
+                covered += all(abs(e - x) <= 3.0 * se for e, x, se in
+                               zip(estimates, (base.params.ka, base.params.ke,
+                                               base.params.gamma), rep.stderr))
+            args = SimpleNamespace(seed=seed, mc_reps=reps, mc_noise=noise,
+                                   dose=250.0, volume=5000.0)
+            summary = _monte_carlo(series, base, args)
+            assert summary["failed"] == failed
+            assert summary["coverage_3se"] == (covered / (reps - failed)
+                                               if failed < reps else 0.0)
+            all_failed += failed
+        assert all_failed > 0
 
 
 class TestDesignCommand:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from multidose import dosing, pkmetrics, steady_state
 from multidose.core import PkParams, ValidationError
 from multidose.dosing import (
     TherapeuticTarget,
@@ -113,6 +114,28 @@ class TestDesign:
         assert ss_lower(canonical, d, tau) == pytest.approx(lower, rel=1e-8)
         assert ss_upper(canonical, d, tau) == pytest.approx(
             lower * (1.0 + 1e-6), rel=1e-8)
+
+    def test_params_validated_a_fixed_number_of_times(self, canonical, monkeypatch):
+        # design checks p once and bisects on the unchecked ratio, so the
+        # number of validate_params calls does not grow with its steps.
+        calls, steps = [], []
+        for module in (dosing, pkmetrics, steady_state):
+            real = module.validate_params
+            monkeypatch.setattr(module, "validate_params",
+                                lambda p, real=real: calls.append(p) or real(p))
+        ratio = dosing._ratio_excess
+        monkeypatch.setattr(dosing, "_ratio_excess",
+                            lambda p, tau: steps.append(tau) or ratio(p, tau))
+        counts = []
+        for tau0 in (6.0, 30.0, 300.0):
+            target = target_from_regimen(canonical, 100.0, tau0)
+            calls.clear()
+            steps.clear()
+            d, tau = design(canonical, target)
+            assert tau == pytest.approx(tau0, rel=1e-6)
+            counts.append((len(steps), len(calls)))
+        assert len({n_steps for n_steps, _ in counts}) == 3
+        assert {n_calls for _, n_calls in counts} == {3}
 
 
 class TestFeasibility:

@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from multidose import fit
-from multidose.core import ConcentrationSeries, InsufficientData, PkParams
+from multidose.core import (
+    ConcentrationSeries,
+    InsufficientData,
+    NoConvergence,
+    PkParams,
+    ValidationError,
+)
 from multidose.bateman import single_dose
-from multidose.fit import curve_jacobian, fit_single_dose, predict
+from multidose.fit import curve_jacobian, fit_batch, fit_single_dose, predict
 
 SAMPLE_TIMES = np.array([0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.5, 8.0,
                          10.0, 12.0])
@@ -106,7 +112,7 @@ class TestRejectedTrials:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = fit_single_dose(series, 250.0, 5000.0)
-        assert any(rates[0] == 0.0 for rates in tried)
+        assert any(np.any(rates[..., 0] == 0.0) for rates in tried)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         # The fit's values, bit for bit, as with warnings enabled.
         assert result.params == PkParams(ka=0.8460261261176348,
@@ -121,6 +127,100 @@ class TestRejectedTrials:
         assert result.n_iterations == 30
         assert len(result.sse_path) == 31
         assert result.sse_path[:2] == (1.0994176968116245, 0.8881377897690279)
+
+
+def outcome(result):
+    """Every field of a fit's outcome, as exact values."""
+    if isinstance(result, NoConvergence):
+        return (type(result), str(result), result.context, type(result.__cause__))
+    return (result.params, result.sse, result.r2, result.stderr,
+            result.covariance_status, result.n_points, result.n_iterations,
+            result.sse_path)
+
+
+def single_outcome(times, values):
+    try:
+        return outcome(fit_single_dose(ConcentrationSeries(times, values), 250.0, 5000.0))
+    except NoConvergence as exc:
+        return outcome(exc)
+
+
+class TestBatch:
+    # fit-mc sample times, 30% noise: three replicates that fail the fit in
+    # the three ways a row can.
+    TIMES = TestRejectedTrials.TIMES
+    LIMIT = [0.5792508174277606, 0.5604136619898338, 0.2752305765317341,
+             0.9366377037341751, 0.5075806891829896, 0.36484038498559285,
+             0.6323717629569625, 0.24744292915624894, 0.10789916246249165,
+             0.15320878038509259, 0.19872936895160218, 0.18364191158475413]
+    INVALID = [0.16958574218975164, 0.42905317942219834, 0.6794211699381465,
+               0.8434393229433068, 0.3565937244718288, 0.7830654214150743,
+               0.6098392438295258, 0.392665412396624, 0.21831144378022724,
+               0.060122085452616846, 0.3058693712398791, 0.3526039844408055]
+    SINGULAR = [0.42470372026054126, 0.36845903874112396, 0.5709699685336501,
+                0.3565941215638503, 0.4941599171251006, 0.7593052347621143,
+                0.39837592874717126, 0.6598552995294094, 0.034544119891633085,
+                0.21637780189716455, 0.01692855230923314, 0.10893642394385358]
+
+    def good_rows(self, n=6):
+        truth = PkParams(ka=0.748, ke=0.2031, gamma=19.1933, volume=5000.0)
+        clean = single_dose(truth, 250.0).x(np.array(self.TIMES))
+        rng = np.random.default_rng(2024)
+        noise = rng.normal(0.0, 0.02 * clean.max(), size=(n, clean.size))
+        return np.maximum(clean + noise, 0.0)
+
+    def test_three_ways_a_row_fails(self):
+        limit, invalid, singular = fit_batch(
+            self.TIMES, [self.LIMIT, self.INVALID, self.SINGULAR], 250.0, 5000.0)
+        assert "iteration limit" in str(limit)
+        assert limit.context["iterations"] == fit.MAX_ITERATIONS
+        assert "invalid parameter vector" in str(invalid)
+        assert isinstance(invalid.__cause__, ValidationError)
+        assert singular.stderr is None and singular.covariance_status == "singular"
+
+    def test_every_row_equals_its_single_fit(self):
+        rows = np.vstack([self.good_rows(3), self.LIMIT, self.INVALID,
+                          self.SINGULAR, self.good_rows(2)])
+        batch = fit_batch(self.TIMES, rows, 250.0, 5000.0)
+        assert len(batch) == len(rows)
+        for row, result in zip(rows, batch):
+            assert outcome(result) == single_outcome(self.TIMES, row.tolist())
+
+    def test_failing_rows_leave_good_rows_unchanged(self):
+        good = self.good_rows()
+        alone = fit_batch(self.TIMES, good, 250.0, 5000.0)
+        mixed = fit_batch(self.TIMES, np.vstack([self.LIMIT, good[:3], self.INVALID,
+                                                 self.SINGULAR, good[3:]]),
+                          250.0, 5000.0)
+        kept = [mixed[i] for i in (1, 2, 3, 6, 7, 8)]
+        assert [outcome(r) for r in kept] == [outcome(r) for r in alone]
+        assert all(r.covariance_status == "ok" for r in alone)
+
+    def test_supplied_initial_guess_is_shared(self):
+        init = PkParams(ka=2.0, ke=0.05, gamma=5.0, volume=5000.0)
+        rows = self.good_rows(3)
+        batch = fit_batch(self.TIMES, rows, 250.0, 5000.0, init=init)
+        for row, result in zip(rows, batch):
+            alone = fit_single_dose(ConcentrationSeries(self.TIMES, row.tolist()),
+                                    250.0, 5000.0, init=init)
+            assert outcome(result) == outcome(alone)
+
+    def test_singular_system_fails_only_its_row(self):
+        a = np.array([np.eye(3) * 2.0, np.zeros((3, 3)),
+                      [[4.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 1.0]]])
+        b = np.arange(9.0).reshape(3, 3, 1)
+        steps = fit._solve(a, b)
+        assert np.isnan(steps[1]).all()
+        for i in (0, 2):
+            assert np.array_equal(steps[i], np.linalg.solve(a[i], b[i, :, 0]))
+
+    def test_bad_batch_arguments_raise(self):
+        with pytest.raises(InsufficientData):
+            fit_batch([1.0, 2.0, 3.0], [[1.0, 0.5, 0.2]], 250.0, 5000.0)
+        with pytest.raises(ValidationError):
+            fit_batch(self.TIMES, self.good_rows(2), 0.0, 5000.0)
+        with pytest.raises(ValidationError):
+            fit_batch(self.TIMES[:-1], self.good_rows(2), 250.0, 5000.0)
 
 
 class TestJacobian:
