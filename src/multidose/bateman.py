@@ -95,6 +95,23 @@ class CycleCoefficients:
     beta: float
 
 
+def equi_cycles(t: np.ndarray, tau: float) -> np.ndarray:
+    """1-based cycle of each t >= 0 when a dose falls every tau hours.
+
+    Counts the dose times k*tau <= t, as searchsorted over the grid k*tau
+    would, without building the grid.
+    """
+    k = np.floor(t / tau)
+    if k.size and k.max() >= 2.0 ** 53:
+        raise ValidationError(
+            f"t={t.max():g} lies beyond 2**53 dosing intervals of {tau:g} h; "
+            "cycle numbers are no longer exact there"
+        )
+    k -= k * tau > t
+    k += (k + 1.0) * tau <= t
+    return k.astype(np.int64) + 1
+
+
 def _oral_dose(x: float, y: float, d: float) -> tuple[float, float]:
     """An oral dose lands in the gut."""
     return x, y + d
@@ -226,24 +243,11 @@ class PiecewiseSolution:
     # -- evaluation -------------------------------------------------------
 
     def _cycles(self, t: np.ndarray) -> np.ndarray:
-        """1-based cycle covering each t >= 0; dose instants open the new cycle.
-
-        For equi regimens this counts the dose times k*tau <= t, as
-        searchsorted over the grid k*tau would, without building the grid.
-        """
+        """1-based cycle covering each t >= 0; dose instants open the new cycle."""
         if not self._equi:
             idx = np.searchsorted(self._starts[:-1], t, side="right")
             return np.minimum(idx, self._n_cycles)
-        tau = self.regimen.interval
-        k = np.floor(t / tau)
-        if k.size and k.max() >= 2.0 ** 53:
-            raise ValidationError(
-                f"t={t.max():g} lies beyond 2**53 dosing intervals of {tau:g} h; "
-                "cycle numbers are no longer exact there"
-            )
-        k -= k * tau > t
-        k += (k + 1.0) * tau <= t
-        return k.astype(np.int64) + 1
+        return equi_cycles(t, self.regimen.interval)
 
     def _query(self, t) -> np.ndarray:
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))

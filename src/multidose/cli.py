@@ -100,7 +100,6 @@ class RegimenFile:
                 f"params.time_unit: expected 'h' or 'day', got {unit!r}"
             )
         scale = _HOURS_PER_UNIT[unit]
-        self.time_unit = unit
 
         ke = _positive(_require(params, "ke", "params"), "params.ke") / scale
         if self.model == "bolus":
@@ -116,102 +115,75 @@ class RegimenFile:
             self.ke = ke
 
         schedule = _require(doc, "schedule")
-        if not isinstance(schedule, dict) or len(schedule) != 1:
+        if (not isinstance(schedule, dict) or len(schedule) != 1
+                or not schedule.keys() & {"equi", "arbitrary"}):
             raise RegimenFileError(
                 "schedule: expected an object with exactly one of 'equi' or 'arbitrary'"
             )
-        self._load_schedule(schedule, scale)
-        self.horizon = _positive(_require(doc, "horizon"), "horizon", zero_ok=True) * scale
-        self.sample_step = _positive(_require(doc, "sample_step"), "sample_step") * scale
-
-    def _load_schedule(self, schedule: dict, scale: float) -> None:
-        if "equi" in schedule:
-            block = schedule["equi"]
-            if not isinstance(block, dict):
-                raise RegimenFileError("schedule.equi: expected an object")
-            dose = _positive(_require(block, "dose", "schedule.equi"),
-                             "schedule.equi.dose")
-            interval = _positive(_require(block, "interval", "schedule.equi"),
-                                 "schedule.equi.interval") * scale
-            offset = None
-            if self.model == "fat":
-                offset = _positive(
-                    _require(block, "fat_offset", "schedule.equi"),
-                    "schedule.equi.fat_offset") * scale
-            self.equi = (dose, interval, offset)
-            self.entries = None
-        elif "arbitrary" in schedule:
+        # A schedule is a list of entries; `equi` repeats its one entry.
+        self.equi = "equi" in schedule
+        if self.equi:
+            self.entries = [self._entry(schedule["equi"], "schedule.equi", scale)]
+        else:
             block = schedule["arbitrary"]
             if not isinstance(block, list) or not block:
                 raise RegimenFileError("schedule.arbitrary: expected a non-empty array")
-            entries = []
-            for i, item in enumerate(block):
-                where = f"schedule.arbitrary[{i}]"
-                if not isinstance(item, dict):
-                    raise RegimenFileError(f"{where}: expected an object")
-                dose = _positive(_require(item, "dose", where), f"{where}.dose")
-                interval = _positive(_require(item, "interval", where),
-                                     f"{where}.interval") * scale
-                if self.model == "fat":
-                    offset = _positive(_require(item, "fat_offset", where),
-                                       f"{where}.fat_offset") * scale
-                    entries.append((dose, interval, offset))
-                else:
-                    entries.append((dose, interval))
-            self.entries = entries
-            self.equi = None
-        else:
-            raise RegimenFileError(
-                "schedule: expected an object with exactly one of 'equi' or 'arbitrary'"
-            )
-        if self.model == "fat":
-            rows = [self.equi] if self.equi else self.entries
-            for i, (dose, interval, offset) in enumerate(rows):
-                where = ("schedule.equi.fat_offset" if self.equi
-                         else f"schedule.arbitrary[{i}].fat_offset")
-                if offset > interval:
-                    raise RegimenFileError(
-                        f"{where}: absorption window {offset:g} exceeds the "
-                        f"interval {interval:g} (hours)"
-                    )
+            self.entries = [self._entry(item, f"schedule.arbitrary[{i}]", scale)
+                            for i, item in enumerate(block)]
+        self.horizon = _positive(_require(doc, "horizon"), "horizon", zero_ok=True) * scale
+        self.sample_step = _positive(_require(doc, "sample_step"), "sample_step") * scale
 
-    # -- model construction ------------------------------------------------
+    def _entry(self, item, where: str, scale: float) -> tuple:
+        """(dose, interval) in hours, plus the absorption window for FAT."""
+        if not isinstance(item, dict):
+            raise RegimenFileError(f"{where}: expected an object")
+        dose = _positive(_require(item, "dose", where), f"{where}.dose")
+        interval = _positive(_require(item, "interval", where), f"{where}.interval") * scale
+        if self.model != "fat":
+            return dose, interval
+        offset = _positive(_require(item, "fat_offset", where), f"{where}.fat_offset") * scale
+        if offset > interval:
+            raise RegimenFileError(
+                f"{where}.fat_offset: absorption window {offset:g} exceeds the "
+                f"interval {interval:g} (hours)"
+            )
+        return dose, interval, offset
+
+    def sample_times(self) -> np.ndarray:
+        """The simulate grid k*sample_step through the horizon."""
+        if self.horizon <= 0.0:
+            return np.array([])
+        count = int(np.floor(self.horizon / self.sample_step + 1e-9))
+        return np.arange(count + 1, dtype=float) * self.sample_step
 
     def n_cycles_in_horizon(self) -> int:
-        if self.equi is not None:
-            _, interval, _ = self.equi
-            return max(1, int(np.floor(self.horizon / interval + 1e-12)))
+        if self.equi:
+            return max(1, int(np.floor(self.horizon / self.entries[0][1] + 1e-12)))
         return len(self.entries)
 
-    def oral_solution(self) -> bateman.PiecewiseSolution:
-        if self.equi is not None:
-            dose, interval, _ = self.equi
-            return bateman.equi_multidose(self.params, dose, interval)
-        return bateman.arbitrary_multidose(
-            self.params, Arbitrary([(d, tau) for d, tau in self.entries])
-        )
-
-    def _dose_entries(self) -> list[tuple]:
-        """Bolus or FAT entries; an equi schedule is repeated to cover the
-        horizon: floor(horizon/interval) + 1 doses."""
-        if self.equi is None:
-            return self.entries
-        count = max(1, int(np.floor(self.horizon / self.equi[1])) + 1)
-        return [self.equi if self.model == "fat" else self.equi[:2]] * count
-
-    def bolus_solution(self) -> extmodels.BolusSolution:
-        regimen = extmodels.BolusRegimen(self._dose_entries())
-        return extmodels.bolus_multidose(self.ke, regimen)
-
-    def fat_solution(self) -> extmodels.FatSolution:
-        regimen = extmodels.FatRegimen(self._dose_entries())
-        return extmodels.fat_multidose(self.params, regimen)
-
     def solution(self) -> bateman.PiecewiseSolution:
-        """The closed-form solution of the file's model."""
-        build = {"oral": self.oral_solution, "bolus": self.bolus_solution,
-                 "fat": self.fat_solution}
-        return build[self.model]()
+        """The closed-form solution of the file's model.
+
+        An equi oral schedule runs indefinitely. Equi bolus and FAT
+        schedules are tabulated with dose k at exactly k*interval, the
+        instants the oral model and the sample grid use, through the
+        horizon and the last sample time.
+        """
+        entries = self.entries
+        if self.equi and self.model == "oral":
+            return bateman.equi_multidose(self.params, *entries[0])
+        if self.equi:
+            amount, interval, *window = entries[0]
+            last = max([self.horizon, *self.sample_times()[-1:]])
+            n = int(bateman.equi_cycles(np.array([last]), interval)[0])
+            # Differences of the grid k*interval sum back to it exactly.
+            taus = np.diff(np.arange(n + 1) * interval).tolist()
+            entries = [(amount, tau, *(min(s, tau) for s in window)) for tau in taus]
+        if self.model == "oral":
+            return bateman.arbitrary_multidose(self.params, Arbitrary(entries))
+        if self.model == "bolus":
+            return extmodels.bolus_multidose(self.ke, extmodels.BolusRegimen(entries))
+        return extmodels.fat_multidose(self.params, extmodels.FatRegimen(entries))
 
 
 def load_regimen_file(path: str) -> RegimenFile:
@@ -230,16 +202,9 @@ def load_regimen_file(path: str) -> RegimenFile:
 # -- simulate ---------------------------------------------------------------
 
 
-def _sample_times(horizon: float, step: float) -> np.ndarray:
-    if horizon <= 0.0:
-        return np.array([])
-    count = int(np.floor(horizon / step + 1e-9))
-    return np.arange(count + 1, dtype=float) * step
-
-
 def cmd_simulate(args) -> int:
     regfile = load_regimen_file(args.regimen)
-    times = _sample_times(regfile.horizon, regfile.sample_step)
+    times = regfile.sample_times()
     sol = regfile.solution()
     x, y, cycles = sol.evaluate(times)
 
@@ -427,13 +392,12 @@ def _cycle_row(m: pkmetrics.CycleMetrics) -> dict:
 
 
 def _analyze_oral(regfile: RegimenFile, eps: float) -> dict:
-    sol = regfile.oral_solution()
+    sol = regfile.solution()
     n_cycles = regfile.n_cycles_in_horizon()
     cycles = [_cycle_row(pkmetrics.cycle_metrics(sol, n))
               for n in range(1, n_cycles + 1)]
     # A convergent schedule settles into its limiting entry's cycle.
-    dose, interval = (regfile.equi[:2] if regfile.equi is not None
-                      else regfile.entries[-1])
+    dose, interval = regfile.entries[-1][:2]
     summary = steady_state.summarize(regfile.params, dose, interval, eps)
     return {
         "model": "oral",
@@ -446,12 +410,11 @@ def _analyze_oral(regfile: RegimenFile, eps: float) -> dict:
 
 
 def _analyze_bolus(regfile: RegimenFile) -> dict:
-    sol = regfile.bolus_solution()
-    shown = min(sol.n_cycles, regfile.n_cycles_in_horizon())
+    sol = regfile.solution()
+    shown = regfile.n_cycles_in_horizon()
     cycles = [{"n": n, "start_value": sol.start_value(n),
                "remainder": sol.remainder(n)} for n in range(1, shown + 1)]
-    delta, interval = (regfile.equi[:2] if regfile.equi is not None
-                       else regfile.entries[-1])
+    delta, interval = regfile.entries[-1]
     return {
         "model": "bolus",
         "schema": SCHEMA_VERSION,
@@ -465,8 +428,8 @@ def _analyze_bolus(regfile: RegimenFile) -> dict:
 
 
 def _analyze_fat(regfile: RegimenFile) -> dict:
-    sol = regfile.fat_solution()
-    shown = min(sol.n_cycles, regfile.n_cycles_in_horizon())
+    sol = regfile.solution()
+    shown = regfile.n_cycles_in_horizon()
     cycles = [{"n": n, "cutoff_value": sol.cutoff_value(n),
                "end_value": sol.end_value(n)} for n in range(1, shown + 1)]
     payload = {
@@ -474,8 +437,8 @@ def _analyze_fat(regfile: RegimenFile) -> dict:
         "schema": SCHEMA_VERSION,
         "cycles": cycles,
     }
-    if regfile.equi is not None:
-        cutoff, end = extmodels.fat_equi_limits(regfile.params, *regfile.equi)
+    if regfile.equi:
+        cutoff, end = extmodels.fat_equi_limits(regfile.params, *regfile.entries[0])
         payload["steady_state"] = {"cutoff_limit": cutoff, "end_limit": end}
     return payload
 

@@ -1,9 +1,8 @@
 """Domain types and validation shared by every other module.
 
 Units are fixed throughout the package: time in hours, dose amounts in mg,
-distribution volume in mL. Concentrations carry an explicit unit tag
-(ug/mL by default, ng/mL accepted) and are converted only at I/O
-boundaries. All times are offsets from the first dose at t = 0.
+distribution volume in mL. All times are offsets from the first dose at
+t = 0.
 
 Every type here is an immutable value; instances are safe to share
 between threads.
@@ -19,11 +18,6 @@ import numpy as np
 #: Relative separation below which the two rate constants are treated as
 #: equal and rejected (the closed forms divide by ka - ke).
 RATE_EQUALITY_RTOL = 1e-9
-
-CONCENTRATION_UNITS = ("ug/mL", "ng/mL")
-
-#: Conversion factors into the canonical unit (ug/mL).
-_TO_UG_PER_ML = {"ug/mL": 1.0, "ng/mL": 1e-3}
 
 
 class PkError(Exception):
@@ -128,24 +122,39 @@ class Arbitrary:
 Regimen = Union[EquiDose, Arbitrary]
 
 
+def validate_entries(entries: Iterable[Sequence[float]], fields: Sequence[str],
+                     kind: str) -> tuple[tuple[float, ...], ...]:
+    """Schedule entries as float tuples, one value per name in `fields`.
+
+    Every value must be finite and > 0 (NonPositiveParameter names the
+    entry and field). A third field is an absorption window and may not
+    exceed the entry's interval. `kind` names the regimen when empty.
+    """
+    rows = tuple(tuple(float(v) for _, v in zip(fields, entry, strict=True))
+                 for entry in entries)
+    if not rows:
+        raise ValidationError(f"{kind} must have at least one entry")
+    for n, row in enumerate(rows, start=1):
+        for name, value in zip(fields, row):
+            if not (np.isfinite(value) and value > 0.0):
+                raise NonPositiveParameter(f"entry {n}: {name} must be > 0, got {value!r}")
+        if len(row) > 2 and row[2] > row[1]:
+            raise ValidationError(
+                f"entry {n}: {fields[2]} must be <= interval, "
+                f"got {row[2]!r} > {row[1]!r}"
+            )
+    return rows
+
+
 def validate_regimen(r: Regimen) -> Regimen:
     """Check doses and intervals are strictly positive; return r unchanged."""
     if isinstance(r, EquiDose):
-        if not (np.isfinite(r.dose) and r.dose > 0.0):
-            raise NonPositiveParameter(f"dose must be > 0, got {r.dose!r}")
-        if not (np.isfinite(r.interval) and r.interval > 0.0):
-            raise NonPositiveParameter(f"interval must be > 0, got {r.interval!r}")
-        return r
-    if isinstance(r, Arbitrary):
-        if not r.entries:
-            raise ValidationError("arbitrary regimen must have at least one entry")
-        for n, (d, tau) in enumerate(r.entries, start=1):
-            if not (np.isfinite(d) and d > 0.0):
-                raise NonPositiveParameter(f"entry {n}: dose must be > 0, got {d!r}")
-            if not (np.isfinite(tau) and tau > 0.0):
-                raise NonPositiveParameter(f"entry {n}: interval must be > 0, got {tau!r}")
-        return r
-    raise ValidationError(f"not a regimen: {r!r}")
+        validate_entries([(r.dose, r.interval)], ("dose", "interval"), "regimen")
+    elif isinstance(r, Arbitrary):
+        validate_entries(r.entries, ("dose", "interval"), "arbitrary regimen")
+    else:
+        raise ValidationError(f"not a regimen: {r!r}")
+    return r
 
 
 def dose_times(r: Regimen, n_max: int | None = None) -> np.ndarray:
@@ -175,38 +184,23 @@ def dose_times(r: Regimen, n_max: int | None = None) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(intervals)))
 
 
-def cycle_window(r: Regimen, n: int) -> tuple[float, float]:
-    """The half-open time window [t_{n-1}, t_n] covered by cycle n (1-based)."""
-    if n < 1:
-        raise ValidationError(f"cycle number must be >= 1, got {n}")
-    t = dose_times(r, n)
-    return float(t[n - 1]), float(t[n])
-
-
 @dataclass(frozen=True)
 class ConcentrationSeries:
-    """Sampled (time, concentration) data with an explicit unit tag.
+    """Sampled (time, concentration) data.
 
     Times are hours, strictly increasing and >= 0; concentrations are
-    >= 0 in the declared unit.
+    >= 0.
     """
 
     times: tuple[float, ...]
     values: tuple[float, ...]
-    unit: str = "ug/mL"
 
-    def __init__(self, times: Iterable[float], values: Iterable[float],
-                 unit: str = "ug/mL"):
+    def __init__(self, times: Iterable[float], values: Iterable[float]):
         t = tuple(float(v) for v in times)
         c = tuple(float(v) for v in values)
         if len(t) != len(c):
             raise ValidationError(
                 f"times ({len(t)}) and values ({len(c)}) differ in length"
-            )
-        if unit not in CONCENTRATION_UNITS:
-            raise ValidationError(
-                f"unknown concentration unit {unit!r}; expected one of "
-                f"{CONCENTRATION_UNITS}"
             )
         for i, v in enumerate(t):
             if not np.isfinite(v) or v < 0.0:
@@ -222,7 +216,6 @@ class ConcentrationSeries:
                 )
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", c)
-        object.__setattr__(self, "unit", unit)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -236,16 +229,3 @@ class ConcentrationSeries:
 
     def values_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
-
-    def to_unit(self, unit: str) -> "ConcentrationSeries":
-        if unit not in CONCENTRATION_UNITS:
-            raise ValidationError(
-                f"unknown concentration unit {unit!r}; expected one of "
-                f"{CONCENTRATION_UNITS}"
-            )
-        factor = _TO_UG_PER_ML[self.unit] / _TO_UG_PER_ML[unit]
-        if factor == 1.0:
-            return self
-        return ConcentrationSeries(self.times,
-                                   tuple(v * factor for v in self.values),
-                                   unit)

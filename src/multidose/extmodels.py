@@ -32,6 +32,7 @@ from .core import (
     NonPositiveParameter,
     PkParams,
     ValidationError,
+    validate_entries,
     validate_params,
 )
 
@@ -43,19 +44,8 @@ class BolusRegimen:
     entries: tuple[tuple[float, float], ...]
 
     def __init__(self, entries: Iterable[Sequence[float]]):
-        normalized = tuple((float(x), float(tau)) for x, tau in entries)
-        if not normalized:
-            raise ValidationError("bolus regimen must have at least one entry")
-        for n, (delta, tau) in enumerate(normalized, start=1):
-            if not (np.isfinite(delta) and delta > 0.0):
-                raise NonPositiveParameter(
-                    f"entry {n}: delta must be > 0, got {delta!r}"
-                )
-            if not (np.isfinite(tau) and tau > 0.0):
-                raise NonPositiveParameter(
-                    f"entry {n}: interval must be > 0, got {tau!r}"
-                )
-        object.__setattr__(self, "entries", normalized)
+        object.__setattr__(self, "entries", validate_entries(
+            entries, ("delta", "interval"), "bolus regimen"))
 
 
 @dataclass(frozen=True)
@@ -65,24 +55,8 @@ class FatRegimen:
     entries: tuple[tuple[float, float, float], ...]
 
     def __init__(self, entries: Iterable[Sequence[float]]):
-        normalized = tuple(
-            (float(d), float(tau), float(s)) for d, tau, s in entries
-        )
-        if not normalized:
-            raise ValidationError("FAT regimen must have at least one entry")
-        for n, (d, tau, s) in enumerate(normalized, start=1):
-            if not (np.isfinite(d) and d > 0.0):
-                raise NonPositiveParameter(f"entry {n}: dose must be > 0, got {d!r}")
-            if not (np.isfinite(tau) and tau > 0.0):
-                raise NonPositiveParameter(
-                    f"entry {n}: interval must be > 0, got {tau!r}"
-                )
-            if not (np.isfinite(s) and 0.0 < s <= tau):
-                raise ValidationError(
-                    f"entry {n}: absorption window must satisfy 0 < s <= interval, "
-                    f"got s={s!r} interval={tau!r}"
-                )
-        object.__setattr__(self, "entries", normalized)
+        object.__setattr__(self, "entries", validate_entries(
+            entries, ("dose", "interval", "absorption window"), "FAT regimen"))
 
 
 class BolusSolution(PiecewiseSolution):
@@ -136,9 +110,8 @@ def fat_equi_limits(p: PkParams, d: float, tau: float,
     decays by e^{-ke (tau - offset)} to the end of the cycle.
     """
     validate_params(p)
-    if not (d > 0.0 and 0.0 < offset <= tau):
-        raise ValidationError(
-            "dose must be > 0 and the absorption window within (0, interval]")
+    validate_entries([(d, tau, offset)], ("dose", "interval", "absorption window"),
+                     "FAT regimen")
     b_cut = np.exp(-p.ke * offset)
     a_cut = np.exp(-p.ka * offset)
     beta = np.exp(-p.ke * tau)

@@ -105,6 +105,40 @@ class TestSimulate:
                                    format(yv, ".6g"), str(int(c))]))
         assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
+    @pytest.mark.parametrize("horizon", [100.0, 0.3])
+    def test_equi_bolus_and_fat_dose_at_every_interval(self, tmp_path, horizon):
+        # Dose k falls at exactly k*interval, as in the oral model: with
+        # interval == sample_step every row opens a cycle, through the last.
+        dose, step = 10.0, 0.1
+        files = {
+            "oral": ({"ka": 0.9, "ke": 0.25, "gamma": 0.05, "volume": 10.0},
+                     {"dose": dose, "interval": step}),
+            "bolus": ({"ke": 0.3838}, {"dose": dose, "interval": step}),
+            "fat": ({"ka": 0.9, "ke": 0.25, "gamma": 0.05, "volume": 10.0},
+                    {"dose": dose, "interval": step, "fat_offset": step}),
+        }
+        columns = {}
+        for model, (params, equi) in files.items():
+            path = tmp_path / f"{model}.json"
+            path.write_text(json.dumps({
+                "schema": 1, "model": model, "params": params,
+                "schedule": {"equi": equi}, "horizon": horizon,
+                "sample_step": step}))
+            cp = run_cli("simulate", str(path))
+            assert cp.returncode == 0, cp.stderr
+            rows = [line.split(",") for line in cp.stdout.splitlines()[1:]]
+            columns[model] = np.array(rows, dtype=float).T
+        rows = int(round(horizon / step)) + 1
+        assert columns["oral"][3].tolist() == list(range(1, rows + 1))
+        for model in ("bolus", "fat"):
+            assert columns[model][3].tolist() == columns["oral"][3].tolist(), model
+        # Post-dose values: the bolus sum of k+1 decayed doses, a full gut.
+        beta = np.exp(-0.3838 * step)
+        k = np.arange(rows)
+        bolus_post = dose * (1.0 - beta ** (k + 1)) / (1.0 - beta)
+        assert np.max(np.abs(columns["bolus"][1] / bolus_post - 1.0)) <= 1e-5
+        assert np.all(columns["fat"][2] == dose)
+
     def test_fat_model_simulation(self, tmp_path):
         doc = {
             "schema": 1,
@@ -167,6 +201,21 @@ class TestSchemaErrors:
         cp = run_cli("simulate", str(path))
         assert cp.returncode == 2
         assert "schedule.equi.dose" in cp.stderr
+
+    def test_fat_offset_beyond_interval_names_entry(self, tmp_path):
+        equi = {"equi": {"dose": 600.0, "interval": 5.0, "fat_offset": 6.0}}
+        arbitrary = {"arbitrary": [
+            {"dose": 600.0, "interval": 5.0, "fat_offset": 5.0},
+            {"dose": 600.0, "interval": 4.0, "fat_offset": 4.5}]}
+        for schedule, where in ((equi, "schedule.equi.fat_offset"),
+                                (arbitrary, "schedule.arbitrary[1].fat_offset")):
+            doc = json.loads((DATA / "fat_mixed.json").read_text())
+            doc["schedule"] = schedule
+            path = tmp_path / "fat.json"
+            path.write_text(json.dumps(doc))
+            cp = run_cli("simulate", str(path))
+            assert cp.returncode == 2
+            assert where in cp.stderr
 
     def test_unsupported_schema_version(self, tmp_path):
         doc = json.loads((DATA / "oral_equi.json").read_text())

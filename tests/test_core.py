@@ -13,11 +13,11 @@ from multidose.core import (
     NonPositiveParameter,
     PkParams,
     ValidationError,
-    cycle_window,
     dose_times,
     validate_params,
     validate_regimen,
 )
+from multidose.extmodels import BolusRegimen, FatRegimen
 
 
 class TestValidateParams:
@@ -94,6 +94,20 @@ class TestDoseTimes:
         assert np.all(np.diff(times) > 0)
 
 
+# One entry of each regimen type and how it is checked: EquiDose and
+# Arbitrary by validate_regimen, Bolus/FAT on construction.
+REGIMEN_BUILDERS = {
+    "EquiDose": (("dose", "interval"), lambda e: validate_regimen(EquiDose(*e))),
+    "Arbitrary": (("dose", "interval"),
+                  lambda e: validate_regimen(Arbitrary([(9.0, 4.0), e]))),
+    "BolusRegimen": (("delta", "interval"), lambda e: BolusRegimen([e])),
+    "FatRegimen": (("dose", "interval", "absorption window"),
+                   lambda e: FatRegimen([e])),
+}
+ENTRY_FIELDS = [(kind, i, name) for kind, (fields, _) in REGIMEN_BUILDERS.items()
+                for i, name in enumerate(fields)]
+
+
 class TestRegimenValidation:
     def test_zero_dose_rejected(self):
         with pytest.raises(NonPositiveParameter):
@@ -107,9 +121,27 @@ class TestRegimenValidation:
         with pytest.raises(ValidationError):
             Arbitrary([]) and validate_regimen(Arbitrary([]))
 
-    def test_cycle_window(self):
-        assert cycle_window(EquiDose(dose=1.0, interval=6.0), 3) == (12.0, 18.0)
-        assert cycle_window(Arbitrary([(1, 4), (1, 8)]), 2) == (4.0, 12.0)
+    @pytest.mark.parametrize("kind,index,name", ENTRY_FIELDS,
+                             ids=[f"{k}-{n}" for k, _, n in ENTRY_FIELDS])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_every_field_must_be_positive_finite(self, kind, index, name, bad):
+        fields, build = REGIMEN_BUILDERS[kind]
+        entry = [100.0, 4.0, 2.0][:len(fields)]
+        build(tuple(entry))
+        entry[index] = bad
+        with pytest.raises(NonPositiveParameter, match=f"entry .*: {name} must be > 0"):
+            build(tuple(entry))
+
+    def test_fat_window_may_equal_but_not_exceed_interval(self):
+        assert FatRegimen([(100.0, 4.0, 4.0)]).entries == ((100.0, 4.0, 4.0),)
+        with pytest.raises(ValidationError, match="entry 2: absorption window"):
+            FatRegimen([(100.0, 4.0, 4.0), (100.0, 4.0, 4.5)])
+
+    def test_entry_arity_is_checked(self):
+        with pytest.raises(ValueError):
+            BolusRegimen([(100.0, 4.0, 2.0)])
+        with pytest.raises(ValueError):
+            FatRegimen([(100.0, 4.0)])
 
 
 class TestConcentrationSeries:
@@ -129,14 +161,3 @@ class TestConcentrationSeries:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             ConcentrationSeries([0.0, 1.0], [1.0])
-
-    def test_unknown_unit_rejected(self):
-        with pytest.raises(ValidationError):
-            ConcentrationSeries([0.0], [1.0], unit="mol/L")
-
-    def test_unit_conversion(self):
-        s = ConcentrationSeries([0.0, 1.0], [1.5, 2.0], unit="ug/mL")
-        ng = s.to_unit("ng/mL")
-        assert ng.values == (1500.0, 2000.0)
-        back = ng.to_unit("ug/mL")
-        assert back.values == pytest.approx(s.values, rel=1e-15)
