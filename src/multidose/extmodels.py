@@ -95,8 +95,9 @@ def bolus_multidose(ke: float, r: BolusRegimen) -> BolusSolution:
 
 def bolus_equi_remainder_limit(ke: float, delta: float, tau: float) -> float:
     """Limiting pre-dose concentration for constant bolus dosing."""
-    if not (ke > 0.0 and delta > 0.0 and tau > 0.0):
-        raise ValidationError("ke, delta, and tau must all be > 0")
+    if not (np.isfinite(ke) and ke > 0.0):
+        raise NonPositiveParameter(f"ke must be > 0, got {ke!r}")
+    validate_entries([(delta, tau)], ("delta", "interval"), "bolus regimen")
     beta = math.exp(-ke * tau)
     return delta * beta / (1.0 - beta)
 

@@ -17,7 +17,12 @@ from multidose.core import (
     validate_params,
     validate_regimen,
 )
-from multidose.extmodels import BolusRegimen, FatRegimen
+from multidose.extmodels import (
+    BolusRegimen,
+    FatRegimen,
+    bolus_equi_remainder_limit,
+    fat_equi_limits,
+)
 
 
 class TestValidateParams:
@@ -95,16 +100,21 @@ class TestDoseTimes:
 
 
 # One entry of each regimen type and how it is checked: EquiDose and
-# Arbitrary by validate_regimen, Bolus/FAT on construction.
-REGIMEN_BUILDERS = {
+# Arbitrary by validate_regimen, Bolus/FAT on construction, and the
+# constant-interval limits of both extension models on their arguments.
+ENTRY_CHECKS = {
     "EquiDose": (("dose", "interval"), lambda e: validate_regimen(EquiDose(*e))),
     "Arbitrary": (("dose", "interval"),
                   lambda e: validate_regimen(Arbitrary([(9.0, 4.0), e]))),
     "BolusRegimen": (("delta", "interval"), lambda e: BolusRegimen([e])),
     "FatRegimen": (("dose", "interval", "absorption window"),
                    lambda e: FatRegimen([e])),
+    "bolus_equi_remainder_limit": (("delta", "interval"),
+                                   lambda e: bolus_equi_remainder_limit(0.3838, *e)),
+    "fat_equi_limits": (("dose", "interval", "absorption window"),
+                        lambda e: fat_equi_limits(PkParams(0.9, 0.25, 0.05, 10.0), *e)),
 }
-ENTRY_FIELDS = [(kind, i, name) for kind, (fields, _) in REGIMEN_BUILDERS.items()
+ENTRY_FIELDS = [(kind, i, name) for kind, (fields, _) in ENTRY_CHECKS.items()
                 for i, name in enumerate(fields)]
 
 
@@ -125,17 +135,12 @@ class TestRegimenValidation:
                              ids=[f"{k}-{n}" for k, _, n in ENTRY_FIELDS])
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_every_field_must_be_positive_finite(self, kind, index, name, bad):
-        fields, build = REGIMEN_BUILDERS[kind]
+        fields, build = ENTRY_CHECKS[kind]
         entry = [100.0, 4.0, 2.0][:len(fields)]
         build(tuple(entry))
         entry[index] = bad
         with pytest.raises(NonPositiveParameter, match=f"entry .*: {name} must be > 0"):
             build(tuple(entry))
-
-    def test_fat_window_may_equal_but_not_exceed_interval(self):
-        assert FatRegimen([(100.0, 4.0, 4.0)]).entries == ((100.0, 4.0, 4.0),)
-        with pytest.raises(ValidationError, match="entry 2: absorption window"):
-            FatRegimen([(100.0, 4.0, 4.0), (100.0, 4.0, 4.5)])
 
     def test_entry_arity_is_checked(self):
         with pytest.raises(ValueError):
