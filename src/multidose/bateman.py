@@ -18,6 +18,7 @@ decaying.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,14 @@ def absorption_gain(p: PkParams) -> float:
     Only the attributes ka, ke, gamma and volume of `p` are read.
     """
     return p.ka * p.gamma / (p.volume * (p.ka - p.ke))
+
+
+def decay_difference(ka: float, ke: float, t):
+    """(e^{-ke t} - e^{-ka t}) / (ka - ke) for t >= 0, a float or an array:
+    through the slower rate and expm1, so positive and exact as ka -> ke."""
+    lib = np if isinstance(t, np.ndarray) else math
+    slow, gap = min(ka, ke), abs(ka - ke)
+    return lib.exp(-slow * t) * -lib.expm1(-gap * t) / gap
 
 
 def _shaped_like(t, values: np.ndarray):
@@ -135,8 +144,9 @@ class PiecewiseSolution:
         self._gain = absorption_gain(params)
         if isinstance(regimen, EquiDose):
             self._equi = True
-            self._alpha = float(np.exp(-params.ka * regimen.interval))
-            self._beta = float(np.exp(-params.ke * regimen.interval))
+            self._log_a = -params.ka * regimen.interval
+            self._log_b = -params.ke * regimen.interval
+            self._alpha, self._beta = math.exp(self._log_a), math.exp(self._log_b)
         else:
             self._tabulate(regimen.entries, _oral_dose)
 
@@ -203,8 +213,10 @@ class PiecewiseSolution:
     def _equi_coefficients(self, n):
         """(c1, c2, y_start, t_start) of cycle n: an int, or an index array."""
         r = self.regimen
-        geo_b = (1.0 - self._beta ** n) / (1.0 - self._beta)
-        geo_a = (1.0 - self._alpha ** n) / (1.0 - self._alpha)
+        # math for an int n: np.expm1 or np.ndim on it would slow analyze by a third.
+        lib = np if isinstance(n, np.ndarray) else math
+        geo_b = lib.expm1(n * self._log_b) / math.expm1(self._log_b)
+        geo_a = lib.expm1(n * self._log_a) / math.expm1(self._log_a)
         g = self._gain * r.dose
         return g * geo_b, g * geo_a, r.dose * geo_a, (n - 1) * r.interval
 

@@ -287,6 +287,8 @@ def _fit_payload(result: fitmod.FitResult, time_unit: str) -> dict:
 
 
 def cmd_fit(args) -> int:
+    if not (args.mc_reps >= 0 and args.seed >= 0 and 0.0 <= args.mc_noise < np.inf):
+        raise ValidationError("--mc-reps and --seed must be >= 0, --mc-noise finite and >= 0")
     scale = _HOURS_PER_UNIT[args.time_unit]
     series = _read_concentration_csv(args.csv, scale)
     result = fitmod.fit_single_dose(series, args.dose, args.volume)
@@ -366,8 +368,8 @@ def _parse_grid(text: str) -> list[float]:
         grid = [float(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise ValidationError(f"--tau-grid: could not parse {text!r}") from None
-    if not grid or any(g <= 0.0 for g in grid):
-        raise ValidationError("--tau-grid: expected positive, comma-separated hours")
+    if not grid or not all(0.0 < g < np.inf for g in grid):
+        raise ValidationError("--tau-grid: expected positive, finite, comma-separated hours")
     return grid
 
 

@@ -49,7 +49,10 @@ class TherapeuticTarget:
     upper: float
 
     def __post_init__(self):
-        if not (self.mic > 0.0 and math.isfinite(self.mic)):
+        for name in ("mic", "tc", "lower", "upper"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not self.mic > 0.0:
             raise ValidationError(f"mic must be > 0, got {self.mic!r}")
         if not self.tc > self.mic:
             raise ValidationError(
@@ -72,16 +75,7 @@ def _check_interval(p: PkParams, tau: float) -> None:
 def f_ratio(p: PkParams, tau: float) -> float:
     """Limiting peak/trough ratio; increasing in the interval, range (1, inf)."""
     _check_interval(p, tau)
-    return _ratio(p, tau)
-
-
-def _ratio(p: PkParams, tau: float) -> float:
-    trough = steady_state.trough_shape(p, tau)
-    if trough == 0.0:
-        # The trough underflows once the slow exponential does; the
-        # ratio has genuinely outgrown float range by then.
-        return math.inf
-    return steady_state.peak_shape(p, tau) / trough
+    return 1.0 + _ratio_excess(p, tau)
 
 
 def f_ratio_excess(p: PkParams, tau: float) -> float:
@@ -94,13 +88,20 @@ def _ratio_excess(p: PkParams, tau: float) -> float:
     """f_ratio_excess for a valid p and tau > 0, unchecked."""
     if (p.ka + p.ke) * tau < _SERIES_THRESHOLD:
         return p.ka * p.ke * tau * tau / 8.0
-    return _ratio(p, tau) - 1.0
+    trough = steady_state.trough_shape(p, tau)
+    if trough == 0.0:
+        # The trough underflows once the slow exponential does; the
+        # ratio has genuinely outgrown float range by then.
+        return math.inf
+    return steady_state.peak_shape(p, tau) / trough - 1.0
 
 
 def _dose_for_trough(p: PkParams, target_lower: float, tau: float) -> float:
-    return target_lower * p.volume * (p.ka - p.ke) / (
-        p.ka * p.gamma * steady_state.trough_shape(p, tau)
-    )
+    shape = steady_state.trough_shape(p, tau)
+    d = target_lower * p.volume / p.gamma / shape if shape else math.inf
+    if not 0.0 < d < math.inf:
+        raise NoConvergence(f"no finite dose reaches the trough at {tau!r} h", tau=tau)
+    return d
 
 
 def design(p: PkParams, target: TherapeuticTarget) -> tuple[float, float]:

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bateman import PiecewiseSolution, absorption_gain
+from .bateman import PiecewiseSolution, absorption_gain, decay_difference
 from .core import (
     NonPositiveParameter,
     PkParams,
@@ -98,8 +98,7 @@ def bolus_equi_remainder_limit(ke: float, delta: float, tau: float) -> float:
     if not (np.isfinite(ke) and ke > 0.0):
         raise NonPositiveParameter(f"ke must be > 0, got {ke!r}")
     validate_entries([(delta, tau)], ("delta", "interval"), "bolus regimen")
-    beta = math.exp(-ke * tau)
-    return delta * beta / (1.0 - beta)
+    return delta * math.exp(-ke * tau) / -math.expm1(-ke * tau)
 
 
 def fat_equi_limits(p: PkParams, d: float, tau: float,
@@ -107,17 +106,15 @@ def fat_equi_limits(p: PkParams, d: float, tau: float,
     """Limiting (cutoff, end-of-cycle) concentrations for constant FAT dosing.
 
     Every cycle absorbs for `offset` hours of its `tau`, so the cutoff
-    values obey x <- x*beta + gain*d*(b_cut - a_cut), whose fixed point
-    decays by e^{-ke (tau - offset)} to the end of the cycle.
+    values obey x <- x*beta + (ka*gamma*d/V)*decay_difference(offset), whose
+    fixed point decays by e^{-ke (tau - offset)} to the end of the cycle.
     """
     validate_params(p)
     validate_entries([(d, tau, offset)], ("dose", "interval", "absorption window"),
                      "FAT regimen")
-    b_cut = np.exp(-p.ke * offset)
-    a_cut = np.exp(-p.ka * offset)
-    beta = np.exp(-p.ke * tau)
-    cutoff = absorption_gain(p) * d * (b_cut - a_cut) / (1.0 - beta)
-    return float(cutoff), float(cutoff * np.exp(-p.ke * (tau - offset)))
+    cutoff = (p.ka * p.gamma * d / p.volume * decay_difference(p.ka, p.ke, offset)
+              / -math.expm1(-p.ke * tau))
+    return cutoff, cutoff * math.exp(-p.ke * (tau - offset))
 
 
 class FatSolution(PiecewiseSolution):

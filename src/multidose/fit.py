@@ -144,8 +144,8 @@ def fit_batch(times, values, d: float, v: float, init: PkParams | None = None
     FitResult, or the NoConvergence `fit_single_dose` raises for it. A
     failing row never stops the others; bad d, v, init or shapes raise.
     """
-    if not (d > 0.0 and v > 0.0):
-        raise ValidationError("dose and volume must be > 0")
+    if not (0.0 < d < math.inf and 0.0 < v < math.inf):
+        raise ValidationError("dose and volume must be finite and > 0")
     t = np.asarray(times, dtype=float)
     c = np.atleast_2d(np.asarray(values, dtype=float))
     if len(t) < 4:

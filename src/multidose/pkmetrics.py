@@ -54,31 +54,23 @@ def _dose_gain(p: PkParams, d: float, tau: float) -> float:
     return absorption_gain(p) * d
 
 
-def _peak_powers(p: PkParams, r: float) -> tuple[float, float]:
-    """(e^{-ke s}, e^{-ka s}) at the offset s where e^{(ka-ke)s} = r."""
-    return r ** (-p.ke / (p.ka - p.ke)), r ** (-p.ka / (p.ka - p.ke))
-
-
 def auc_cycle(p: PkParams, d: float, tau: float, n: int) -> float:
     """Area under the concentration curve over cycle n of an equi-dose plan."""
     gain = _dose_gain(p, d, tau)
     if n < 1:
         raise ValidationError(f"cycle number must be >= 1, got {n}")
-    alpha = math.exp(-p.ka * tau)
-    beta = math.exp(-p.ke * tau)
-    return gain * (
-        (1.0 - beta ** n) / p.ke - (1.0 - alpha ** n) / p.ka
-    )
+    return gain * (math.expm1(-n * p.ka * tau) / p.ka
+                   - math.expm1(-n * p.ke * tau) / p.ke)
 
 
 def _peak_from_coefficients(p: PkParams, c: CycleCoefficients) -> CycleMetrics:
     ratio = (p.ka * c.c2) / (p.ke * c.c1)
     offset = math.log(ratio) / (p.ka - p.ke)
     t_end = c.t_start + c.tau
-    auc = _auc_from_coefficients(p, c.c1, c.c2, 1.0 - c.alpha, 1.0 - c.beta)
+    auc = _auc_from_coefficients(p, c.c1, c.c2, c.tau)
     if 0.0 < offset <= c.tau:
-        e2, e1 = _peak_powers(p, ratio)
-        x_max = c.c1 * e2 - c.c2 * e1
+        x_max = (c.c1 * ratio ** (-p.ke / (p.ka - p.ke))
+                 - c.c2 * ratio ** (-p.ka / (p.ka - p.ke)))
         return CycleMetrics(
             n=c.n, auc=auc,
             t_max=c.t_start + offset, x_max=x_max, peak_in_cycle=True,
@@ -92,11 +84,9 @@ def _peak_from_coefficients(p: PkParams, c: CycleCoefficients) -> CycleMetrics:
     )
 
 
-def _auc_from_coefficients(p: PkParams, c1: float, c2: float,
-                           za: float, zb: float) -> float:
-    """Integral of c1 e^{-ke s} - c2 e^{-ka s} over one cycle of length
-    tau, given za = 1 - e^{-ka tau} and zb = 1 - e^{-ke tau}."""
-    return (c1 * zb / p.ke) - (c2 * za / p.ka)
+def _auc_from_coefficients(p: PkParams, c1: float, c2: float, tau: float) -> float:
+    """Integral of c1 e^{-ke s} - c2 e^{-ka s} over s in [0, tau]."""
+    return c2 * math.expm1(-p.ka * tau) / p.ka - c1 * math.expm1(-p.ke * tau) / p.ke
 
 
 def peak(p: PkParams, d: float, tau: float, n: int) -> CycleMetrics:

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EquiDose, PkParams, ValidationError, validate_params
-from .bateman import PiecewiseSolution, absorption_gain, equi_multidose
-from .pkmetrics import _auc_from_coefficients, _dose_gain, _peak_powers, auc_single
+from .bateman import PiecewiseSolution, absorption_gain, decay_difference, equi_multidose
+from .pkmetrics import _auc_from_coefficients, _dose_gain, auc_single
 
 #: Cycles n_epsilon may scan before it reports that no steady state is near.
 N_EPSILON_MAX_CYCLES = 100_000
@@ -53,26 +53,31 @@ def _decay_factors(p: PkParams, tau: float) -> tuple[float, float]:
 
 def _decay_complements(p: PkParams, tau: float) -> tuple[float, float]:
     """(1 - alpha, 1 - beta) from expm1, exact at tiny intervals."""
-    return -math.expm1(-p.ka * tau), -math.expm1(-p.ke * tau)
+    za, zb = -math.expm1(-p.ka * tau), -math.expm1(-p.ke * tau)
+    if not (za and zb):
+        raise ValidationError(f"interval {tau!r} h is too short to resolve at these rates")
+    return za, zb
 
 
 def trough_shape(p: PkParams, tau: float) -> float:
-    """The limiting trough with the dose gain divided out (p assumed valid)."""
+    """The limiting trough per unit gamma*d/V (p assumed valid); divided
+    in sequence, as za*zb underflows where the quotient does not."""
     za, zb = _decay_complements(p, tau)
-    # beta/zb - alpha/za = (beta - alpha)/(zb za); the numerator is factored
-    # through the slower rate so neither orientation can overflow or cancel.
-    k_slow, k_fast = min(p.ka, p.ke), max(p.ka, p.ke)
-    diff = -math.exp(-k_slow * tau) * math.expm1(-(k_fast - k_slow) * tau)
-    if p.ka < p.ke:
-        diff = -diff
-    return diff / (zb * za)
+    return p.ka * decay_difference(p.ka, p.ke, tau) / za / zb
 
 
 def peak_shape(p: PkParams, tau: float) -> float:
-    """The limiting peak with the dose gain divided out (p assumed valid)."""
+    """The limiting peak per unit gamma*d/V (p assumed valid): at its offset
+    s, ke*e^{-ke s}/zb = ka*e^{-ka s}/za, so it is e^{-ke s}/zb. Near ka = ke,
+    s comes from log1p terms: za = zb + (ka - ke)*decay_difference(tau)."""
     za, zb = _decay_complements(p, tau)
-    e2, e1 = _peak_powers(p, (p.ka * zb) / (p.ke * za))
-    return e2 / zb - e1 / za
+    delta = p.ka - p.ke
+    if abs(delta) < 0.5 * p.ke:
+        e = decay_difference(p.ka, p.ke, tau)
+        s = (math.log1p(delta / p.ke) - math.log1p(delta * e / zb)) / delta
+    else:
+        s = math.log(p.ka * zb / (p.ke * za)) / delta
+    return math.exp(-p.ke * s) / zb
 
 
 def ss_lower(p: PkParams, d: float, tau: float) -> float:
@@ -80,12 +85,14 @@ def ss_lower(p: PkParams, d: float, tau: float) -> float:
 
     Equals the limit of the end-of-cycle remainders.
     """
-    return _dose_gain(p, d, tau) * trough_shape(p, tau)
+    _dose_gain(p, d, tau)  # validates p, d and tau
+    return p.gamma * d / p.volume * trough_shape(p, tau)
 
 
 def ss_upper(p: PkParams, d: float, tau: float) -> float:
     """Limiting peak: the cycle maximum after many doses."""
-    return _dose_gain(p, d, tau) * peak_shape(p, tau)
+    _dose_gain(p, d, tau)  # validates p, d and tau
+    return p.gamma * d / p.volume * peak_shape(p, tau)
 
 
 def width(p: PkParams, d: float, tau: float) -> float:
@@ -95,11 +102,7 @@ def width(p: PkParams, d: float, tau: float) -> float:
 
 def width_limit(p: PkParams, d: float) -> float:
     """Width as the interval grows without bound: the single-dose peak."""
-    validate_params(p)
-    if not d > 0.0:
-        raise ValidationError(f"dose must be > 0, got {d!r}")
-    e2, e1 = _peak_powers(p, p.ka / p.ke)
-    return absorption_gain(p) * d * (e2 - e1)
+    return width(p, d, math.inf)
 
 
 def gap_envelope(p: PkParams, d: float, tau: float, n):
@@ -200,7 +203,7 @@ def auc_equality_check(p: PkParams, d: float, tau: float
     g = _dose_gain(p, d, tau)
     total = auc_single(p, d)
     za, zb = _decay_complements(p, tau)
-    limiting = _auc_from_coefficients(p, g / zb, g / za, za, zb)
+    limiting = _auc_from_coefficients(p, g / zb, g / za, tau)
     denom = max(abs(total), abs(limiting))
     rel = abs(total - limiting) / denom if denom else 0.0
     return total, limiting, rel

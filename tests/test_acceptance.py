@@ -319,8 +319,8 @@ def test_criterion_09_extension_models():
 
 def test_criterion_10_cli_determinism(tmp_path, monkeypatch):
     def run(*args):
-        return subprocess.run([sys.executable, "-m", "multidose", *args],
-                              capture_output=True, text=True)
+        return subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                               "-m", "multidose", *args], capture_output=True, text=True)
 
     checks = [
         (("simulate", str(DATA / "oral_equi.json")),

@@ -9,12 +9,14 @@ from multidose.core import Arbitrary, EquiDose, PkParams, ValidationError
 from multidose.bateman import (
     absorption_gain,
     arbitrary_multidose,
+    decay_difference,
     equi_multidose,
     single_dose,
 )
 from multidose.oracle import superpose
 
 from conftest import rel_err
+from mpref import NEAR_EQUAL, SPREAD, TAUS, mp_decay_difference, mp_equi_coefficients
 
 
 # Bounded parameter/regimen generators keeping concentrations O(1e3) so
@@ -64,6 +66,17 @@ class TestSingleDose:
                        single_dose(p, 100.0).x(t[1:])) < 1e-12
 
 
+@pytest.mark.parametrize("p", NEAR_EQUAL + SPREAD, ids=repr)
+def test_decay_difference_against_mpmath(p):
+    values = decay_difference(p.ka, p.ke, TAUS)
+    assert values.shape == TAUS.shape
+    for tau, value in zip(TAUS.tolist(), values.tolist()):
+        reference = mp_decay_difference(p.ka, p.ke, tau)
+        for v in (value, decay_difference(p.ka, p.ke, tau)):
+            assert abs(v - reference) <= 2e-15 * reference, tau
+        assert decay_difference(p.ke, p.ka, tau) == decay_difference(p.ka, p.ke, tau)
+
+
 class TestEquiMultidose:
     def test_first_cycle_coefficients_equal_single_dose(self, canonical):
         sol = equi_multidose(canonical, 100.0, 6.0)
@@ -84,6 +97,19 @@ class TestEquiMultidose:
         # Two shifted single-dose responses contribute at t=10 (tau=6).
         sol = equi_multidose(canonical, 100.0, 6.0)
         assert sol.x(10.0) == pytest.approx(113.31538315428725, rel=1e-13)
+
+    @pytest.mark.parametrize("p", NEAR_EQUAL + SPREAD, ids=repr)
+    def test_coefficients_against_mpmath(self, p):
+        for tau in TAUS:
+            c = equi_multidose(p, 100.0, tau).coefficients(10)
+            for value, reference in zip((c.c1, c.c2, c.y_start),
+                                        mp_equi_coefficients(p, 100.0, tau, 10)):
+                assert abs(value - reference) <= 2e-15 * abs(reference), tau
+
+    @pytest.mark.parametrize("tau", [1e-12, 1e-17, 1e-30, 1e-300])
+    def test_tiny_interval_stays_finite(self, canonical, tau):
+        x, y = equi_multidose(canonical, 100.0, tau)(np.array([0.0, 5.5 * tau, 1e3 * tau]))
+        assert np.all(np.isfinite(x)) and np.all(np.isfinite(y))
 
     def test_matches_superposition_through_many_cycles(self, canonical):
         sol = equi_multidose(canonical, 100.0, 6.0)

@@ -16,8 +16,13 @@ DATA = Path(__file__).parent / "data"
 
 
 def run_cli(*args, **kwargs):
-    cmd = [sys.executable, "-m", "multidose", *args]
+    # The same warning rule pytest applies in process (pyproject.toml).
+    cmd = [sys.executable, "-W", "error::RuntimeWarning", "-m", "multidose", *args]
     return subprocess.run(cmd, capture_output=True, text=True, **kwargs)
+
+
+DESIGN = ("design", "--ka", "1.0", "--ke", "0.1", "--gamma", "1.0", "--volume", "1.0",
+          "--mic", "100", "--tc", "250", "--ss-lower", "120", "--ss-upper", "200")
 
 
 class TestGoldenOutputs:
@@ -337,7 +342,35 @@ class TestFitCommand:
         assert all_failed > 0
 
 
+class TestRejectedFlags:
+    @pytest.mark.parametrize("args,flag", [
+        (DESIGN + ("--tau-grid", "inf"), "tau-grid"),
+        (DESIGN + ("--tau-grid", "nan"), "tau-grid"),
+        (DESIGN + ("--tc", "inf", "--ss-upper", "inf"), "tc"),
+        (("--mc-reps", "-1"), "mc-reps"),
+        (("--mc-reps", "2", "--mc-noise", "-1"), "mc-noise"),
+        (("--mc-reps", "2", "--seed", "-1"), "seed"),
+        (("--dose", "inf"), "dose"),
+    ], ids=["tau-grid-inf", "tau-grid-nan", "tc-inf", "mc-reps", "mc-noise", "seed",
+            "dose-inf"])
+    def test_exit_2_naming_the_flag(self, tmp_path, args, flag):
+        if args[0] != "design":
+            t = np.array([0.5, 1.0, 2.0, 4.0, 8.0, 12.0])
+            c = single_dose(PkParams(0.748, 0.2031, 19.1933, 5000.0), 250.0).x(t)
+            path = tmp_path / "series.csv"
+            path.write_text("t,c\n" + "".join(f"{a},{b}\n" for a, b in zip(t, c)))
+            args = ("fit", str(path), "--dose", "250", "--time-unit", "h", *args)
+        cp = run_cli(*args)
+        assert cp.returncode == 2, cp.stderr
+        assert "Traceback" not in cp.stderr and flag in cp.stderr
+
+
 class TestDesignCommand:
+    @pytest.mark.parametrize("tau", ["5e-324", "1e-320", "1e-300", "1e300", "1.7e308"])
+    def test_extreme_tau_grid_ends_in_an_exit_code(self, tau):
+        cp = run_cli(*DESIGN, "--tau-grid", tau)
+        assert cp.returncode in (0, 2, 3) and "Traceback" not in cp.stderr, cp.stderr
+
     def test_invalid_targets_exit_validation(self):
         cp = run_cli("design", "--ka", "1.0", "--ke", "0.1", "--gamma", "1.0",
                      "--volume", "1.0", "--mic", "100", "--tc", "250",

@@ -115,6 +115,13 @@ class TestDesign:
         assert ss_upper(canonical, d, tau) == pytest.approx(
             lower * (1.0 + 1e-6), rel=1e-8)
 
+    @pytest.mark.parametrize("s", np.linspace(1e-7, 5e-7, 40))
+    def test_converges_as_ka_approaches_ke(self, s):
+        p = PkParams(0.3 * (1.0 + s), 0.3, 1.0, 1.0)
+        target = TherapeuticTarget(mic=50.0, tc=300.0, lower=80.0, upper=250.0)
+        d, tau = design(p, target)  # verifies both achieved bounds to 1e-8
+        assert d > 0.0 and tau > 0.0
+
     def test_params_validated_a_fixed_number_of_times(self, canonical, monkeypatch):
         # design checks p once and bisects on the unchecked ratio, so the
         # number of validate_params calls does not grow with its steps.

@@ -14,6 +14,11 @@ from multidose.extmodels import (
 )
 from multidose.oracle import _rk4_segment
 
+from mpref import NEAR_EQUAL, TAUS, mp_bolus_limit, mp_fat_limits
+
+#: Machine epsilon: the spacing of doubles at 1.
+EPS = 2.0 ** -52
+
 KE_BOLUS = 0.3838
 COMPANION_DELTAS = [600.0, 600.0, 700.0, 500.0, 400.0, 300.0]
 COMPANION_GAPS = [4.0, 4.0, 8.0, 4.0, 6.0, 4.0]
@@ -68,6 +73,13 @@ class TestBolus:
             if n > 1:
                 assert post - sol.remainder(n - 1) == pytest.approx(
                     COMPANION_DELTAS[n - 1], rel=1e-12)
+
+    @pytest.mark.parametrize("ke", [0.05, 0.3, 2.0])
+    def test_equi_remainder_limit_against_mpmath(self, ke):
+        for tau in TAUS:
+            reference = mp_bolus_limit(ke, 100.0, tau)
+            value = bolus_equi_remainder_limit(ke, 100.0, tau)
+            assert abs(value - reference) <= 2e-15 * reference, tau
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -188,6 +200,17 @@ class TestFat:
         assert end == pytest.approx(sol.end_value(400), rel=1e-12)
         with pytest.raises(ValidationError):
             fat_equi_limits(FAT_PARAMS, 600.0, 5.0, 6.0)
+
+    @pytest.mark.parametrize("p", NEAR_EQUAL, ids=repr)
+    def test_equi_limits_against_mpmath(self, p):
+        # e^{-ke tau} is exact only to its rounded argument ke*tau, whose
+        # relative condition ke*tau adds to the 2e-15 at long intervals.
+        for tau in TAUS:
+            for offset in (0.5 * tau, tau):
+                rtol = 2e-15 + EPS * p.ke * tau
+                for value, reference in zip(fat_equi_limits(p, 100.0, tau, offset),
+                                            mp_fat_limits(p, 100.0, tau, offset)):
+                    assert abs(value - reference) <= rtol * reference, (tau, offset)
 
     def test_window_validation(self):
         with pytest.raises(ValidationError):

@@ -8,6 +8,8 @@ from multidose.core import Arbitrary, PkParams, ValidationError
 from multidose.bateman import arbitrary_multidose, equi_multidose, single_dose
 from multidose.pkmetrics import auc_cycle, auc_single, cycle_metrics, peak
 
+from mpref import TAUS, mp_auc_cycle
+
 PARAM_SETS = [
     PkParams(1.0, 0.1, 1.0, 1.0),
     PkParams(0.7480, 0.2031, 19.1933, 5000.0),
@@ -57,6 +59,18 @@ class TestAucCycle:
         one = auc_cycle(canonical, 100.0, 200.0, 1)
         assert one < total
         assert one == pytest.approx(total, rel=1e-6)
+
+    @pytest.mark.parametrize("p", PARAM_SETS[::2], ids=["canonical", "flipflop"])
+    @pytest.mark.parametrize("n", [1, 10, 1000])
+    def test_against_mpmath(self, p, n):
+        # The complements come from expm1; what is left is the difference
+        # of the two terms, which cancels as |ka - ke|*tau -> 0.
+        for tau in TAUS:
+            reference = mp_auc_cycle(p, 100.0, tau, n)
+            rtol = 1e-14 + 1e-15 / (abs(p.ka - p.ke) * tau)
+            for value in (auc_cycle(p, 100.0, tau, n),
+                          cycle_metrics(equi_multidose(p, 100.0, tau), n).auc):
+                assert abs(value - reference) <= rtol * reference, tau
 
     def test_linear_in_dose(self, canonical):
         assert auc_cycle(canonical, 200.0, 6.0, 3) == pytest.approx(

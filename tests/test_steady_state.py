@@ -1,12 +1,12 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from multidose.core import Arbitrary, PkParams, ValidationError
+from multidose.core import Arbitrary, PkError, PkParams, ValidationError
 from multidose.bateman import absorption_gain, arbitrary_multidose, equi_multidose
+from multidose.dosing import f_ratio, f_ratio_excess
 from multidose.pkmetrics import auc_single, cycle_metrics, peak
 from multidose.steady_state import (
     auc_equality_check,
@@ -20,6 +20,8 @@ from multidose.steady_state import (
     width_limit,
 )
 
+from mpref import NEAR_EQUAL, SPREAD, TAUS, mp_bounds, mp_width_limit
+
 PARAM_SETS = [
     PkParams(1.0, 0.1, 1.0, 1.0),
     PkParams(0.7480, 0.2031, 19.1933, 5000.0),
@@ -32,17 +34,8 @@ UNDERFLOW = (PkParams(0.00403841574832288, 0.41772963543151187,
                       0.5603865033489327, 151.95165233930004),
              622.8616103053552, 4.479712767430023, 3.0640370820196855e-10)
 
-
-def mp_bounds(p, d, tau):
-    """ss_lower and ss_upper at p's exact binary values, to 60 digits."""
-    with mpmath.workdps(60):
-        ka, ke, t = mpmath.mpf(p.ka), mpmath.mpf(p.ke), mpmath.mpf(tau)
-        g = ka * p.gamma * mpmath.mpf(d) / (p.volume * (ka - ke))
-        za, zb = -mpmath.expm1(-ka * t), -mpmath.expm1(-ke * t)
-        r = ka * zb / (ke * za)
-        lower = g * (mpmath.exp(-ke * t) / zb - mpmath.exp(-ka * t) / za)
-        upper = g * (r ** (-ke / (ka - ke)) / zb - r ** (-ka / (ka - ke)) / za)
-        return lower, upper
+#: Intervals whose products underflow, vanish against 1 or overflow.
+EXTREME_TAUS = [5e-324, 1e-320, 1e-300, 1e300, 1.7e308]
 
 
 def scan_reference(p, d, tau, eps):
@@ -148,10 +141,9 @@ class TestHighPrecisionReference:
     @pytest.mark.parametrize("delta", [1e-1, 1e-3, 1e-5, 1e-8])
     @pytest.mark.parametrize("flip", [False, True], ids=["normal", "flipflop"])
     def test_bounds_against_mpmath(self, delta, flip):
-        # The trough factors through expm1 and stays exact as ka -> ke. The
-        # peak's powers of r = 1 + O(tau*delta) lose about rounding/delta
-        # (2.9e-8 at delta = 1e-8); its bound follows that curve.
-        upper_rtol = 1e-14 + 1e-15 / delta
+        # Both bounds run through decay_difference and log1p, so neither
+        # loses accuracy as ka -> ke.
+        upper_rtol = 1e-14
         for ke in (0.05, 0.3, 2.0):
             ka = ke * (1.0 + delta)
             p = PkParams(*((ke, ka) if flip else (ka, ke)), 1.7, 300.0)
@@ -159,6 +151,30 @@ class TestHighPrecisionReference:
                 lower, upper = mp_bounds(p, 100.0, tau)
                 assert abs(ss_lower(p, 100.0, tau) - lower) <= 1e-14 * lower, tau
                 assert abs(ss_upper(p, 100.0, tau) - upper) <= upper_rtol * upper, tau
+
+    @pytest.mark.parametrize("p", NEAR_EQUAL + SPREAD, ids=repr)
+    def test_bounds_within_2e_15(self, p):
+        for tau in TAUS:
+            lower, upper = mp_bounds(p, 100.0, tau)
+            assert abs(ss_lower(p, 100.0, tau) - lower) <= 2e-15 * lower, tau
+            assert abs(ss_upper(p, 100.0, tau) - upper) <= 2e-15 * upper, tau
+
+    @pytest.mark.parametrize("p", NEAR_EQUAL + SPREAD, ids=repr)
+    def test_width_limit_within_2e_15(self, p):
+        reference = mp_width_limit(p, 100.0)
+        assert abs(width_limit(p, 100.0) - reference) <= 2e-15 * reference
+
+    @pytest.mark.parametrize("p", PARAM_SETS[::2], ids=["canonical", "flipflop"])
+    @pytest.mark.parametrize("tau", EXTREME_TAUS)
+    def test_extreme_intervals_give_a_number_or_a_typed_error(self, p, tau):
+        # IEEE overflow to inf and underflow to 0 are answers; NaN is not.
+        for f in (lambda: ss_lower(p, 100.0, tau), lambda: ss_upper(p, 100.0, tau),
+                  lambda: f_ratio(p, tau), lambda: f_ratio_excess(p, tau)):
+            try:
+                value = f()
+            except PkError:
+                continue
+            assert isinstance(value, float) and not math.isnan(value)
 
 
 class TestWidth:
