@@ -28,7 +28,9 @@ from .core import (
     PkParams,
     Regimen,
     ValidationError,
+    validate_cycle,
     validate_params,
+    validate_positive,
     validate_regimen,
 )
 
@@ -78,9 +80,7 @@ class SingleDoseCurve:
 def single_dose(p: PkParams, d: float) -> SingleDoseCurve:
     """Closed-form trajectory for a single dose of d mg at t=0."""
     validate_params(p)
-    if not d > 0.0:
-        raise ValidationError(f"dose must be > 0, got {d!r}")
-    return SingleDoseCurve(p, d)
+    return SingleDoseCurve(p, validate_positive("dose", d))
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,6 @@ class PiecewiseSolution:
 
     def __init__(self, params: PkParams, regimen: Regimen):
         validate_params(params)
-        validate_regimen(regimen)
         self.params = params
         self.regimen = regimen
         self._ka, self._ke = params.ka, params.ke
@@ -148,7 +147,7 @@ class PiecewiseSolution:
             self._log_b = -params.ke * regimen.interval
             self._alpha, self._beta = math.exp(self._log_a), math.exp(self._log_b)
         else:
-            self._tabulate(regimen.entries, _oral_dose)
+            self._tabulate(validate_regimen(regimen).entries, _oral_dose)
 
     # -- construction ---------------------------------------------------
 
@@ -202,14 +201,6 @@ class PiecewiseSolution:
         """Number of cycles, or None for an unbounded equi-dose schedule."""
         return None if self._equi else self._n_cycles
 
-    def _check_cycle(self, n: int, lowest: int = 1) -> None:
-        if n < lowest:
-            raise ValidationError(f"cycle number must be >= {lowest}, got {n}")
-        if not self._equi and n > self._n_cycles:
-            raise ValidationError(
-                f"cycle {n} exceeds the {self._n_cycles} cycles of the regimen"
-            )
-
     def _equi_coefficients(self, n):
         """(c1, c2, y_start, t_start) of cycle n: an int, or an index array."""
         r = self.regimen
@@ -222,7 +213,7 @@ class PiecewiseSolution:
 
     def coefficients(self, n: int) -> CycleCoefficients:
         """Closed-form coefficients of cycle n (1-based)."""
-        self._check_cycle(n)
+        validate_cycle(n, last=self.n_cycles)
         if self._equi:
             c1, c2, y_start, t_start = self._equi_coefficients(n)
             return CycleCoefficients(
@@ -243,7 +234,7 @@ class PiecewiseSolution:
         n = 0 returns (0, 0); the gut remainder is the pre-jump left
         limit at t_n.
         """
-        self._check_cycle(n, lowest=0)
+        validate_cycle(n, lowest=0, last=self.n_cycles)
         if n == 0:
             return 0.0, 0.0
         if not self._equi:

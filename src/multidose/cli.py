@@ -70,7 +70,7 @@ def _positive(value, where: str, zero_ok: bool = False) -> float:
         raise RegimenFileError(f"{where}: expected a number, got {value!r}") from None
     if not np.isfinite(out) or out < 0.0 or (out == 0.0 and not zero_ok):
         bound = ">=" if zero_ok else ">"
-        raise RegimenFileError(f"{where}: must be {bound} 0, got {value!r}")
+        raise RegimenFileError(f"{where}: must be {bound} 0 and finite, got {value!r}")
     return out
 
 

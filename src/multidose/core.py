@@ -10,6 +10,7 @@ between threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -74,6 +75,35 @@ class PkParams:
     volume: float = 5000.0
 
 
+def validate_positive(name: str, value: float) -> float:
+    """`value` unchanged when it is finite and > 0.
+
+    The one rule for doses, intervals, absorption windows, rates, volumes
+    and tolerances: anything else, NaN and infinity included, raises
+    NonPositiveParameter naming `name`.
+    """
+    if not 0.0 < value < math.inf:
+        raise NonPositiveParameter(f"{name} must be > 0 and finite, got {value!r}")
+    return value
+
+
+def validate_cycle(n, lowest: int = 1, last: int | None = None):
+    """Cycle number(s) `n`, an int or an array, unchanged when in range.
+
+    Every value must be >= lowest and, for a schedule with a last cycle,
+    <= last; ValidationError otherwise.
+    """
+    if isinstance(n, int):
+        low = high = n
+    else:
+        low, high = np.min(n, initial=lowest), np.max(n, initial=lowest)
+    if low < lowest:
+        raise ValidationError(f"cycle number must be >= {lowest}, got {low}")
+    if last is not None and high > last:
+        raise ValidationError(f"cycle {high} exceeds the {last} cycles of the regimen")
+    return n
+
+
 def validate_params(p: PkParams) -> PkParams:
     """Check a parameter vector, returning it unchanged when valid.
 
@@ -81,11 +111,7 @@ def validate_params(p: PkParams) -> PkParams:
     bound. Idempotent and total over finite floating-point inputs.
     """
     for name in ("ka", "ke", "gamma", "volume"):
-        value = getattr(p, name)
-        if not np.isfinite(value):
-            raise NonPositiveParameter(f"{name} must be finite, got {value!r}")
-        if value <= 0.0:
-            raise NonPositiveParameter(f"{name} must be > 0, got {value!r}")
+        validate_positive(name, getattr(p, name))
     if abs(p.ka - p.ke) < RATE_EQUALITY_RTOL * max(p.ka, p.ke):
         raise EqualRateConstants(
             f"ka={p.ka!r} and ke={p.ke!r} are equal within relative "
@@ -96,10 +122,16 @@ def validate_params(p: PkParams) -> PkParams:
 
 @dataclass(frozen=True)
 class EquiDose:
-    """Constant regimen: `dose` mg administered every `interval` hours."""
+    """Constant regimen: `dose` mg administered every `interval` hours.
+
+    Both are checked on construction, as validate_entries checks an entry.
+    """
 
     dose: float
     interval: float
+
+    def __post_init__(self):
+        validate_entries([(self.dose, self.interval)], ("dose", "interval"), "regimen")
 
 
 @dataclass(frozen=True)
@@ -109,14 +141,15 @@ class Arbitrary:
     Dose n is administered at t_{n-1} = sum of the preceding intervals
     (the first dose at t = 0); interval_n is the time from dose n to
     dose n+1, so entry n spans the cycle [t_{n-1}, t_n]. A skipped
-    intake is encoded by widening the previous entry's interval.
+    intake is encoded by widening the previous entry's interval. The
+    entries are checked on construction by validate_entries.
     """
 
     entries: tuple[tuple[float, float], ...]
 
     def __init__(self, entries: Iterable[Sequence[float]]):
-        normalized = tuple((float(d), float(tau)) for d, tau in entries)
-        object.__setattr__(self, "entries", normalized)
+        object.__setattr__(self, "entries", validate_entries(
+            entries, ("dose", "interval"), "arbitrary regimen"))
 
 
 Regimen = Union[EquiDose, Arbitrary]
@@ -136,8 +169,7 @@ def validate_entries(entries: Iterable[Sequence[float]], fields: Sequence[str],
         raise ValidationError(f"{kind} must have at least one entry")
     for n, row in enumerate(rows, start=1):
         for name, value in zip(fields, row):
-            if not (np.isfinite(value) and value > 0.0):
-                raise NonPositiveParameter(f"entry {n}: {name} must be > 0, got {value!r}")
+            validate_positive(f"entry {n}: {name}", value)
         if len(row) > 2 and row[2] > row[1]:
             raise ValidationError(
                 f"entry {n}: {fields[2]} must be <= interval, "
@@ -147,13 +179,10 @@ def validate_entries(entries: Iterable[Sequence[float]], fields: Sequence[str],
 
 
 def validate_regimen(r: Regimen) -> Regimen:
-    """Check doses and intervals are strictly positive; return r unchanged."""
-    if isinstance(r, EquiDose):
-        validate_entries([(r.dose, r.interval)], ("dose", "interval"), "regimen")
-    elif isinstance(r, Arbitrary):
-        validate_entries(r.entries, ("dose", "interval"), "arbitrary regimen")
-    else:
-        raise ValidationError(f"not a regimen: {r!r}")
+    """Check r is an oral regimen, whose doses and intervals its
+    construction checked; return r unchanged."""
+    if not isinstance(r, (EquiDose, Arbitrary)):
+        raise ValidationError(f"expected an oral regimen, got {type(r).__name__}")
     return r
 
 
@@ -165,21 +194,12 @@ def dose_times(r: Regimen, n_max: int | None = None) -> np.ndarray:
     Arbitrary regimen n_max defaults to the number of entries and may
     not exceed it.
     """
-    validate_regimen(r)
     if isinstance(r, EquiDose):
         if n_max is None:
             raise ValidationError("n_max is required for an equi-dose regimen")
-        if n_max < 1:
-            raise ValidationError(f"n_max must be >= 1, got {n_max}")
-        return np.arange(n_max + 1, dtype=float) * r.interval
-    if n_max is None:
-        n_max = len(r.entries)
-    if n_max < 1:
-        raise ValidationError(f"n_max must be >= 1, got {n_max}")
-    if n_max > len(r.entries):
-        raise ValidationError(
-            f"n_max={n_max} exceeds the {len(r.entries)} entries of the regimen"
-        )
+        return np.arange(validate_cycle(n_max) + 1, dtype=float) * r.interval
+    last = len(r.entries)
+    n_max = validate_cycle(last if n_max is None else n_max, last=last)
     intervals = np.array([tau for _, tau in r.entries[:n_max]], dtype=float)
     return np.concatenate(([0.0], np.cumsum(intervals)))
 

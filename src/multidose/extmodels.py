@@ -25,16 +25,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .bateman import PiecewiseSolution, absorption_gain, decay_difference
-from .core import (
-    NonPositiveParameter,
-    PkParams,
-    ValidationError,
-    validate_entries,
-    validate_params,
-)
+from .core import (PkParams, validate_cycle, validate_entries, validate_params,
+                   validate_positive)
 
 
 @dataclass(frozen=True)
@@ -68,9 +61,7 @@ class BolusSolution(PiecewiseSolution):
     """
 
     def __init__(self, ke: float, regimen: BolusRegimen):
-        if not (np.isfinite(ke) and ke > 0.0):
-            raise NonPositiveParameter(f"ke must be > 0, got {ke!r}")
-        self.ke = ke
+        self.ke = validate_positive("ke", ke)
         self.regimen = regimen
         # No gut: with ka and the gain at zero its terms vanish exactly.
         self._ka, self._ke, self._gain = 0.0, ke, 0.0
@@ -95,8 +86,7 @@ def bolus_multidose(ke: float, r: BolusRegimen) -> BolusSolution:
 
 def bolus_equi_remainder_limit(ke: float, delta: float, tau: float) -> float:
     """Limiting pre-dose concentration for constant bolus dosing."""
-    if not (np.isfinite(ke) and ke > 0.0):
-        raise NonPositiveParameter(f"ke must be > 0, got {ke!r}")
+    validate_positive("ke", ke)
     validate_entries([(delta, tau)], ("delta", "interval"), "bolus regimen")
     return delta * math.exp(-ke * tau) / -math.expm1(-ke * tau)
 
@@ -139,12 +129,12 @@ class FatSolution(PiecewiseSolution):
 
     def cutoff_value(self, n: int) -> float:
         """Concentration at the cycle-n absorption cutoff (1-based)."""
-        self._check_cycle(n)
+        validate_cycle(n, last=self.n_cycles)
         return float(self._c1[2 * n - 1])
 
     def end_value(self, n: int) -> float:
         """Concentration at the end of cycle n (1-based)."""
-        self._check_cycle(n)
+        validate_cycle(n, last=self.n_cycles)
         return self.remainders(n)[0]
 
 

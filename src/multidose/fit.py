@@ -28,6 +28,7 @@ from .core import (
     PkParams,
     ValidationError,
     validate_params,
+    validate_positive,
 )
 from .bateman import absorption_gain, single_dose
 
@@ -144,8 +145,8 @@ def fit_batch(times, values, d: float, v: float, init: PkParams | None = None
     FitResult, or the NoConvergence `fit_single_dose` raises for it. A
     failing row never stops the others; bad d, v, init or shapes raise.
     """
-    if not (0.0 < d < math.inf and 0.0 < v < math.inf):
-        raise ValidationError("dose and volume must be finite and > 0")
+    validate_positive("dose", d)
+    validate_positive("volume", v)
     t = np.asarray(times, dtype=float)
     c = np.atleast_2d(np.asarray(values, dtype=float))
     if len(t) < 4:

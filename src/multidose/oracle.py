@@ -18,14 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    Arbitrary,
     EquiDose,
     PkParams,
     Regimen,
     StepTooLarge,
     dose_times,
     validate_params,
-    validate_regimen,
+    validate_positive,
 )
 
 
@@ -135,7 +134,6 @@ def integrate_impulses(p: PkParams, impulses: list[tuple[float, float]],
 def integrate_ode(p: PkParams, r: Regimen, t_end: float,
                   cfg: OracleConfig = OracleConfig()) -> OdeTrajectory:
     """RK4 trajectory for a dosing regimen over [0, t_end]."""
-    validate_regimen(r)
     if isinstance(r, EquiDose):
         n = max(1, int(np.ceil(t_end / r.interval)) + 1)
         starts = dose_times(r, n)[:-1]
@@ -160,10 +158,8 @@ def superpose(p, r, n_doses: int | None = None):
     """
     if not isinstance(p, PkParams):
         # IV bolus: each delta enters plasma directly and decays at ke = p.
-        return _dose_sum(r, n_doses, 1.0, float(p))
+        return _dose_sum(r, n_doses, 1.0, validate_positive("ke", float(p)))
     validate_params(p)
-    if isinstance(r, (EquiDose, Arbitrary)):
-        validate_regimen(r)
     amplitude = p.ka * p.gamma / (p.volume * (p.ka - p.ke))
     return _dose_sum(r, n_doses, amplitude, p.ke, p.ka)
 
@@ -171,7 +167,6 @@ def superpose(p, r, n_doses: int | None = None):
 def superpose_gut(p: PkParams, r: Regimen, n_doses: int | None = None):
     """Gut amount as a sum of shifted exponential decays (post-dose at t_n)."""
     validate_params(p)
-    validate_regimen(r)
     return _dose_sum(r, n_doses, 1.0, p.ka)
 
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Arbitrary, EquiDose, PkParams, ValidationError, validate_params
+from .core import (PkParams, validate_cycle, validate_params, validate_positive,
+                   validate_regimen)
 from .bateman import (
     CycleCoefficients,
     PiecewiseSolution,
@@ -41,24 +42,15 @@ class CycleMetrics:
 def auc_single(p: PkParams, d: float) -> float:
     """Area under the single-dose curve over [0, inf)."""
     validate_params(p)
-    if not d > 0.0:
-        raise ValidationError(f"dose must be > 0, got {d!r}")
-    return absorption_gain(p) * d * (1.0 / p.ke - 1.0 / p.ka)
-
-
-def _dose_gain(p: PkParams, d: float, tau: float) -> float:
-    """absorption_gain(p) * d, once p, the dose and the interval are valid."""
-    validate_params(p)
-    if not (d > 0.0 and tau > 0.0):
-        raise ValidationError("dose and interval must be > 0")
-    return absorption_gain(p) * d
+    return absorption_gain(p) * validate_positive("dose", d) * (1.0 / p.ke - 1.0 / p.ka)
 
 
 def auc_cycle(p: PkParams, d: float, tau: float, n: int) -> float:
     """Area under the concentration curve over cycle n of an equi-dose plan."""
-    gain = _dose_gain(p, d, tau)
-    if n < 1:
-        raise ValidationError(f"cycle number must be >= 1, got {n}")
+    validate_params(p)
+    gain = absorption_gain(p) * validate_positive("dose", d)
+    validate_positive("interval", tau)
+    validate_cycle(n)
     return gain * (math.expm1(-n * p.ka * tau) / p.ka
                    - math.expm1(-n * p.ke * tau) / p.ke)
 
@@ -91,11 +83,7 @@ def _auc_from_coefficients(p: PkParams, c1: float, c2: float, tau: float) -> flo
 
 def peak(p: PkParams, d: float, tau: float, n: int) -> CycleMetrics:
     """Peak time and concentration within cycle n of an equi-dose plan."""
-    validate_params(p)
-    if n < 1:
-        raise ValidationError(f"cycle number must be >= 1, got {n}")
-    sol = equi_multidose(p, d, tau)
-    return _peak_from_coefficients(p, sol.coefficients(n))
+    return _peak_from_coefficients(p, equi_multidose(p, d, tau).coefficients(n))
 
 
 def cycle_metrics(sol: PiecewiseSolution, n: int) -> CycleMetrics:
@@ -104,6 +92,5 @@ def cycle_metrics(sol: PiecewiseSolution, n: int) -> CycleMetrics:
     Bolus and FAT solutions are rejected: their cycles are not the single
     two-exponential these formulas integrate.
     """
-    if not isinstance(sol.regimen, (EquiDose, Arbitrary)):
-        raise ValidationError("cycle metrics are defined for oral regimens only")
+    validate_regimen(sol.regimen)
     return _peak_from_coefficients(sol.params, sol.coefficients(n))

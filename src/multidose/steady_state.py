@@ -25,9 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EquiDose, PkParams, ValidationError, validate_params
+from .core import (EquiDose, PkParams, ValidationError, validate_cycle, validate_params,
+                   validate_positive, validate_regimen)
 from .bateman import PiecewiseSolution, absorption_gain, decay_difference, equi_multidose
-from .pkmetrics import _auc_from_coefficients, _dose_gain, auc_single
+from .pkmetrics import _auc_from_coefficients, auc_single
 
 #: Cycles n_epsilon may scan before it reports that no steady state is near.
 N_EPSILON_MAX_CYCLES = 100_000
@@ -85,13 +86,17 @@ def ss_lower(p: PkParams, d: float, tau: float) -> float:
 
     Equals the limit of the end-of-cycle remainders.
     """
-    _dose_gain(p, d, tau)  # validates p, d and tau
+    validate_params(p)
+    validate_positive("dose", d)
+    validate_positive("interval", tau)
     return p.gamma * d / p.volume * trough_shape(p, tau)
 
 
 def ss_upper(p: PkParams, d: float, tau: float) -> float:
     """Limiting peak: the cycle maximum after many doses."""
-    _dose_gain(p, d, tau)  # validates p, d and tau
+    validate_params(p)
+    validate_positive("dose", d)
+    validate_positive("interval", tau)
     return p.gamma * d / p.volume * peak_shape(p, tau)
 
 
@@ -101,8 +106,13 @@ def width(p: PkParams, d: float, tau: float) -> float:
 
 
 def width_limit(p: PkParams, d: float) -> float:
-    """Width as the interval grows without bound: the single-dose peak."""
-    return width(p, d, math.inf)
+    """Width as the interval grows without bound: the single-dose peak.
+
+    That is the limiting peak at tau = inf, where the limiting trough,
+    trough_shape(p, inf), is exactly 0.
+    """
+    validate_params(p)
+    return p.gamma * validate_positive("dose", d) / p.volume * peak_shape(p, math.inf)
 
 
 def gap_envelope(p: PkParams, d: float, tau: float, n):
@@ -113,8 +123,10 @@ def gap_envelope(p: PkParams, d: float, tau: float, n):
     (C2(n)-C2(n-1))e^{-ka s} with coefficient differences g*beta^(n-1)
     and g*alpha^(n-1); the triangle inequality at s=0 gives this bound.
     """
-    if np.min(n, initial=1) < 1:
-        raise ValidationError(f"cycle number must be >= 1, got {n}")
+    validate_params(p)
+    validate_positive("dose", d)
+    validate_positive("interval", tau)
+    validate_cycle(n)
     alpha, beta = _decay_factors(p, tau)
     g = abs(absorption_gain(p)) * d
     return g * (alpha ** (n - 1) + beta ** (n - 1))
@@ -144,10 +156,11 @@ def periodicity_gap(sol: PiecewiseSolution, n):
     span (the previous cycle's closed form extends naturally if its own
     interval is shorter). n = 1 compares against the zero function, i.e.
     returns the sup of the first cycle itself. Equi-dose solutions also
-    take an array of cycle numbers.
+    take an array of cycle numbers. Bolus and FAT solutions are rejected:
+    their cycles are not the single two-exponential compared here.
     """
-    if np.min(n, initial=1) < 1:
-        raise ValidationError(f"cycle number must be >= 1, got {n}")
+    validate_regimen(sol.regimen)
+    validate_cycle(n)
     if isinstance(sol.regimen, EquiDose):
         # The geometric sums telescope: the coefficient increments are
         # cycle 1's times single powers, free of subtractive cancellation.
@@ -171,9 +184,10 @@ def n_epsilon(p: PkParams, d: float, tau: float, eps: float = 1e-6) -> int:
     the slow rate. Else one periodicity_gap call gives the exact gaps up
     to there; the answer starts their trailing run below eps.
     """
-    _dose_gain(p, d, tau)  # validates p, d and tau
-    if not eps > 0.0:
-        raise ValidationError(f"eps must be > 0, got {eps!r}")
+    validate_params(p)
+    validate_positive("dose", d)
+    validate_positive("interval", tau)
+    validate_positive("eps", eps)
     if gap_envelope(p, d, tau, N_EPSILON_MAX_CYCLES) >= eps:
         name, rate = ("elimination", "ke") if p.ke <= p.ka else ("absorption", "ka")
         raise ValidationError(
@@ -200,7 +214,10 @@ def auc_equality_check(p: PkParams, d: float, tau: float
     the limiting cycle, whose coefficients are g/(1-beta) and
     g/(1-alpha), over one interval; the identity holds to rounding.
     """
-    g = _dose_gain(p, d, tau)
+    validate_params(p)
+    validate_positive("dose", d)
+    validate_positive("interval", tau)
+    g = absorption_gain(p) * d
     total = auc_single(p, d)
     za, zb = _decay_complements(p, tau)
     limiting = _auc_from_coefficients(p, g / zb, g / za, tau)

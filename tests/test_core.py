@@ -17,11 +17,26 @@ from multidose.core import (
     validate_params,
     validate_regimen,
 )
+from multidose.bateman import equi_multidose, single_dose
+from multidose.dosing import f_ratio, f_ratio_excess
 from multidose.extmodels import (
     BolusRegimen,
     FatRegimen,
     bolus_equi_remainder_limit,
+    bolus_multidose,
     fat_equi_limits,
+)
+from multidose.fit import fit_batch
+from multidose.pkmetrics import auc_cycle, auc_single, peak
+from multidose.steady_state import (
+    auc_equality_check,
+    gap_envelope,
+    n_epsilon,
+    ss_lower,
+    ss_upper,
+    summarize,
+    width,
+    width_limit,
 )
 
 
@@ -99,13 +114,12 @@ class TestDoseTimes:
         assert np.all(np.diff(times) > 0)
 
 
-# One entry of each regimen type and how it is checked: EquiDose and
-# Arbitrary by validate_regimen, Bolus/FAT on construction, and the
-# constant-interval limits of both extension models on their arguments.
+# One entry of each regimen type and how it is checked: every regimen on
+# construction, and the constant-interval limits of both extension models
+# on their arguments.
 ENTRY_CHECKS = {
-    "EquiDose": (("dose", "interval"), lambda e: validate_regimen(EquiDose(*e))),
-    "Arbitrary": (("dose", "interval"),
-                  lambda e: validate_regimen(Arbitrary([(9.0, 4.0), e]))),
+    "EquiDose": (("dose", "interval"), lambda e: EquiDose(*e)),
+    "Arbitrary": (("dose", "interval"), lambda e: Arbitrary([(9.0, 4.0), e])),
     "BolusRegimen": (("delta", "interval"), lambda e: BolusRegimen([e])),
     "FatRegimen": (("dose", "interval", "absorption window"),
                    lambda e: FatRegimen([e])),
@@ -147,6 +161,80 @@ class TestRegimenValidation:
             BolusRegimen([(100.0, 4.0, 2.0)])
         with pytest.raises(ValueError):
             FatRegimen([(100.0, 4.0)])
+
+
+P = PkParams(0.9, 0.25, 0.05, 10.0)
+FIT_TIMES = [0.5, 1.0, 2.0, 4.0, 8.0, 12.0]
+FIT_VALUES = [single_dose(P, 100.0).x(FIT_TIMES).tolist()]
+
+# Every public entry point that takes a dose, an interval, a rate or eps:
+# valid positional arguments, and the position and name of each such
+# argument. Where the first argument is a PkParams its four fields are
+# checked too, and `cycle` is the position of a cycle number, if any.
+SCALAR_CHECKS = {
+    "single_dose": (single_dose, (P, 100.0), {1: "dose"}, None),
+    "auc_single": (auc_single, (P, 100.0), {1: "dose"}, None),
+    "auc_cycle": (auc_cycle, (P, 100.0, 6.0, 3), {1: "dose", 2: "interval"}, 3),
+    "peak": (peak, (P, 100.0, 6.0, 3), {1: "dose", 2: "interval"}, 3),
+    "ss_lower": (ss_lower, (P, 100.0, 6.0), {1: "dose", 2: "interval"}, None),
+    "ss_upper": (ss_upper, (P, 100.0, 6.0), {1: "dose", 2: "interval"}, None),
+    "width": (width, (P, 100.0, 6.0), {1: "dose", 2: "interval"}, None),
+    "width_limit": (width_limit, (P, 100.0), {1: "dose"}, None),
+    "n_epsilon": (n_epsilon, (P, 100.0, 6.0, 1e-6),
+                  {1: "dose", 2: "interval", 3: "eps"}, None),
+    "summarize": (summarize, (P, 100.0, 6.0, 1e-6),
+                  {1: "dose", 2: "interval", 3: "eps"}, None),
+    "auc_equality_check": (auc_equality_check, (P, 100.0, 6.0),
+                           {1: "dose", 2: "interval"}, None),
+    "gap_envelope": (gap_envelope, (P, 100.0, 6.0, 3), {1: "dose", 2: "interval"}, 3),
+    "f_ratio": (f_ratio, (P, 6.0), {1: "interval"}, None),
+    "f_ratio_excess": (f_ratio_excess, (P, 6.0), {1: "interval"}, None),
+    "equi_multidose": (equi_multidose, (P, 100.0, 6.0), {1: "dose", 2: "interval"}, None),
+    "bolus_multidose": (lambda ke: bolus_multidose(ke, BolusRegimen([(100.0, 6.0)])),
+                        (0.3,), {0: "ke"}, None),
+    "bolus_equi_remainder_limit": (bolus_equi_remainder_limit, (0.3, 100.0, 6.0),
+                                   {0: "ke", 1: "delta", 2: "interval"}, None),
+    "fat_equi_limits": (fat_equi_limits, (P, 100.0, 6.0, 2.0),
+                        {1: "dose", 2: "interval", 3: "absorption window"}, None),
+    "fit_batch": (fit_batch, (FIT_TIMES, FIT_VALUES, 100.0, 10.0),
+                  {2: "dose", 3: "volume"}, None),
+}
+PARAM_FIELDS = ("ka", "ke", "gamma", "volume")
+# A PkParams field is at position None.
+SCALAR_FIELDS = [(func, index, name) for func, (_, args, fields, _) in SCALAR_CHECKS.items()
+                 for index, name in [*fields.items(), *((None, f) for f in PARAM_FIELDS
+                                                        if isinstance(args[0], PkParams))]]
+
+
+class TestOneRule:
+    """The core rule, finite and > 0, at every entry point that takes a
+    dose, an interval, a rate or eps, and n >= 1 for cycle numbers."""
+
+    @pytest.mark.parametrize("func", SCALAR_CHECKS)
+    def test_valid_arguments_pass(self, func):
+        call, args, _, _ = SCALAR_CHECKS[func]
+        call(*args)
+
+    @pytest.mark.parametrize("func,index,name", SCALAR_FIELDS,
+                             ids=[f"{f}-{n}" for f, _, n in SCALAR_FIELDS])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_every_argument_must_be_positive_finite(self, func, index, name, bad):
+        call, args, _, _ = SCALAR_CHECKS[func]
+        args = list(args)
+        if index is None:
+            args[0] = PkParams(**{**vars(P), name: bad})
+        else:
+            args[index] = bad
+        with pytest.raises(NonPositiveParameter, match=f"{name} must be > 0 and finite"):
+            call(*args)
+
+    @pytest.mark.parametrize("func", [f for f, c in SCALAR_CHECKS.items() if c[3]])
+    def test_cycle_numbers_start_at_one(self, func):
+        call, args, _, cycle = SCALAR_CHECKS[func]
+        args = list(args)
+        args[cycle] = 0
+        with pytest.raises(ValidationError, match="cycle number must be >= 1"):
+            call(*args)
 
 
 class TestConcentrationSeries:

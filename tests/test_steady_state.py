@@ -7,6 +7,7 @@ from scipy.integrate import simpson
 from multidose.core import Arbitrary, PkError, PkParams, ValidationError
 from multidose.bateman import absorption_gain, arbitrary_multidose, equi_multidose
 from multidose.dosing import f_ratio, f_ratio_excess
+from multidose.extmodels import BolusRegimen, FatRegimen, bolus_multidose, fat_multidose
 from multidose.pkmetrics import auc_single, cycle_metrics, peak
 from multidose.steady_state import (
     auc_equality_check,
@@ -220,6 +221,16 @@ class TestPeriodicityGap:
             periodicity_gap(sol, np.array([2, 0, 3]))
         with pytest.raises(ValidationError):
             gap_envelope(canonical, 100.0, 6.0, np.array([0, 1]))
+
+    def test_rejects_bolus_solution(self):
+        sol = bolus_multidose(0.3, BolusRegimen([(100.0, 6.0)] * 3))
+        with pytest.raises(ValidationError, match="oral"):
+            periodicity_gap(sol, 2)
+
+    def test_rejects_fat_solution(self, canonical):
+        sol = fat_multidose(canonical, FatRegimen([(100.0, 6.0, 2.0), (100.0, 4.0, 1.0)]))
+        with pytest.raises(ValidationError, match="oral"):
+            periodicity_gap(sol, 2)
 
     @pytest.mark.parametrize("p", PARAM_SETS, ids=["canonical", "fitted", "flipflop"])
     def test_array_of_cycles_matches_scalar_calls(self, p):
