@@ -50,6 +50,14 @@ _CSV_ROW = "%.6g,%.6g,%.6g,%d\n"
 #: at 109k rows, and 8,192-row blocks still by 2% at 16k rows. Larger blocks
 #: format no faster.
 CSV_BLOCK_ROWS = 2048
+#: One `analyze` cycle, laid out as json.dumps(indent=2, sort_keys=True) writes it.
+_CYCLE_ROW = """    {
+      "auc": %r,
+      "n": %d,
+      "peak_in_cycle": %s,
+      "t_max": %r,
+      "x_max": %r
+    }"""
 
 
 class RegimenFileError(ValidationError):
@@ -379,36 +387,36 @@ def _parse_grid(text: str) -> list[float]:
 def cmd_analyze(args) -> int:
     regfile = load_regimen_file(args.regimen)
     if regfile.model == "oral":
-        payload = _analyze_oral(regfile, args.eps)
-    elif regfile.model == "bolus":
-        payload = _analyze_bolus(regfile)
+        text = _analyze_oral(regfile, args.eps)
     else:
-        payload = _analyze_fat(regfile)
-    _write_text(args.out, _json_dumps(payload))
+        text = _json_dumps(_analyze_bolus(regfile) if regfile.model == "bolus"
+                           else _analyze_fat(regfile))
+    _write_text(args.out, text)
     return EXIT_OK
 
 
-def _cycle_row(m: pkmetrics.CycleMetrics) -> dict:
-    return {"n": m.n, "auc": m.auc, "t_max": m.t_max, "x_max": m.x_max,
-            "peak_in_cycle": m.peak_in_cycle}
-
-
-def _analyze_oral(regfile: RegimenFile, eps: float) -> dict:
-    sol = regfile.solution()
-    n_cycles = regfile.n_cycles_in_horizon()
-    cycles = [_cycle_row(pkmetrics.cycle_metrics(sol, n))
-              for n in range(1, n_cycles + 1)]
+def _analyze_oral(regfile: RegimenFile, eps: float) -> str:
+    rows = pkmetrics.cycle_rows(regfile.solution(), regfile.n_cycles_in_horizon())
     # A convergent schedule settles into its limiting entry's cycle.
     dose, interval = regfile.entries[-1][:2]
     summary = steady_state.summarize(regfile.params, dose, interval, eps)
-    return {
+    return _json_with_cycles({
         "model": "oral",
         "schema": SCHEMA_VERSION,
         "asymptote_of": {"dose": dose, "interval": interval},
         # Every field of the summary, under its own name.
         "steady_state": dataclasses.asdict(summary),
-        "cycles": cycles,
-    }
+    }, rows)
+
+
+def _json_with_cycles(payload: dict, rows) -> str:
+    """_json_dumps(payload) plus a "cycles" list of `pkmetrics.cycle_rows` rows."""
+    block = ",\n".join(_CYCLE_ROW % (auc, n, "true" if peak else "false", t_max, x_max)
+                       for n, auc, t_max, x_max, peak in rows)
+    # %r writes nan/inf, the encoder NaN/Infinity; no key or finite number holds them.
+    block = block.replace("nan", "NaN").replace("inf", "Infinity")
+    return _json_dumps({**payload, "cycles": []}).replace(
+        '"cycles": []', '"cycles": [\n' + block + "\n  ]", 1)
 
 
 def _analyze_bolus(regfile: RegimenFile) -> dict:

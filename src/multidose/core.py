@@ -88,15 +88,17 @@ def validate_positive(name: str, value: float) -> float:
 
 
 def validate_cycle(n, lowest: int = 1, last: int | None = None):
-    """Cycle number(s) `n`, an int or an array, unchanged when in range.
+    """Cycle number(s) `n`, an integer or integer array, unchanged in range.
 
     Every value must be >= lowest and, for a schedule with a last cycle,
-    <= last; ValidationError otherwise.
+    <= last; ValidationError otherwise, and for any other type.
     """
-    if isinstance(n, int):
+    if isinstance(n, (int, np.integer)):
         low = high = n
-    else:
+    elif isinstance(n, np.ndarray) and np.issubdtype(n.dtype, np.integer):
         low, high = np.min(n, initial=lowest), np.max(n, initial=lowest)
+    else:
+        raise ValidationError(f"cycle number must be an integer, got {n!r}")
     if low < lowest:
         raise ValidationError(f"cycle number must be >= {lowest}, got {low}")
     if last is not None and high > last:

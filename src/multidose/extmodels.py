@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .bateman import PiecewiseSolution, absorption_gain, decay_difference
-from .core import (PkParams, validate_cycle, validate_entries, validate_params,
-                   validate_positive)
+from .core import (PkParams, ValidationError, validate_cycle, validate_entries,
+                   validate_params, validate_positive)
 
 
 @dataclass(frozen=True)
@@ -120,6 +120,8 @@ class FatSolution(PiecewiseSolution):
 
     def __init__(self, params: PkParams, regimen: FatRegimen):
         validate_params(params)
+        if not isinstance(regimen, FatRegimen):
+            raise ValidationError(f"expected a FAT regimen, got {type(regimen).__name__}")
         self.params = params
         self.regimen = regimen
         self._ka, self._ke = params.ka, params.ke

@@ -96,10 +96,8 @@ def integrate_impulses(p: PkParams, impulses: list[tuple[float, float]],
     allowed here (this is test plumbing, not a dosing schedule).
     """
     validate_params(p)
-    if cfg.step <= 0.0:
-        raise StepTooLarge(f"step must be > 0, got {cfg.step!r}")
-    if t_end <= 0.0:
-        raise ValueError(f"t_end must be > 0, got {t_end!r}")
+    validate_positive("step", cfg.step)
+    validate_positive("t_end", t_end)
     times = [t for t, _ in impulses if t < t_end]
     gaps = np.diff([*times, t_end])
     if len(gaps) and cfg.step > gaps.min() / 10.0:
@@ -134,6 +132,7 @@ def integrate_impulses(p: PkParams, impulses: list[tuple[float, float]],
 def integrate_ode(p: PkParams, r: Regimen, t_end: float,
                   cfg: OracleConfig = OracleConfig()) -> OdeTrajectory:
     """RK4 trajectory for a dosing regimen over [0, t_end]."""
+    validate_positive("t_end", t_end)
     if isinstance(r, EquiDose):
         n = max(1, int(np.ceil(t_end / r.interval)) + 1)
         starts = dose_times(r, n)[:-1]

@@ -12,16 +12,12 @@ critical point was reached.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .core import (PkParams, validate_cycle, validate_params, validate_positive,
                    validate_regimen)
-from .bateman import (
-    CycleCoefficients,
-    PiecewiseSolution,
-    absorption_gain,
-    equi_multidose,
-)
+from .bateman import PiecewiseSolution, absorption_gain, equi_multidose
 
 
 @dataclass(frozen=True)
@@ -55,27 +51,6 @@ def auc_cycle(p: PkParams, d: float, tau: float, n: int) -> float:
                    - math.expm1(-n * p.ke * tau) / p.ke)
 
 
-def _peak_from_coefficients(p: PkParams, c: CycleCoefficients) -> CycleMetrics:
-    ratio = (p.ka * c.c2) / (p.ke * c.c1)
-    offset = math.log(ratio) / (p.ka - p.ke)
-    t_end = c.t_start + c.tau
-    auc = _auc_from_coefficients(p, c.c1, c.c2, c.tau)
-    if 0.0 < offset <= c.tau:
-        x_max = (c.c1 * ratio ** (-p.ke / (p.ka - p.ke))
-                 - c.c2 * ratio ** (-p.ka / (p.ka - p.ke)))
-        return CycleMetrics(
-            n=c.n, auc=auc,
-            t_max=c.t_start + offset, x_max=x_max, peak_in_cycle=True,
-        )
-    # Concentration is still rising at the next dose; the in-cycle
-    # supremum sits at the closing boundary.
-    x_end = c.c1 * c.beta - c.c2 * c.alpha
-    return CycleMetrics(
-        n=c.n, auc=auc,
-        t_max=t_end, x_max=x_end, peak_in_cycle=False,
-    )
-
-
 def _auc_from_coefficients(p: PkParams, c1: float, c2: float, tau: float) -> float:
     """Integral of c1 e^{-ke s} - c2 e^{-ka s} over s in [0, tau]."""
     return c2 * math.expm1(-p.ka * tau) / p.ka - c1 * math.expm1(-p.ke * tau) / p.ke
@@ -83,14 +58,48 @@ def _auc_from_coefficients(p: PkParams, c1: float, c2: float, tau: float) -> flo
 
 def peak(p: PkParams, d: float, tau: float, n: int) -> CycleMetrics:
     """Peak time and concentration within cycle n of an equi-dose plan."""
-    return _peak_from_coefficients(p, equi_multidose(p, d, tau).coefficients(n))
+    return cycle_metrics(equi_multidose(p, d, tau), n)
 
 
 def cycle_metrics(sol: PiecewiseSolution, n: int) -> CycleMetrics:
-    """AUC and peak for cycle n of an oral piecewise solution.
+    """AUC and peak for cycle n of an oral piecewise solution."""
+    return CycleMetrics(*next(cycle_rows(sol, n, first=n)))
 
-    Bolus and FAT solutions are rejected: their cycles are not the single
-    two-exponential these formulas integrate.
+
+def cycle_rows(sol: PiecewiseSolution, last: int,
+               first: int = 1) -> Iterator[tuple[int, float, float, float, bool]]:
+    """CycleMetrics fields of cycles first..last of an oral piecewise solution,
+    as tuples, checked once. Bolus and FAT solutions are rejected: their cycles
+    are not the single two-exponential these formulas integrate. Rows use Python
+    floats and libm; numpy's vectorised exp, log and power differ in the last bit.
     """
     validate_regimen(sol.regimen)
-    return _peak_from_coefficients(sol.params, sol.coefficients(n))
+    validate_cycle(first)
+    validate_cycle(last, lowest=first, last=sol.n_cycles)
+    cycles = range(first, last + 1)
+    if sol.n_cycles is None:
+        tau, alpha, beta = sol.regimen.interval, sol._alpha, sol._beta
+        pieces = ((c1, c2, t_start, tau, alpha, beta)
+                  for c1, c2, _, t_start in map(sol._equi_coefficients, cycles))
+    else:
+        j = slice((first - 1) * sol._per_cycle, last * sol._per_cycle, sol._per_cycle)
+        pieces = zip(*(column.tolist() for column in (
+            sol._c1[j], sol._c2[j], sol._starts[first - 1:last],
+            sol._spans[j], sol._a[j], sol._b[j])))
+    return _rows(sol.params, zip(cycles, pieces))
+
+
+def _rows(p: PkParams, pieces) -> Iterator[tuple]:
+    """cycle_rows from (n, (c1, c2, t_start, tau, alpha, beta)) per cycle."""
+    ka, ke = p.ka, p.ke
+    power_b, power_a = -ke / (ka - ke), -ka / (ka - ke)
+    for n, (c1, c2, t_start, tau, alpha, beta) in pieces:
+        ratio = (ka * c2) / (ke * c1)
+        offset = math.log(ratio) / (ka - ke)
+        auc = _auc_from_coefficients(p, c1, c2, tau)
+        if 0.0 < offset <= tau:
+            yield (n, auc, t_start + offset,
+                   c1 * ratio ** power_b - c2 * ratio ** power_a, True)
+        else:
+            # Still rising at the next dose: the cycle's supremum is its closing value.
+            yield n, auc, t_start + tau, c1 * beta - c2 * alpha, False

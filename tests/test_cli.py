@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -7,10 +9,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from multidose.cli import CSV_BLOCK_ROWS, _monte_carlo, load_regimen_file
+from multidose.cli import (CSV_BLOCK_ROWS, _json_with_cycles, _monte_carlo,
+                           load_regimen_file)
 from multidose.core import ConcentrationSeries, NoConvergence, PkParams
 from multidose.bateman import single_dose
 from multidose.fit import fit_single_dose, predict
+from multidose.pkmetrics import cycle_metrics
+from multidose.steady_state import summarize
 
 DATA = Path(__file__).parent / "data"
 
@@ -40,6 +45,7 @@ class TestGoldenOutputs:
 
     @pytest.mark.parametrize("regimen,golden", [
         ("oral_equi.json", "golden_analyze_oral_equi.json"),
+        ("oral_skip.json", "golden_analyze_oral_skip.json"),
         ("bolus_mixed.json", "golden_analyze_bolus_mixed.json"),
         ("fat_mixed.json", "golden_analyze_fat_mixed.json"),
     ])
@@ -485,6 +491,60 @@ class TestAnalyzeCommand:
         p = PkParams(1.0, 0.1, 1.0, 1.0)
         assert payload["steady_state"]["ss_lower"] == pytest.approx(
             ss_lower(p, 250.0, 4.0), rel=1e-12)
+
+
+class TestAnalyzeRowTemplate:
+    """`analyze` writes its oral cycle rows from one template; the bytes must
+    be those of the stdlib encoder over `cycle_metrics`."""
+
+    @staticmethod
+    def encoder_output(path: Path, eps: float = 1e-6) -> str:
+        regfile = load_regimen_file(str(path))
+        sol = regfile.solution()
+        dose, interval = regfile.entries[-1][:2]
+        cycles = [dataclasses.asdict(cycle_metrics(sol, n))
+                  for n in range(1, regfile.n_cycles_in_horizon() + 1)]
+        payload = {
+            "model": "oral", "schema": 1,
+            "asymptote_of": {"dose": dose, "interval": interval},
+            "steady_state": dataclasses.asdict(
+                summarize(regfile.params, dose, interval, eps)),
+            "cycles": cycles,
+        }
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("params,schedule,horizon,boundary_rows", [
+        # Slow clearance: 2,500 cycles of the equi branch.
+        ({"ka": 0.8, "ke": 0.002, "gamma": 1.0, "volume": 1000.0},
+         {"equi": {"dose": 100.0, "interval": 1.0}}, 2500.0, False),
+        # ka near ke at a short interval: the first cycles end still rising.
+        ({"ka": 1.0, "ke": 0.9, "gamma": 1.0, "volume": 1.0},
+         {"equi": {"dose": 100.0, "interval": 0.5}}, 200.0, True),
+        ({"ka": 1.0, "ke": 0.95, "gamma": 1.0, "volume": 1.0},
+         {"arbitrary": [{"dose": 100.0, "interval": tau}
+                        for tau in [0.1, 0.5, 3.0, 0.2] * 25]}, 1.0, True),
+    ], ids=["slow-clearance", "short-interval", "short-arbitrary"])
+    def test_bytes_equal_stdlib_encoder(self, tmp_path, params, schedule, horizon,
+                                        boundary_rows):
+        path = tmp_path / "regimen.json"
+        path.write_text(json.dumps({"schema": 1, "model": "oral", "params": params,
+                                    "schedule": schedule, "horizon": horizon,
+                                    "sample_step": 1.0}))
+        cp = run_cli("analyze", str(path))
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stdout == self.encoder_output(path)
+        if boundary_rows:
+            assert '"peak_in_cycle": false' in cp.stdout
+
+    def test_non_finite_values_keep_encoder_spelling(self):
+        rows = [(1, math.nan, math.inf, -math.inf, False), (2, 1.5, 0.1, 1e-300, True)]
+        fields = ("n", "auc", "t_max", "x_max", "peak_in_cycle")
+        expected = json.dumps({"model": "oral",
+                               "cycles": [dict(zip(fields, row)) for row in rows]},
+                              indent=2, sort_keys=True) + "\n"
+        text = _json_with_cycles({"model": "oral"}, rows)
+        assert text == expected
+        assert '"auc": NaN' in text and '"x_max": -Infinity' in text
 
 
 def test_help_exits_zero():

@@ -17,7 +17,7 @@ from multidose.core import (
     validate_params,
     validate_regimen,
 )
-from multidose.bateman import equi_multidose, single_dose
+from multidose.bateman import arbitrary_multidose, equi_multidose, single_dose
 from multidose.dosing import f_ratio, f_ratio_excess
 from multidose.extmodels import (
     BolusRegimen,
@@ -227,6 +227,26 @@ class TestOneRule:
             args[index] = bad
         with pytest.raises(NonPositiveParameter, match=f"{name} must be > 0 and finite"):
             call(*args)
+
+    @pytest.mark.parametrize("func", [f for f, c in SCALAR_CHECKS.items() if c[3]])
+    @pytest.mark.parametrize("bad", [1.5, 2.0, "2", np.array([2.5])])
+    def test_cycle_numbers_are_integers(self, func, bad):
+        call, args, _, cycle = SCALAR_CHECKS[func]
+        args = list(args)
+        args[cycle] = bad
+        with pytest.raises(ValidationError, match="cycle number must be an integer"):
+            call(*args)
+
+    @pytest.mark.parametrize("regimen", [EquiDose(100.0, 6.0),
+                                         Arbitrary([(100.0, 6.0)] * 3)],
+                             ids=["equi", "arbitrary"])
+    @pytest.mark.parametrize("method", ["coefficients", "remainders"])
+    def test_solution_cycle_numbers_are_integers(self, regimen, method):
+        sol = arbitrary_multidose(P, regimen)
+        getattr(sol, method)(np.int64(2))
+        for bad in (1.5, 2.0):
+            with pytest.raises(ValidationError, match="cycle number must be an integer"):
+                getattr(sol, method)(bad)
 
     @pytest.mark.parametrize("func", [f for f, c in SCALAR_CHECKS.items() if c[3]])
     def test_cycle_numbers_start_at_one(self, func):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from multidose.core import PkParams, ValidationError
+from multidose.core import Arbitrary, EquiDose, PkParams, ValidationError
 from multidose.extmodels import (
     BolusRegimen,
     FatRegimen,
@@ -217,3 +217,10 @@ class TestFat:
             FatRegimen([(600.0, 5.0, 6.0)])
         with pytest.raises(ValidationError):
             FatRegimen([(600.0, 5.0, 0.0)])
+
+    @pytest.mark.parametrize("regimen", [Arbitrary([(100.0, 6.0)] * 3), EquiDose(100.0, 6.0),
+                                         BolusRegimen([(100.0, 6.0)] * 3)],
+                             ids=["arbitrary", "equi", "bolus"])
+    def test_regimen_must_be_fat(self, regimen):
+        with pytest.raises(ValidationError, match="expected a FAT regimen, got"):
+            fat_multidose(FAT_PARAMS, regimen)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from multidose.core import Arbitrary, EquiDose, PkParams, StepTooLarge
+from multidose.core import Arbitrary, EquiDose, NonPositiveParameter, PkParams, StepTooLarge
 from multidose.bateman import arbitrary_multidose, equi_multidose, single_dose
 from multidose.extmodels import (
     BolusRegimen,
@@ -58,6 +58,18 @@ def test_order_four_convergence(canonical):
 def test_step_too_large_for_schedule(canonical):
     with pytest.raises(StepTooLarge):
         integrate_ode(canonical, EquiDose(100.0, 0.5), 5.0, OracleConfig(step=0.2))
+
+
+@pytest.mark.parametrize("step,t_end,name", [
+    (float("nan"), 10.0, "step"), (float("inf"), 10.0, "step"), (0.0, 10.0, "step"),
+    (1e-3, float("nan"), "t_end"), (1e-3, float("inf"), "t_end"), (1e-3, -1.0, "t_end"),
+])
+def test_step_and_horizon_must_be_positive_finite(canonical, step, t_end, name):
+    cfg = OracleConfig(step=step)
+    with pytest.raises(NonPositiveParameter, match=f"{name} must be > 0 and finite"):
+        integrate_ode(canonical, EquiDose(100.0, 6.0), t_end, cfg)
+    with pytest.raises(NonPositiveParameter, match=f"{name} must be > 0 and finite"):
+        integrate_impulses(canonical, [(0.0, 100.0)], t_end, cfg)
 
 
 def test_superpose_equals_equi_solution(canonical):

@@ -6,7 +6,8 @@ from scipy.integrate import simpson
 
 from multidose.core import Arbitrary, PkParams, ValidationError
 from multidose.bateman import arbitrary_multidose, equi_multidose, single_dose
-from multidose.pkmetrics import auc_cycle, auc_single, cycle_metrics, peak
+from multidose.pkmetrics import (CycleMetrics, auc_cycle, auc_single, cycle_metrics,
+                                 cycle_rows, peak)
 
 from mpref import TAUS, mp_auc_cycle
 
@@ -142,6 +143,30 @@ class TestCycleMetricsForArbitrary:
             m = cycle_metrics(sol, n)
             assert m.auc == pytest.approx(quad, rel=1e-8)
             assert m.x_max >= np.max(sol.x(t)) - 1e-12 * m.x_max
+
+    def test_boundary_peaks_are_closing_values(self):
+        # ka near ke: the short cycles end while x is still rising.
+        p = PkParams(1.0, 0.95, 1.0, 1.0)
+        taus = [0.1, 0.5, 3.0, 0.2, 0.3]
+        sol = arbitrary_multidose(p, Arbitrary([(100.0, tau) for tau in taus]))
+        rows = list(cycle_rows(sol, len(taus)))
+        assert [CycleMetrics(*row) for row in rows] == [
+            cycle_metrics(sol, n) for n in range(1, len(taus) + 1)]
+        assert list(cycle_rows(sol, 4, first=2)) == rows[1:4]
+        flagged = [m for m in (CycleMetrics(*row) for row in rows) if not m.peak_in_cycle]
+        assert flagged
+        for m in flagged:
+            assert m.t_max == sum(taus[:m.n])
+            # The remainder recursion is an independent route to the closing value.
+            assert m.x_max == pytest.approx(sol.remainders(m.n)[0], rel=1e-14)
+            assert m.x_max == pytest.approx(sol.x(np.nextafter(m.t_max, 0.0)), rel=1e-12)
+
+    def test_checks_at_the_call(self):
+        sol = arbitrary_multidose(PARAM_SETS[0], Arbitrary([(100.0, 6.0)] * 3))
+        with pytest.raises(ValidationError, match="exceeds the 3 cycles"):
+            cycle_rows(sol, 4)
+        with pytest.raises(ValidationError, match="cycle number must be >= 1"):
+            cycle_rows(sol, 2, first=0)
 
 
 def test_cycle_metrics_rejects_bolus_and_fat():
