@@ -12,11 +12,9 @@ concentration stays continuous at both s_n and t_n while the slope
 kinks at s_n.
 
 Both are the oral piecewise table of `bateman` with other dose rules
-(bolus: x += delta, no gut; FAT: y = d, and the gut empties at each
-cutoff), so they share its remainder recursion and its evaluator. The
-printed constant-interval formulas generalize verbatim to per-cycle
-intervals and absorption windows; the recursion reproduces them exactly
-at constant settings.
+(bolus: x += delta, q = 0; FAT: y = d, a piece with y = 0 after each
+cutoff), sharing its remainder recursion and evaluator; at constant
+settings it reproduces the printed constant-interval formulas.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .bateman import PiecewiseSolution, absorption_gain, decay_difference
+from .bateman import EXTENDED, Bateman, PiecewiseSolution, decay_difference
 from .core import (PkParams, ValidationError, validate_cycle, validate_entries,
                    validate_params, validate_positive)
 
@@ -53,23 +51,24 @@ class FatRegimen:
 
 
 class BolusSolution(PiecewiseSolution):
-    """Piecewise exponential decay with instantaneous dose jumps.
-
-    The oral table with no gut: each dose lifts x directly. Evaluation at
-    an exact dose time returns the post-dose value. The final cycle
-    extends indefinitely.
-    """
+    """Piecewise exponential decay with instantaneous dose jumps: the oral
+    table with no gut, each dose lifting x. At a dose time it returns the
+    post-dose value; the final cycle extends indefinitely."""
 
     def __init__(self, ke: float, regimen: BolusRegimen):
         self.ke = validate_positive("ke", ke)
+        if not isinstance(regimen, BolusRegimen):
+            raise ValidationError(f"expected a bolus regimen, got {type(regimen).__name__}")
         self.regimen = regimen
-        # No gut: with ka and the gain at zero its terms vanish exactly.
-        self._ka, self._ke, self._gain = 0.0, ke, 0.0
+        # No gut: with ka and q at zero its terms vanish exactly.
+        self.bateman, self._exact = (Bateman(kind(0.0), kind(ke), kind(0.0))
+                                     for kind in (float, EXTENDED))
         self._tabulate(regimen.entries, lambda x, y, delta: (x + delta, y))
 
     def start_value(self, n: int) -> float:
         """Concentration right after dose n (1-based)."""
-        return self.coefficients(n).c1
+        validate_cycle(n, last=self.n_cycles)
+        return float(self._x0[n - 1])
 
     def remainder(self, n: int) -> float:
         """Concentration just before dose n+1; 0 for n = 0."""
@@ -110,29 +109,25 @@ def fat_equi_limits(p: PkParams, d: float, tau: float,
 class FatSolution(PiecewiseSolution):
     """Two-phase piecewise solution with per-cycle absorption cutoffs.
 
-    Cycle n spans [t_{n-1}, t_n] and splits at s_n = t_{n-1} +
-    s_offset_n. Assimilation: x = c1*e^{-ke dt} - c2*e^{-ka dt},
-    y = d_n*e^{-ka dt} with dt measured from t_{n-1}. Clearance:
-    x = c3*e^{-ke (t - s_n)}, y = 0; the gut is empty from s_n on.
-    Queries past the final interval keep the last clearance decay (or,
-    if that cycle has no clearance phase, decay from its closing value).
+    Cycle n spans [t_{n-1}, t_n] and splits at s_n = t_{n-1} + s_offset_n:
+    the oral piece entering at (x, d_n), then the clearance piece entering
+    at the cutoff state (c3, 0), x = c3*e^{-ke (t - s_n)}. Queries past the
+    final interval keep that cycle's last piece.
     """
 
     def __init__(self, params: PkParams, regimen: FatRegimen):
         validate_params(params)
         if not isinstance(regimen, FatRegimen):
             raise ValidationError(f"expected a FAT regimen, got {type(regimen).__name__}")
-        self.params = params
-        self.regimen = regimen
-        self._ka, self._ke = params.ka, params.ke
-        self._gain = absorption_gain(params)
+        self.params, self.regimen = params, regimen
+        self.bateman, self._exact = Bateman.of(params), Bateman.of(params, EXTENDED)
         # The dose resets the gut, discarding what the last cycle left.
         self._tabulate(regimen.entries, lambda x, y, d: (x, d))
 
     def cutoff_value(self, n: int) -> float:
         """Concentration at the cycle-n absorption cutoff (1-based)."""
         validate_cycle(n, last=self.n_cycles)
-        return float(self._c1[2 * n - 1])
+        return float(self._x0[2 * n - 1])
 
     def end_value(self, n: int) -> float:
         """Concentration at the end of cycle n (1-based)."""

@@ -1,25 +1,21 @@
 """Asymptotic behavior of constant-interval dosing.
 
-After many doses the trajectory settles into identical cycles. This
-module computes the limiting trough and peak of that cycle (the
-asymptotic concentration range), its width, the limiting per-cycle AUC
-checked against the single-dose AUC, the exact cycle-to-cycle sup-norm
-gap (endpoints and one interior extremum) with its exponential envelope,
-and, in one array pass bounded by the envelope, the first cycle index
-whose gap stays below epsilon.
+After many doses the trajectory settles into identical cycles, entered
+at the limiting state (trough, d/(1 - alpha)). This module computes that
+cycle's trough and peak (the asymptotic range), its width, its AUC
+checked against the single-dose AUC, the exact cycle-to-cycle sup gap
+with an envelope, and, in one array pass bounded by the envelope, the
+first cycle index whose gap stays below epsilon.
 
-The two bounds are the dose gain times a gain-free shape of the
-interval, trough_shape and peak_shape. These are the one implementation
-of each: `dosing` inverts their quotient to design regimens.
-
-The limiting quantities are defined for equi-dose regimens. For an
-arbitrary schedule whose (dose, interval) entries converge, the
-equi-dose summary of the limiting pair describes the asymptote; callers
-pass that pair explicitly.
+The bounds are the trough and the peak of the piece entering the
+limiting state, in EXTENDED precision; `dosing` inverts the quotient of
+their gain-free shapes to design regimens. For an arbitrary schedule whose
+entries converge, callers pass the limiting (dose, interval) explicitly.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -27,8 +23,9 @@ import numpy as np
 
 from .core import (EquiDose, PkParams, ValidationError, validate_cycle, validate_params,
                    validate_positive, validate_regimen)
-from .bateman import PiecewiseSolution, absorption_gain, decay_difference, equi_multidose
-from .pkmetrics import _auc_from_coefficients, auc_single
+from .bateman import (EXTENDED, Bateman, PiecewiseSolution, decay_difference,
+                      equi_multidose)
+from .pkmetrics import auc_single
 
 #: Cycles n_epsilon may scan before it reports that no steady state is near.
 N_EPSILON_MAX_CYCLES = 100_000
@@ -48,141 +45,122 @@ class SteadyStateSummary:
     epsilon: float
 
 
-def _decay_factors(p: PkParams, tau: float) -> tuple[float, float]:
-    return math.exp(-p.ka * tau), math.exp(-p.ke * tau)
-
-
-def _decay_complements(p: PkParams, tau: float) -> tuple[float, float]:
+def _decay_complements(ka, ke, tau: float):
     """(1 - alpha, 1 - beta) from expm1, exact at tiny intervals."""
-    za, zb = -math.expm1(-p.ka * tau), -math.expm1(-p.ke * tau)
+    lib = np if isinstance(ka, np.generic) else math
+    za, zb = -lib.expm1(-ka * tau), -lib.expm1(-ke * tau)
     if not (za and zb):
         raise ValidationError(f"interval {tau!r} h is too short to resolve at these rates")
     return za, zb
 
 
+def _trough(ka, ke, tau: float):
+    """The limiting trough per unit gamma*d/V, at rates of any floating type;
+    divided in sequence, as za*zb underflows where the quotient does not."""
+    za, zb = _decay_complements(ka, ke, tau)
+    return ka * decay_difference(ka, ke, tau) / za / zb
+
+
+def _limits(p: PkParams, d: float, tau: float):
+    """EXTENDED (trough, peak) of d every tau (p assumed valid): the peak is
+    that of the piece entering at the limiting state (trough, d/za)."""
+    b = Bateman.of(p, EXTENDED)
+    trough = EXTENDED(p.gamma) * d / p.volume * _trough(b.ka, b.ke, tau)
+    return trough, b.peak(trough, d / -np.expm1(-b.ka * tau))[1]
+
+
+def _checked_limits(p: PkParams, d: float, tau: float):
+    validate_params(p)
+    return _limits(p, validate_positive("dose", d), validate_positive("interval", tau))
+
+
 def trough_shape(p: PkParams, tau: float) -> float:
-    """The limiting trough per unit gamma*d/V (p assumed valid); divided
-    in sequence, as za*zb underflows where the quotient does not."""
-    za, zb = _decay_complements(p, tau)
-    return p.ka * decay_difference(p.ka, p.ke, tau) / za / zb
+    """The limiting trough per unit gamma*d/V (p assumed valid)."""
+    return _trough(p.ka, p.ke, tau)
 
 
 def peak_shape(p: PkParams, tau: float) -> float:
-    """The limiting peak per unit gamma*d/V (p assumed valid): at its offset
-    s, ke*e^{-ke s}/zb = ka*e^{-ka s}/za, so it is e^{-ke s}/zb. Near ka = ke,
-    s comes from log1p terms: za = zb + (ka - ke)*decay_difference(tau)."""
-    za, zb = _decay_complements(p, tau)
-    delta = p.ka - p.ke
-    if abs(delta) < 0.5 * p.ke:
-        e = decay_difference(p.ka, p.ke, tau)
-        s = (math.log1p(delta / p.ke) - math.log1p(delta * e / zb)) / delta
-    else:
-        s = math.log(p.ka * zb / (p.ke * za)) / delta
-    return math.exp(-p.ke * s) / zb
+    """The limiting peak per unit gamma*d/V (p assumed valid)."""
+    return float(_limits(p, 1.0, tau)[1] * p.volume / p.gamma)
 
 
 def ss_lower(p: PkParams, d: float, tau: float) -> float:
-    """Limiting trough: the concentration left just before each dose.
-
-    Equals the limit of the end-of-cycle remainders.
-    """
-    validate_params(p)
-    validate_positive("dose", d)
-    validate_positive("interval", tau)
-    return p.gamma * d / p.volume * trough_shape(p, tau)
+    """Limiting trough: the concentration left just before each dose, the
+    limit of the end-of-cycle remainders."""
+    return float(_checked_limits(p, d, tau)[0])
 
 
 def ss_upper(p: PkParams, d: float, tau: float) -> float:
     """Limiting peak: the cycle maximum after many doses."""
-    validate_params(p)
-    validate_positive("dose", d)
-    validate_positive("interval", tau)
-    return p.gamma * d / p.volume * peak_shape(p, tau)
+    return float(_checked_limits(p, d, tau)[1])
 
 
 def width(p: PkParams, d: float, tau: float) -> float:
     """Peak-to-trough span of the limiting cycle."""
-    return ss_upper(p, d, tau) - ss_lower(p, d, tau)
+    lower, upper = _checked_limits(p, d, tau)
+    return float(upper - lower)
 
 
 def width_limit(p: PkParams, d: float) -> float:
-    """Width as the interval grows without bound: the single-dose peak.
-
-    That is the limiting peak at tau = inf, where the limiting trough,
-    trough_shape(p, inf), is exactly 0.
-    """
+    """Width as the interval grows without bound: the single-dose peak,
+    the peak of the piece entering at (0, d)."""
     validate_params(p)
-    return p.gamma * validate_positive("dose", d) / p.volume * peak_shape(p, math.inf)
+    return float(Bateman.of(p, EXTENDED).peak(0.0, validate_positive("dose", d))[1])
 
 
 def gap_envelope(p: PkParams, d: float, tau: float, n):
-    """Exponential bound dominating the cycle-n sup gap (n: int or array).
+    """A bound on every sup gap from cycle n on (n: an int or an array).
 
-    The gap between cycle n and the previous cycle, both measured from
-    their own dose instant, is (C1(n)-C1(n-1))e^{-ke s} -
-    (C2(n)-C2(n-1))e^{-ka s} with coefficient differences g*beta^(n-1)
-    and g*alpha^(n-1); the triangle inequality at s=0 gives this bound.
-    """
+    The cycle-n gap is q*d*sup E over [(n-1)tau, n*tau] (periodicity_gap),
+    and E(t) <= h(t) = e^{-slow t}*min(t, 1/|ka - ke|), which rises until
+    min(1/slow, 1/|ka - ke|) and falls after. So h at the later of (n-1)tau
+    and that turn never increases in n, with no 1/|ka - ke| scale; 1 + 1e-12
+    keeps it above the rounded gaps where h/E -> 1."""
     validate_params(p)
     validate_positive("dose", d)
     validate_positive("interval", tau)
     validate_cycle(n)
-    alpha, beta = _decay_factors(p, tau)
-    g = abs(absorption_gain(p)) * d
-    return g * (alpha ** (n - 1) + beta ** (n - 1))
-
-
-def _gap_sup(p: PkParams, dc1, dc2, tau: float) -> np.ndarray:
-    """Exact sup over s in [0, tau] of |dc1 e^{-ke s} - dc2 e^{-ka s}|.
-
-    Elementwise in dc1, dc2. Candidates: s = 0, s = tau and s* with
-    e^{(ka-ke)s*} = ka*dc2/(ke*dc1), from logs as the ratio can under- or
-    overflow (for opposite signs s* is no extremum, just a lower bound).
-    """
-    def gap(s):
-        return np.abs(dc1 * np.exp(-p.ke * s) - dc2 * np.exp(-p.ka * s))
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s_star = (math.log(p.ka) - math.log(p.ke) + np.log(np.abs(dc2))
-                  - np.log(np.abs(dc1))) / (p.ka - p.ke)
-    s_star = np.where((s_star > 0.0) & (s_star < tau), s_star, 0.0)
-    return np.maximum(np.maximum(gap(0.0), gap(tau)), gap(s_star))
+    slow, reach = min(p.ka, p.ke), 1.0 / abs(p.ka - p.ke)
+    t = np.maximum((n - 1) * tau, min(1.0 / slow, reach))
+    scale = (1.0 + 1e-12) * p.ka * p.gamma / p.volume * d
+    return scale * np.exp(-slow * t) * np.minimum(t, reach)
 
 
 def periodicity_gap(sol: PiecewiseSolution, n):
     """Exact sup over cycle n of |x_n(t) - x_{n-1}(t - tau)|.
 
-    Both cycles are compared at equal post-dose offsets over cycle n's
-    span (the previous cycle's closed form extends naturally if its own
-    interval is shorter). n = 1 compares against the zero function, i.e.
-    returns the sup of the first cycle itself. Equi-dose solutions also
-    take an array of cycle numbers. Bolus and FAT solutions are rejected:
-    their cycles are not the single two-exponential compared here.
+    Cycles are compared at equal post-dose offsets over cycle n's span, so
+    the gap is the piece entering at the state increment (n = 1: at the
+    state itself). For d every tau that increment is the first dose carried
+    over (n-1)tau: the gap is q*d*E over cycle n, largest at the single-dose
+    peak time clipped into it, and n may be an array. Bolus and FAT
+    solutions are rejected: their cycles are not one oral piece.
     """
     validate_regimen(sol.regimen)
     validate_cycle(n)
+    b = sol.bateman
     if isinstance(sol.regimen, EquiDose):
-        # The geometric sums telescope: the coefficient increments are
-        # cycle 1's times single powers, free of subtractive cancellation.
-        c, k = sol.coefficients(1), np.asarray(n) - 1
-        gaps = _gap_sup(sol.params, c.c1 * c.beta ** k, c.c2 * c.alpha ** k, c.tau)
-        return gaps if k.ndim else float(gaps)
+        d, tau = sol.regimen.dose, sol.regimen.interval
+        t = np.clip(b.peak(0.0, d)[0], (np.asarray(n) - 1) * tau, np.asarray(n) * tau)
+        gaps = b.x(0.0, d, np.asarray(t, dtype=float))
+        return gaps if np.ndim(n) else float(gaps)
     cur = sol.coefficients(n)
-    if n == 1:
-        dc1, dc2 = cur.c1, cur.c2
-    else:
+    dx, dy = cur.x_start, cur.y_start
+    if n > 1:
         prev = sol.coefficients(n - 1)
-        dc1, dc2 = cur.c1 - prev.c1, cur.c2 - prev.c2
-    return float(_gap_sup(sol.params, dc1, dc2, cur.tau))
+        dx, dy = dx - prev.x_start, dy - prev.y_start
+    # Candidates: both ends and the one turning point, clipped into the cycle.
+    return float(max(abs(dx), abs(b.x(dx, dy, cur.tau)), abs(b.peak(dx, dy, cur.tau)[1])))
 
 
 def n_epsilon(p: PkParams, d: float, tau: float, eps: float = 1e-6) -> int:
     """First cycle from which every later sup gap stays below eps.
 
-    Gaps start at cycle 2. The envelope dominates them and decreases in
-    n: unless it is below eps within N_EPSILON_MAX_CYCLES, the error names
-    the slow rate. Else one periodicity_gap call gives the exact gaps up
-    to there; the answer starts their trailing run below eps.
+    Gaps start at cycle 2. The envelope dominates them and never
+    increases in n: unless it is below eps within N_EPSILON_MAX_CYCLES,
+    the error names the slow rate. Else one periodicity_gap call gives
+    the exact gaps before its first cycle below eps, found by bisection,
+    and the answer starts their trailing run below eps.
     """
     validate_params(p)
     validate_positive("dose", d)
@@ -195,13 +173,9 @@ def n_epsilon(p: PkParams, d: float, tau: float, eps: float = 1e-6) -> int:
             f"eps={eps:g}: {name} is slow relative to the dosing interval "
             f"({rate}*tau={min(p.ka, p.ke) * tau:.3g})"
         )
-    # Cycles until the envelope, at most gap_envelope(1) max(alpha, beta)^(n-1),
-    # is below eps (+2 for rounding): O(n_epsilon) memory, not O(cap). If
-    # that factor rounds to 1, every gap is at most |g| < eps: answer 2.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bound = np.log(eps / gap_envelope(p, d, tau, 1)) / np.log(max(_decay_factors(p, tau)))
-    n = np.arange(2, int(min(N_EPSILON_MAX_CYCLES, max(bound + 2.0, 1.0))) + 2)
-    n = n[:np.argmax(gap_envelope(p, d, tau, n) < eps)]
+    below = bisect.bisect(range(N_EPSILON_MAX_CYCLES), False, lo=1,
+                          key=lambda k: gap_envelope(p, d, tau, k) < eps)
+    n = np.arange(2, below)
     failing = n[periodicity_gap(equi_multidose(p, d, tau), n) >= eps]
     return int(failing[-1]) + 1 if failing.size else 2
 
@@ -210,17 +184,14 @@ def auc_equality_check(p: PkParams, d: float, tau: float
                        ) -> tuple[float, float, float]:
     """Self-test: the limiting per-cycle AUC equals the single-dose AUC.
 
-    Returns (auc_single, auc_ss, relative difference). auc_ss integrates
-    the limiting cycle, whose coefficients are g/(1-beta) and
-    g/(1-alpha), over one interval; the identity holds to rounding.
+    Returns (auc_single, auc_ss, relative difference). auc_ss is the area
+    of the piece entering at the limiting state (ss_lower, d/za) over one
+    interval; the identity holds to rounding.
     """
-    validate_params(p)
-    validate_positive("dose", d)
-    validate_positive("interval", tau)
-    g = absorption_gain(p) * d
     total = auc_single(p, d)
-    za, zb = _decay_complements(p, tau)
-    limiting = _auc_from_coefficients(p, g / zb, g / za, tau)
+    lower, _ = _checked_limits(p, d, tau)
+    b = Bateman.of(p, EXTENDED)
+    limiting = float(b.area(lower, d / -np.expm1(-b.ka * tau), tau))
     denom = max(abs(total), abs(limiting))
     rel = abs(total - limiting) / denom if denom else 0.0
     return total, limiting, rel
@@ -229,13 +200,11 @@ def auc_equality_check(p: PkParams, d: float, tau: float
 def summarize(p: PkParams, d: float, tau: float,
               eps: float = 1e-6) -> SteadyStateSummary:
     """Full steady-state summary for an equi-dose regimen."""
-    lower = ss_lower(p, d, tau)
-    upper = ss_upper(p, d, tau)
     total, limiting, rel = auc_equality_check(p, d, tau)
     return SteadyStateSummary(
-        ss_lower=lower,
-        ss_upper=upper,
-        width=upper - lower,
+        ss_lower=ss_lower(p, d, tau),
+        ss_upper=ss_upper(p, d, tau),
+        width=width(p, d, tau),
         auc_ss=limiting,
         auc_single=total,
         auc_rel_diff=rel,

@@ -1,11 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multidose.core import Arbitrary, EquiDose, PkParams, ValidationError
+from multidose.core import Arbitrary, EquiDose, PkParams, ValidationError, dose_times
 from multidose.bateman import (
     absorption_gain,
     arbitrary_multidose,
@@ -14,9 +15,12 @@ from multidose.bateman import (
     single_dose,
 )
 from multidose.oracle import superpose
+from multidose.pkmetrics import cycle_metrics
 
 from conftest import rel_err
-from mpref import NEAR_EQUAL, SPREAD, TAUS, mp_decay_difference, mp_equi_coefficients
+from mpref import (NEAR_EQUAL, PIECE_TAUS, SCHEDULE, SHORT_TAUS, SPREAD, TAUS,
+                   mp_decay_difference, mp_equi_coefficients, mp_equi_state, mp_piece,
+                   mp_table_states, piece_bound, rel, short_bound)
 
 
 # Bounded parameter/regimen generators keeping concentrations O(1e3) so
@@ -154,6 +158,71 @@ class TestArbitraryMultidose:
         ref = superpose(canonical, arb.regimen)
         t = np.linspace(8.0, 40.0, 300)
         assert np.max(np.abs(arb.x(t) - ref(t))) <= 1e-10
+
+
+class TestPieceStatesAgainstMpmath:
+    """x, y and remainders(n) are the piece entering at each cycle's state,
+    checked at the offset s = t - t_start the evaluator forms (exact, by
+    Sterbenz's lemma, once t_start >= s)."""
+
+    @pytest.mark.parametrize("p", NEAR_EQUAL + SPREAD, ids=repr)
+    def test_constant_interval(self, p):
+        for tau in PIECE_TAUS:
+            sol = equi_multidose(p, 100.0, tau)
+            bound = piece_bound(p, tau)
+            for n in (1, 2, 3, 10, 1000):
+                for theta in (0.0, 0.37, 0.9):
+                    t = (n - 1) * tau + theta * tau
+                    x, y, cycle = sol.evaluate(t)
+                    s = mpmath.mpf(t) - mpmath.mpf((cycle - 1) * tau)
+                    ref_x, ref_y = mp_piece(p, *mp_equi_state(p, 100.0, tau, cycle), s)
+                    assert rel(x, ref_x) <= bound and rel(y, ref_y) <= bound, (tau, n, theta)
+                ref_x, ref_y = mp_piece(p, *mp_equi_state(p, 100.0, tau, n), tau)
+                rem_x, rem_y = sol.remainders(n)
+                assert rel(rem_x, ref_x) <= bound and rel(rem_y, ref_y) <= bound, (tau, n)
+
+    @pytest.mark.parametrize("p", NEAR_EQUAL + SPREAD, ids=repr)
+    def test_schedule(self, p):
+        for tau in PIECE_TAUS:
+            entries = [(d, k * tau) for d, k in SCHEDULE]
+            sol = arbitrary_multidose(p, Arbitrary(entries))
+            states, starts = mp_table_states(p, entries), dose_times(sol.regimen)
+            bound = piece_bound(p, 3.0 * tau)
+            for n, (_, span) in enumerate(entries, start=1):
+                for theta in (0.0, 0.37, 0.9):
+                    t = starts[n - 1] + theta * span
+                    x, y, cycle = sol.evaluate(t)
+                    s = mpmath.mpf(t) - mpmath.mpf(starts[cycle - 1])
+                    ref_x, ref_y = mp_piece(p, *states[cycle - 1], s)
+                    assert rel(x, ref_x) <= bound and rel(y, ref_y) <= bound, (tau, n, theta)
+                ref_x, ref_y = mp_piece(p, *states[n - 1], span)
+                rem_x, rem_y = sol.remainders(n)
+                assert rel(rem_x, ref_x) <= bound and rel(rem_y, ref_y) <= bound, (tau, n)
+
+
+    @pytest.mark.parametrize("p", NEAR_EQUAL + SPREAD, ids=repr)
+    def test_short_intervals(self, p):
+        # The known gap: below PIECE_TAUS the constant-interval state cancels
+        # by about 1/(max(ka, ke)*tau), which extended precision shrinks.
+        for tau in SHORT_TAUS:
+            sol = equi_multidose(p, 100.0, tau)
+            t = 9.5 * tau
+            s = mpmath.mpf(t) - mpmath.mpf(9 * tau)
+            ref_x, _ = mp_piece(p, *mp_equi_state(p, 100.0, tau, 10), s)
+            assert rel(sol.x(t), ref_x) <= short_bound(p, tau), tau
+
+    @pytest.mark.parametrize("tau", [5e-324, 1e-320, 1e-300, 1e300, 1.7e308])
+    @pytest.mark.parametrize("p", [PkParams(2.0, 0.1, 1.0, 1.0), PkParams(0.1, 2.0, 1.0, 1.0),
+                                   PkParams(1.0 + 1e-8, 1.0, 1.0, 1.0)], ids=repr)
+    def test_extreme_intervals_give_numbers(self, p, tau):
+        # Overflowing |ka - ke|*tau and underflowing rate products are
+        # answers, not NaN.
+        sol = equi_multidose(p, 100.0, tau)
+        assert sol.x(0.0) == 0.0 and sol.y(0.0) == 100.0
+        values = [*sol.evaluate(0.5 * tau)[:2], *sol.remainders(1), *sol.remainders(2)]
+        row = cycle_metrics(sol, 1)
+        values += [row.auc, row.t_max, row.x_max]
+        assert not any(math.isnan(v) for v in values), values
 
 
 class TestRemainders:

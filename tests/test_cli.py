@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,6 +17,9 @@ from multidose.bateman import single_dose
 from multidose.fit import fit_single_dose, predict
 from multidose.pkmetrics import cycle_metrics
 from multidose.steady_state import summarize
+
+from mpref import (DIGITS, mp_area, mp_bounds, mp_equi_state, mp_peak, mp_piece,
+                   mp_table_states)
 
 DATA = Path(__file__).parent / "data"
 
@@ -69,6 +73,82 @@ class TestGoldenOutputs:
         second = run_cli("simulate", str(DATA / "oral_equi.json"), "--verify")
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+
+def _nearest(value, reference):
+    """Whether value is the double nearest reference (1e-3 ulp of slack)."""
+    return abs(mpmath.mpf(value) - reference) <= 0.501 * math.ulp(value)
+
+
+def _golden_analyze(name):
+    doc = json.loads((DATA / f"{name}.json").read_text())
+    params = [doc["params"].get(k) for k in ("ka", "ke", "gamma", "volume")]
+    return doc, json.loads((DATA / f"golden_analyze_{name}.json").read_text()), params
+
+
+class TestGoldenValuesAreNearest:
+    """Every number of the analyze and design goldens rounds once, to the
+    double nearest its 60-digit reference: a golden can only move there."""
+
+    @pytest.mark.parametrize("name", ["oral_equi", "oral_skip"])
+    def test_oral(self, name):
+        doc, golden, params = _golden_analyze(name)
+        p, schedule, rows = PkParams(*params), doc["schedule"], golden["cycles"]
+        with mpmath.workdps(DIGITS):
+            if "equi" in schedule:
+                d, tau = schedule["equi"]["dose"], schedule["equi"]["interval"]
+                entries = [(d, tau)] * len(rows)
+                states = [mp_equi_state(p, d, tau, n) for n in range(1, len(rows) + 1)]
+            else:
+                entries = [(e["dose"], e["interval"]) for e in schedule["arbitrary"]]
+                states = mp_table_states(p, entries)
+            start = mpmath.mpf(0)
+            for row, state, (_, tau) in zip(rows, states, entries):
+                s, x_max = mp_peak(p, *state, tau)
+                for key, reference in (("auc", mp_area(p, *state, tau)),
+                                       ("t_max", start + s), ("x_max", x_max)):
+                    assert _nearest(row[key], reference), (row["n"], key)
+                start += mpmath.mpf(tau)
+            d, tau = golden["asymptote_of"]["dose"], golden["asymptote_of"]["interval"]
+            lower, upper = mp_bounds(p, d, tau)
+            single = mpmath.mpf(p.gamma) * d / (mpmath.mpf(p.volume) * mpmath.mpf(p.ke))
+            for key, reference in (("ss_lower", lower), ("ss_upper", upper),
+                                   ("width", upper - lower), ("auc_ss", single),
+                                   ("auc_single", single)):
+                assert _nearest(golden["steady_state"][key], reference), key
+
+    def test_fat(self):
+        doc, golden, params = _golden_analyze("fat_mixed")
+        p = PkParams(*params)
+        with mpmath.workdps(DIGITS):
+            x = mpmath.mpf(0)
+            for row, e in zip(golden["cycles"], doc["schedule"]["arbitrary"]):
+                cutoff, _ = mp_piece(p, x, e["dose"], e["fat_offset"])
+                clearing = mpmath.mpf(e["interval"]) - mpmath.mpf(e["fat_offset"])
+                x, _ = mp_piece(p, cutoff, 0, clearing)
+                assert _nearest(row["cutoff_value"], cutoff), row["n"]
+                assert _nearest(row["end_value"], x), row["n"]
+
+    def test_bolus(self):
+        doc, golden, _ = _golden_analyze("bolus_mixed")
+        with mpmath.workdps(DIGITS):
+            ke, x = mpmath.mpf(doc["params"]["ke"]), mpmath.mpf(0)
+            for row, e in zip(golden["cycles"], doc["schedule"]["arbitrary"]):
+                x += e["dose"]
+                assert _nearest(row["start_value"], x), row["n"]
+                x *= mpmath.exp(-ke * e["interval"])
+                assert _nearest(row["remainder"], x), row["n"]
+
+    def test_design(self):
+        golden = json.loads((DATA / "golden_design.json").read_text())
+        p = PkParams(1.0, 0.1, 1.0, 1.0)
+        rounded = golden["rounded"]
+        with mpmath.workdps(DIGITS):
+            for plan, d, tau in ((golden, golden["d_star"], golden["tau_star"]),
+                                 (rounded, rounded["d"], rounded["tau"])):
+                lower, upper = mp_bounds(p, d, tau)
+                assert _nearest(plan["achieved"]["ss_lower"], lower), tau
+                assert _nearest(plan["achieved"]["ss_upper"], upper), tau
 
 
 class TestSimulate:

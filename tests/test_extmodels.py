@@ -89,6 +89,15 @@ class TestBolus:
         with pytest.raises(ValidationError):
             bolus_multidose(0.0, BolusRegimen([(100.0, 4.0)]))
 
+    @pytest.mark.parametrize("regimen", [Arbitrary([(100.0, 6.0)] * 3), EquiDose(100.0, 6.0),
+                                         FatRegimen([(100.0, 6.0, 2.0)] * 3)],
+                             ids=["arbitrary", "equi", "fat"])
+    def test_regimen_must_be_bolus(self, regimen):
+        # Oral doses are not concentration jumps: the regimen type is checked.
+        with pytest.raises(ValidationError, match="expected a bolus regimen, got "
+                           + type(regimen).__name__):
+            bolus_multidose(0.3, regimen)
+
 
 def fat_cutoff_superposition(p, entries, t):
     """Independent check: each dose contributes a truncated response."""

@@ -1,15 +1,18 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from multidose.core import Arbitrary, PkParams, ValidationError
+from multidose.core import Arbitrary, PkParams, ValidationError, dose_times
 from multidose.bateman import arbitrary_multidose, equi_multidose, single_dose
 from multidose.pkmetrics import (CycleMetrics, auc_cycle, auc_single, cycle_metrics,
                                  cycle_rows, peak)
 
-from mpref import TAUS, mp_auc_cycle
+from mpref import (NEAR_EQUAL, PIECE_TAUS, SCHEDULE, SHORT_TAUS, SPREAD, TAUS, mp_area,
+                   mp_auc_cycle, mp_auc_single, mp_equi_state, mp_peak, mp_table_states,
+                   piece_bound, rel, short_bound)
 
 PARAM_SETS = [
     PkParams(1.0, 0.1, 1.0, 1.0),
@@ -161,12 +164,65 @@ class TestCycleMetricsForArbitrary:
             assert m.x_max == pytest.approx(sol.remainders(m.n)[0], rel=1e-14)
             assert m.x_max == pytest.approx(sol.x(np.nextafter(m.t_max, 0.0)), rel=1e-12)
 
+    def test_falling_cycle_reports_its_opening(self, canonical):
+        # After 1000 mg, 1 mg cannot lift x: cycle 2 falls from its start,
+        # so its supremum is the opening value, not the closing one.
+        sol = arbitrary_multidose(canonical, Arbitrary([(1000.0, 3.0), (1.0, 6.0)]))
+        m = cycle_metrics(sol, 2)
+        assert not m.peak_in_cycle
+        assert m.t_max == 3.0 and m.x_max == sol.x(3.0)
+        assert m.x_max >= sol.x(np.linspace(3.0, 9.0, 10_001)).max()
+
     def test_checks_at_the_call(self):
         sol = arbitrary_multidose(PARAM_SETS[0], Arbitrary([(100.0, 6.0)] * 3))
         with pytest.raises(ValidationError, match="exceeds the 3 cycles"):
             cycle_rows(sol, 4)
         with pytest.raises(ValidationError, match="cycle number must be >= 1"):
             cycle_rows(sol, 2, first=0)
+
+
+class TestPieceFormsAgainstMpmath:
+    """Cycle rows and AUCs read from each cycle's state, against the
+    textbook turning point and integral at that state."""
+
+    @staticmethod
+    def check(p, row, state, start, span):
+        s, ref_x = mp_peak(p, *state, span)
+        assert rel(row.t_max, mpmath.mpf(start) + s) <= piece_bound(p, span)
+        assert rel(row.x_max, ref_x) <= piece_bound(p, span)
+        assert rel(row.auc, mp_area(p, *state, span)) <= piece_bound(p, span)
+
+    @pytest.mark.parametrize("p", NEAR_EQUAL + SPREAD, ids=repr)
+    def test_constant_interval(self, p):
+        for tau in PIECE_TAUS:
+            sol = equi_multidose(p, 100.0, tau)
+            for n in (1, 2, 3, 10, 1000):
+                state = mp_equi_state(p, 100.0, tau, n)
+                self.check(p, cycle_metrics(sol, n), state, (n - 1) * tau, tau)
+                assert rel(auc_cycle(p, 100.0, tau, n), mp_area(p, *state, tau)) <= piece_bound(
+                    p, n * tau), (tau, n)
+
+    @pytest.mark.parametrize("p", NEAR_EQUAL + SPREAD, ids=repr)
+    def test_schedule(self, p):
+        for tau in PIECE_TAUS:
+            entries = [(d, k * tau) for d, k in SCHEDULE]
+            sol = arbitrary_multidose(p, Arbitrary(entries))
+            rows = cycle_rows(sol, len(entries))
+            for row, state, start, (_, span) in zip(
+                    rows, mp_table_states(p, entries), dose_times(sol.regimen), entries):
+                self.check(p, CycleMetrics(*row), state, start, span)
+
+    @pytest.mark.parametrize("p", NEAR_EQUAL + SPREAD, ids=repr)
+    def test_short_intervals(self, p):
+        # The known gap: below PIECE_TAUS the area's zs - ks*E(tau) cancels
+        # by about 1/(max(ka, ke)*tau), which extended precision shrinks.
+        for tau in SHORT_TAUS:
+            reference = mp_area(p, 0, 100.0, tau)
+            assert rel(auc_cycle(p, 100.0, tau, 1), reference) <= short_bound(p, tau), tau
+
+    @pytest.mark.parametrize("p", NEAR_EQUAL + SPREAD, ids=repr)
+    def test_auc_single(self, p):
+        assert rel(auc_single(p, 100.0), mp_auc_single(p, 100.0)) <= 1e-14
 
 
 def test_cycle_metrics_rejects_bolus_and_fat():

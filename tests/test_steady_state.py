@@ -21,7 +21,8 @@ from multidose.steady_state import (
     width_limit,
 )
 
-from mpref import NEAR_EQUAL, SPREAD, TAUS, mp_bounds, mp_width_limit
+from mpref import (NEAR_EQUAL, PIECE_TAUS, SCHEDULE, SPREAD, TAUS, mp_bounds, mp_equi_gap,
+                   mp_gap, mp_table_states, mp_width_limit, piece_bound, rel)
 
 PARAM_SETS = [
     PkParams(1.0, 0.1, 1.0, 1.0),
@@ -205,6 +206,18 @@ class TestPeriodicityGap:
             gap = periodicity_gap(sol, n)
             assert gap <= gap_envelope(canonical, 100.0, 6.0, n) * (1.0 + 1e-12)
 
+    @pytest.mark.parametrize("p", NEAR_EQUAL + SPREAD, ids=repr)
+    def test_envelope_dominates_and_never_increases(self, p):
+        # Checked where the envelope is a normal number: subnormals keep
+        # too few bits to order two evaluation paths.
+        n = np.concatenate((np.arange(1, 3_000), np.geomspace(3_000, 1e5, 200).astype(int)))
+        for tau in (0.01, 1.0, 30.0):
+            gaps = periodicity_gap(equi_multidose(p, 100.0, tau), n)
+            bounds = gap_envelope(p, 100.0, tau, n)
+            normal = bounds >= np.finfo(float).tiny
+            assert np.all(gaps[normal] <= bounds[normal]), tau
+            assert np.all(np.diff(bounds[normal]) <= 0.0), tau
+
     def test_gap_ratio_approaches_slow_decay(self, canonical):
         sol = equi_multidose(canonical, 100.0, 6.0)
         beta = math.exp(-canonical.ke * 6.0)
@@ -273,6 +286,22 @@ class TestPeriodicityGap:
             scale = max(abs(dc1), abs(dc2))
             assert grid * (1.0 - 1e-12) <= gap <= grid + 1e-12 * scale, n
 
+    @pytest.mark.parametrize("p", NEAR_EQUAL + SPREAD, ids=repr)
+    def test_against_mpmath(self, p):
+        for tau in PIECE_TAUS:
+            n = np.array([1, 2, 3, 10, 1000])
+            gaps = periodicity_gap(equi_multidose(p, 100.0, tau), n)
+            for k, gap in zip(n.tolist(), gaps.tolist()):
+                reference = mp_equi_gap(p, 100.0, tau, k)
+                assert rel(gap, reference) <= piece_bound(p, k * tau), (tau, k)
+            entries = [(d, k * tau) for d, k in SCHEDULE]
+            sol = arbitrary_multidose(p, Arbitrary(entries))
+            states = [(0, 0)] + mp_table_states(p, entries)
+            for k, (_, span) in enumerate(entries, start=1):
+                increment = (states[k][0] - states[k - 1][0], states[k][1] - states[k - 1][1])
+                reference = mp_gap(p, *increment, span)
+                assert rel(periodicity_gap(sol, k), reference) <= piece_bound(p, span), (tau, k)
+
     def test_underflowing_increment(self):
         p, d, tau, _ = UNDERFLOW
         sol = equi_multidose(p, d, tau)
@@ -311,8 +340,8 @@ class TestNEpsilon:
         from multidose import steady_state
 
         calls = []
-        kernel = steady_state._gap_sup
-        monkeypatch.setattr(steady_state, "_gap_sup",
+        kernel = steady_state.periodicity_gap
+        monkeypatch.setattr(steady_state, "periodicity_gap",
                             lambda *args: calls.append(args) or kernel(*args))
         p = PkParams(1.0, 5e-5, 1.0, 1.0)
         with pytest.raises(ValidationError, match=r"ke\*tau=5e-05"):
@@ -323,6 +352,20 @@ class TestNEpsilon:
 
     def test_underflowing_increments(self):
         assert n_epsilon(*UNDERFLOW) == scan_reference(*UNDERFLOW) == 1002
+
+    @pytest.mark.parametrize("ke,separation", [(0.003, 1e-8), (0.002, 1e-4)])
+    def test_converging_near_equal_rates(self, ke, separation):
+        # The envelope carries no 1/|ka - ke|, so regimens that converge
+        # within the cap are scanned, not rejected.
+        case = PkParams(ke * (1.0 + separation), ke, 1.0, 1000.0), 100.0, 0.1, 1e-6
+        assert n_epsilon(*case) == scan_reference(*case)
+
+    def test_converging_separated_rates_near_the_cap(self):
+        # Late gaps are q*d*E with E -> e^{-slow t}/|ka - ke|: an envelope
+        # looser than that by a constant factor rejects this regimen, whose
+        # gaps fall below eps at cycle 98,544, inside the cap.
+        case = PkParams(1.0, 0.1, 1.0, 1.0), 100.0, 1.88e-3, 1e-6
+        assert n_epsilon(*case) == scan_reference(*case) == 98_544
 
     def test_matches_scan_reference(self):
         cases = reference_cases(200)
