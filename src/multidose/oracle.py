@@ -4,15 +4,16 @@ Two cross-checks for the closed-form trajectories: a fixed-step RK4
 integrator of the absorption-elimination system with impulsive gut
 refills at dose times, and a superposition evaluator that rebuilds the
 multi-dose response as a sum of time-shifted single-dose responses
-(valid because the governing system is linear). One dose-sum loop
-serves the oral concentration and gut amount, the IV bolus and the
-finite-absorption models.
+(valid because the governing system is linear). One grouped dose sum,
+O(D^1.5 + N sqrt(D)) exponentials for D doses and N times, serves the
+oral concentration and gut amount, the IV bolus and the FAT models.
 
 Nothing here is used by the analytic code paths; keep it that way.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,9 @@ from .core import (
     PkParams,
     Regimen,
     StepTooLarge,
+    ValidationError,
     dose_times,
+    validate_cycle,
     validate_params,
     validate_positive,
 )
@@ -152,8 +155,8 @@ def superpose(p, r, n_doses: int | None = None):
     an IV bolus regimen (entries (delta, interval)) takes the elimination
     rate ke instead, as bolus_multidose does. Returns a vectorized
     callable t -> x(t). For an equi-dose regimen `n_doses` caps how many
-    doses contribute (default: enough to cover the largest queried time,
-    recomputed per call).
+    doses contribute (default: enough for each call's largest time, so the
+    dose groups, and a value's last bit, may change with the batch).
     """
     if not isinstance(p, PkParams):
         # IV bolus: each delta enters plasma directly and decays at ke = p.
@@ -177,13 +180,15 @@ def _dose_sum(r, n_doses: int | None, weight: float, k_out: float,
     without k_in, for u >= 0 and zero before the dose. An entry with a
     third field, an absorption window w, holds its response at u = w and
     lets it decay at k_out after that.
+
+    The D doses form groups of K = ceil(sqrt(D)). At t in a group starting at P, each
+    earlier dose j decays as c_j e^{-k (t - s_j)} (s_j its time, or its window's end:
+    w <= interval), so they sum to S e^{-k (t - P)}, S = sum_j c_j e^{-k (P - s_j)},
+    and the group's own doses up to t add directly. S is summed afresh for each queried
+    group, never carried from the one before (the closed form's recursion, which this
+    checks): values depend only on t and the doses. N times cost O(D^1.5 + N K) exps.
     """
-    if isinstance(r, EquiDose):
-        schedule = None
-    else:
-        starts = np.concatenate(([0.0], np.cumsum([e[1] for e in r.entries])))
-        schedule = [(float(t0), e[0], e[2] if len(e) > 2 else None)
-                    for t0, e in zip(starts, r.entries)]
+    fields = None if isinstance(r, EquiDose) else np.array(r.entries, dtype=float)
 
     def response(u):
         out = np.exp(-k_out * u)
@@ -191,30 +196,39 @@ def _dose_sum(r, n_doses: int | None, weight: float, k_out: float,
 
     def evaluate(t):
         t_arr = np.asarray(t, dtype=float)
-        events = schedule
-        if events is None:
-            count = n_doses
-            if count is None:
-                count = int(np.floor(t_arr.max() / r.interval)) + 1 if t_arr.size else 1
-            events = [(k * r.interval, r.dose, None) for k in range(count)]
-        # On sorted times each dose reaches a suffix; only that is computed.
-        order = np.argsort(t_arr, axis=None, kind="stable")
-        ts = t_arr.ravel()[order]
+        bad = t_arr[~np.isfinite(t_arr)]
+        if bad.size:
+            raise ValidationError(f"query time must be finite, got {float(bad[0])!r}")
+        if fields is None:
+            reach = int(np.floor(t_arr.max(initial=0.0) / r.interval)) + 1
+            starts = np.arange(reach if n_doses is None else validate_cycle(n_doses)) * r.interval
+            scale, windows = np.full(starts.size, weight * r.dose), None
+        else:
+            starts = np.concatenate(([0.0], np.cumsum(fields[:-1, 1])))
+            scale, windows = weight * fields[:, 0], fields[:, 2] if fields.shape[1] > 2 else None
+        rates = [(k_out, 1.0)] + ([] if k_in is None or windows is not None else [(k_in, -1.0)])
+        coef, ends = ((scale, starts) if windows is None
+                      else (scale * response(windows), starts + windows))
+        size = math.isqrt(starts.size - 1) + 1
+        last = np.searchsorted(starts, t_arr.ravel(), side="right") - 1
+        ts = np.maximum(t_arr.ravel(), 0.0)  # t < 0: group 0, where no dose has started
+        first = np.maximum(last, 0) // size * size
         total = np.zeros_like(ts)
-        for t0, amount, window in events:
-            first = np.searchsorted(ts, t0)
-            u = ts[first:] - t0
-            scale = weight * amount
-            if window is None:
-                total[first:] += scale * response(u)
-                continue
-            cut = np.searchsorted(u, window, side="right")
-            total[first:first + cut] += scale * response(u[:cut])
-            total[first + cut:] += (scale * response(window)
-                                    * np.exp(-k_out * (u[cut:] - window)))
-        out = np.empty_like(total)
-        out[order] = total
-        out = out.reshape(t_arr.shape)
+        for k, sign in rates:
+            pivot_sum = np.zeros(starts.size)
+            for b in np.flatnonzero(np.bincount(first)):  # np.unique imports numpy.ma
+                pivot_sum[b] = np.sum(coef[:b] * np.exp(-k * (starts[b] - ends[:b])))
+            total += sign * pivot_sum[first] * np.exp(-k * (ts - starts[first]))
+        for m in range(size):
+            (at,) = np.nonzero(first + m <= last)
+            j = first[at] + m
+            u = ts[at] - starts[j]
+            direct = scale[j] * response(u)
+            if windows is not None:
+                closed = coef[j] * np.exp(-k_out * np.maximum(u - windows[j], 0.0))
+                direct = np.where(u <= windows[j], direct, closed)
+            total[at] += direct
+        out = total.reshape(t_arr.shape)
         return out if out.shape else float(out)
 
     return evaluate

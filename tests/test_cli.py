@@ -10,6 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from multidose import cli
 from multidose.cli import (CSV_BLOCK_ROWS, _json_with_cycles, _monte_carlo,
                            load_regimen_file)
 from multidose.core import ConcentrationSeries, NoConvergence, PkParams
@@ -167,6 +168,42 @@ class TestSimulate:
             assert cp.returncode == 0, (name, cp.stderr)
             golden = DATA / f"golden_simulate_{name}.csv"
             assert cp.stdout == golden.read_text(), name
+
+    def test_verify_failure_exits_3_naming_the_scale(self, monkeypatch, capsys, tmp_path):
+        evaluate = cli.bateman.PiecewiseSolution.evaluate
+
+        def perturbed(sol, t):
+            x, y, cycles = evaluate(sol, t)
+            return x * (1.0 + 1e-7), y, cycles
+
+        monkeypatch.setattr(cli.bateman.PiecewiseSolution, "evaluate", perturbed)
+        out = tmp_path / "out.csv"
+        code = cli.main(["simulate", str(DATA / "oral_equi.json"), "--verify",
+                         "--out", str(out)])
+        assert code == cli.EXIT_NUMERICAL
+        message = capsys.readouterr().err
+        assert message.startswith("verification failed: closed form deviates from the "
+                                  "superposition oracle by ")
+        assert "(> 1e-08 x max(1, peak " in message
+        assert not out.exists()
+
+    def test_verify_scales_tolerance_with_the_peak(self, capsys, tmp_path):
+        # 1,000 irregular bolus doses near a peak of 9e5: the closed form is
+        # within 1e-13 of it, but about 4e-8 away in absolute terms.
+        rng = np.random.default_rng(0)
+        taus = rng.choice([4.0, 6.0, 8.0, 12.0], 1000) * rng.uniform(0.8, 1.2, 1000)
+        deltas = rng.choice([300.0, 500.0, 700.0], 1000) * 1000.0
+        path = tmp_path / "bolus.json"
+        path.write_text(json.dumps({
+            "schema": 1, "model": "bolus", "params": {"ke": 0.3838, "time_unit": "h"},
+            "schedule": {"arbitrary": [{"dose": d, "interval": t}
+                                       for d, t in zip(deltas.tolist(), taus.tolist())]},
+            "horizon": float(taus.sum()), "sample_step": 0.25}))
+        out = tmp_path / "out.csv"
+        assert cli.main(["simulate", str(path), "--verify", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        x = np.loadtxt(out, delimiter=",", skiprows=1, usecols=1)
+        assert x.max() > 8e5
 
     @pytest.mark.parametrize("model,params,schedule", [
         ("oral", {"ka": 1.0, "ke": 0.1, "gamma": 1.0, "volume": 1.0},

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from multidose.core import Arbitrary, EquiDose, NonPositiveParameter, PkParams, StepTooLarge
+from multidose.core import (Arbitrary, EquiDose, NonPositiveParameter, PkParams, StepTooLarge,
+                            ValidationError)
 from multidose.bateman import arbitrary_multidose, equi_multidose, single_dose
 from multidose.extmodels import (
     BolusRegimen,
@@ -124,3 +125,144 @@ def test_superpose_keeps_query_order_and_shape(canonical):
     t = np.array([[7.0, 0.5], [3.0, 0.0]])
     expected = np.array([[ref(7.0), ref(0.5)], [ref(3.0), ref(0.0)]])
     assert np.array_equal(ref(t), expected)
+
+
+# -- the grouped dose sum against a brute-force matrix sum --------------------
+
+def _matrix_sum(starts, amounts, windows, weight, k_out, k_in, t):
+    """Every dose's response at every time as one (times x doses) matrix."""
+    u = t[:, None] - starts[None, :]
+    started = u >= 0.0
+    u = np.where(started, u, 0.0)
+
+    def response(v):
+        return np.exp(-k_out * v) - (0.0 if k_in is None else np.exp(-k_in * v))
+
+    values = response(u)
+    if windows is not None:
+        closed = response(windows) * np.exp(-k_out * np.maximum(u - windows, 0.0))
+        values = np.where(u <= windows, values, closed)
+    return weight * np.where(started, amounts * values, 0.0).sum(axis=1)
+
+
+K = 6
+GROUP_EDGE_COUNTS = [1, 2, K - 1, K, K + 1, K * K, K * K + 1]
+FAT_P = PkParams(0.42, 0.4, 0.00449, 1.0)
+
+
+def _irregular(model, n, seed):
+    """Entries, dose times and the (weight, k_out, k_in, windows) of the sum."""
+    rng = np.random.default_rng(seed)
+    taus = rng.uniform(1.0, 9.0, n)
+    doses = rng.choice([100.0, 250.0, 400.0], n)
+    starts = np.concatenate(([0.0], np.cumsum(taus)[:-1]))
+    p = PkParams(1.0, 0.1, 1.0, 1.0)
+    amplitude = p.ka * p.gamma / (p.volume * (p.ka - p.ke))
+    if model == "fat":
+        # Some windows fill the whole interval: they close at the next dose.
+        windows = np.where(rng.random(n) < 0.3, taus, taus * rng.uniform(0.1, 0.9, n))
+        amplitude = FAT_P.ka * FAT_P.gamma / (FAT_P.volume * (FAT_P.ka - FAT_P.ke))
+        return (FAT_P, FatRegimen(zip(doses, taus, windows)), starts,
+                (amplitude, FAT_P.ke, FAT_P.ka, windows))
+    if model == "bolus":
+        return 0.3838, BolusRegimen(zip(doses, taus)), starts, (1.0, 0.3838, None, None)
+    return p, Arbitrary(zip(doses, taus)), starts, (amplitude, p.ke, p.ka, None)
+
+
+def _query_times(starts, windows, seed):
+    """Random, dose-instant, window-end and negative times, shuffled."""
+    rng = np.random.default_rng(seed)
+    end = starts[-1] + 40.0
+    t = [rng.uniform(-5.0, end, 300), starts, [-1e300, -1e-9, -3.0, end, 1e4]]
+    if windows is not None:
+        t.append(starts + windows)
+    t = np.concatenate(t)
+    return t[rng.permutation(t.size)]
+
+
+@pytest.mark.parametrize("n", GROUP_EDGE_COUNTS)
+@pytest.mark.parametrize("model", ["oral", "fat", "bolus"])
+def test_grouped_sum_equals_matrix_sum(model, n):
+    p, reg, starts, (weight, k_out, k_in, windows) = _irregular(model, n, seed=n)
+    t = _query_times(starts, windows, seed=n)
+    expected = _matrix_sum(starts, np.array([e[0] for e in reg.entries]), windows,
+                           weight, k_out, k_in, t)
+    got = superpose(p, reg)(t)
+    peak = np.max(np.abs(expected))
+    assert np.max(np.abs(got - expected)) <= 1e-13 * peak
+    assert np.all(got[t < 0.0] == 0.0)
+    grid = superpose(p, reg)(t[:300].reshape(20, 15))
+    assert grid.shape == (20, 15)
+    assert np.max(np.abs(grid.ravel() - expected[:300])) <= 1e-13 * peak
+
+
+@pytest.mark.parametrize("n", GROUP_EDGE_COUNTS)
+def test_grouped_gut_sum_equals_matrix_sum(canonical, n):
+    _, reg, starts, _ = _irregular("oral", n, seed=n)
+    t = _query_times(starts, None, seed=n)
+    expected = _matrix_sum(starts, np.array([e[0] for e in reg.entries]), None,
+                           1.0, canonical.ka, None, t)
+    got = superpose_gut(canonical, reg)(t)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(expected)
+
+
+@pytest.mark.parametrize("n_doses", [None, 1, K - 1, K * K + 1])
+def test_grouped_equi_sum_equals_matrix_sum(canonical, n_doses):
+    tau = 6.0
+    t = _query_times(np.arange(50) * tau, None, seed=7)
+    count = int(np.floor(t.max() / tau)) + 1 if n_doses is None else n_doses
+    starts = np.arange(count) * tau
+    amplitude = canonical.ka / (canonical.ka - canonical.ke)
+    expected = _matrix_sum(starts, np.full(count, 100.0), None, amplitude,
+                           canonical.ke, canonical.ka, t)
+    got = superpose(canonical, EquiDose(100.0, tau), n_doses=n_doses)(t)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(expected)
+
+
+@pytest.mark.parametrize("model", ["oral", "fat", "bolus"])
+def test_value_does_not_depend_on_the_batch(model):
+    p, reg, starts, _ = _irregular(model, 1000, seed=3)
+    ref = superpose(p, reg)
+    t = np.random.default_rng(4).uniform(-10.0, starts[-1] + 50.0, 200)
+    batch = ref(t)
+    alone = np.array([ref(float(ti)) for ti in t])
+    assert np.array_equal(alone, batch)
+    assert np.array_equal(ref(t[::-1]), batch[::-1])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("build", [
+    lambda p: superpose(p, EquiDose(100.0, 6.0)),
+    lambda p: superpose(p, EquiDose(100.0, 6.0), n_doses=3),
+    lambda p: superpose(p, Arbitrary([(100.0, 3.0), (50.0, 5.0)])),
+    lambda p: superpose_gut(p, EquiDose(100.0, 6.0)),
+    lambda p: superpose(0.3838, BolusRegimen([(600.0, 4.0), (700.0, 8.0)])),
+    lambda p: superpose(FAT_P, FatRegimen([(600.0, 6.0, 2.0), (400.0, 4.0, 4.0)])),
+], ids=["equi", "equi-capped", "arbitrary", "gut", "bolus", "fat"])
+def test_non_finite_time_is_a_validation_error(canonical, build, bad):
+    ref = build(canonical)
+    with pytest.raises(ValidationError, match=f"query time must be finite, got {bad!r}"):
+        ref(bad)
+    with pytest.raises(ValidationError, match="query time must be finite"):
+        ref(np.array([1.0, bad, 2.0]))
+    assert ref(-2.0) == 0.0
+    assert np.all(ref(np.array([-1.0, -0.5])) == 0.0)
+
+
+def test_long_fat_windows_do_not_overflow():
+    # ke * window ~ 800: the open window's decay term must not be formed.
+    reg = FatRegimen([(600.0, 2000.0, 1999.0), (400.0, 2500.0, 2500.0), (500.0, 10.0, 5.0)])
+    starts = np.array([0.0, 2000.0, 4500.0])
+    windows = np.array([1999.0, 2500.0, 5.0])
+    t = np.concatenate((starts, starts + windows, np.linspace(0.0, 4600.0, 461)))
+    amplitude = FAT_P.ka * FAT_P.gamma / (FAT_P.volume * (FAT_P.ka - FAT_P.ke))
+    expected = _matrix_sum(starts, np.array([600.0, 400.0, 500.0]), windows,
+                           amplitude, FAT_P.ke, FAT_P.ka, t)
+    got = superpose(FAT_P, reg)(t)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(expected)
+
+
+@pytest.mark.parametrize("n_doses", [0, -1, 2.0])
+def test_equi_dose_cap_is_a_cycle_count(canonical, n_doses):
+    with pytest.raises(ValidationError, match="cycle number must be"):
+        superpose(canonical, EquiDose(100.0, 6.0), n_doses=n_doses)(1.0)
