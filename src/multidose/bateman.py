@@ -6,13 +6,14 @@ and y = y0*e^{-ka s}, with q = ka*gamma/V and E = `decay_difference`.
 Both terms are >= 0 and nothing divides by ka - ke, so pieces stay exact
 as ka -> ke. Over an interval the piece is the triangular map
 M = [[beta, q*E(tau)], [0, alpha]] of the state; a dose adds to it. For
-constant regimens the state of cycle n is a geometric sum of M in closed
-form; any other schedule tabulates it by one remainder recursion. The
-IV bolus (q = 0: no gut) and finite-absorption-time (y0 = 0 once the
-window closes) models of `extmodels` are that table with other dose
-rules, so one evaluator serves all three models. States, and the rows
-and limits read from them, are EXTENDED and round once to floats;
-trajectories evaluate pieces in float64 from the rounded states.
+constant regimens the state entering every piece is a geometric sum of
+the one-cycle map (`decay_sum`) in closed form; any other schedule
+tabulates it by one remainder recursion. The IV bolus (q = 0: no gut)
+and finite-absorption-time (y0 = 0 once the window closes) models of
+`extmodels` are those pieces with other dose rules, so one evaluator
+serves all three models. States, and the rows and limits read from
+them, are EXTENDED and round once to floats; trajectories evaluate
+pieces in float64 from the rounded states.
 
 Evaluation exactly at a dose time t_n returns the incoming cycle's
 values: the (continuous) concentration and the post-dose gut amount.
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (EquiDose, PkParams, Regimen, ValidationError, validate_cycle,
+from .core import (Arbitrary, EquiDose, PkParams, Regimen, ValidationError, validate_cycle,
                    validate_params, validate_positive, validate_regimen)
 
 #: The type of states and of the values reported from them: on x86-64 Linux
@@ -58,6 +59,12 @@ def decay_difference(ka: float, ke: float, t):
     through the slower rate and expm1, so positive and exact as ka -> ke."""
     lib = _lib(ka, t)
     return _difference(lib.exp(-min(ka, ke) * t), abs(ka - ke), t, lib)
+
+
+def decay_sum(k, tau, n):
+    """sum_{j<n} e^{-k j tau} = expm1(-k tau n)/expm1(-k tau), in the type of
+    k and tau, for n an int, an index array or inf (1/(1 - e^{-k tau}))."""
+    return np.expm1(-k * tau * n) / np.expm1(-k * tau)
 
 
 def _shaped_like(t, values: np.ndarray):
@@ -170,109 +177,86 @@ class CycleCoefficients:
     beta: float
 
 
-def equi_cycles(t: np.ndarray, tau: float) -> np.ndarray:
-    """1-based cycle of each t >= 0 when a dose falls every tau hours.
-
-    Counts the dose times k*tau <= t, as searchsorted over the grid k*tau
-    would, without building the grid.
-    """
-    k = np.floor(t / tau)
-    if k.size and k.max() >= 2.0 ** 53:
-        raise ValidationError(f"t={t.max():g} lies beyond 2**53 dosing intervals of {tau:g} "
-                              "h; cycle numbers are no longer exact there")
-    k -= k * tau > t
-    k += (k + 1.0) * tau <= t
-    return k.astype(np.int64) + 1
-
-
 class PiecewiseSolution:
-    """Multi-dose closed-form solution, immutable after construction.
+    """Multi-dose closed-form solution of the oral model (and of the bolus
+    and FAT models of `extmodels`), immutable after construction.
 
-    Equi-dose regimens have every cycle's state in closed form, others the
-    table `_tabulate` builds. `_locate` finds the piece covering each time;
-    x, y, evaluate and __call__ read that piece's forms.
+    Equi-dose regimens have every piece's state in closed form, others the
+    table `_build` builds. `_locate` finds the piece covering each time;
+    x, y, evaluate and __call__ read that piece's forms. n_cycles is the
+    number of cycles, None for an unbounded equi-dose schedule.
     """
+
+    #: The model, the validate_regimen arguments for its regimens, and the
+    #: state just after a dose: an oral dose lands in the gut.
+    model, _regimens = "oral", (Arbitrary, "an oral regimen", False)
+    _dose = staticmethod(lambda x, y, amount: (x, y + amount))
 
     def __init__(self, params: PkParams, regimen: Regimen):
-        validate_params(params)
-        self.params, self.regimen = params, regimen
+        self.params = validate_params(params)
         self.bateman, self._exact = Bateman.of(params), Bateman.of(params, EXTENDED)
-        self._equi = isinstance(regimen, EquiDose)
-        if not self._equi:
-            # An oral dose lands in the gut.
-            self._tabulate(validate_regimen(regimen).entries, lambda x, y, d: (x, y + d))
+        self._build(regimen)
 
-    def _tabulate(self, entries, dose) -> None:
-        """State table of a finite schedule, by the remainder recursion.
-
-        Entries are (amount, interval) or, where absorption stops `window`
-        into the cycle, (amount, interval, window): a second piece with an
-        empty gut. `dose(x, y, amount)` is the state just after a dose.
+    def _build(self, regimen) -> None:
+        """Check `regimen` and tabulate its cycles' states (an equi-dose
+        regimen's first cycle) by the remainder recursion. Entries are
+        (amount, interval) or, where absorption stops `window` into the
+        cycle, (amount, interval, window): a second piece with an empty gut.
         """
-        self._equi = False
-        self._n_cycles = len(entries)
+        self.regimen = validate_regimen(regimen, *self._regimens)
+        self._equi = isinstance(regimen, EquiDose)
+        entries = (regimen.entry,) if self._equi else regimen.entries
+        self.n_cycles = None if self._equi else len(entries)
         taus = np.array([e[1] for e in entries])
         self._starts = np.concatenate(([0.0], np.cumsum(taus)))
         if len(entries[0]) > 2:
             self._cut = np.array([e[2] for e in entries])
-            spans = np.column_stack((self._cut, taus - self._cut)).ravel()
+            self._spans = np.column_stack((self._cut, taus - self._cut))
         else:
-            self._cut = None
-            spans = taus
-        self._per_cycle = len(spans) // len(entries)
-        self._spans = spans
-        ka, ke, q, s = self._exact.ka, self._exact.ke, self._exact.q, spans.astype(EXTENDED)
+            self._cut, self._spans = None, taus[:, None]
+        ka, ke, q, s = (self._exact.ka, self._exact.ke, self._exact.q,
+                        self._spans.ravel().astype(EXTENDED))
         a, b, e = list(np.exp(-ka * s)), list(np.exp(-ke * s)), list(decay_difference(ka, ke, s))
-        windowed = self._cut is not None
-        x0, y0, self._rem = [], [], [(0.0, 0.0)]
+        windowed, pieces = self._cut is not None, self._spans.shape[1]
+        x0, y0 = [], []
         x = y = EXTENDED(0.0)
         for i, entry in enumerate(entries):
-            x, y = dose(x, y, entry[0])
-            for j in range(i * self._per_cycle, (i + 1) * self._per_cycle):
+            x, y = self._dose(x, y, entry[0])
+            for j in range(i * pieces, (i + 1) * pieces):
                 x0.append(x)
                 y0.append(y)
                 # A window's end empties the gut for the rest of the cycle.
                 x, y = x * b[j] + q * y * e[j], 0.0 if windowed else y * a[j]
-            self._rem.append((float(x), float(y)))
-        self._x0e, self._y0e = np.array(x0, dtype=EXTENDED), np.array(y0, dtype=EXTENDED)
-        self._x0, self._y0 = self._x0e.astype(float), self._y0e.astype(float)
+        self._x0e, self._y0e = (np.array(v, dtype=EXTENDED).reshape(self._spans.shape)
+                                for v in (x0, y0))
 
-    @property
-    def n_cycles(self) -> int | None:
-        """Number of cycles, or None for an unbounded equi-dose schedule."""
-        return None if self._equi else self._n_cycles
-
-    def _equi_state(self, n):
-        """EXTENDED (x0, y0) entering cycle n (an int or an index array) of d
-        every tau: the dose carried by sum_{k<n} M^k, summed from the faster
-        decay f as x0 = q*d*(E(tau)*G_slow(n-1) - f*E((n-1)tau))/(1 - f),
-        G_k(m) = (1 - e^{-k m tau})/(1 - e^{-k tau}): it cancels only while
-        f^(n-1) ~ 1, at short intervals.
+    def _equi_pieces(self, n):
+        """EXTENDED (x0, y0) entering cycle n of d every tau (see _pieces): the
+        dose carried by sum_{k<n} M^k, summed from the faster decay f as
+        x0 = q*d*(E(tau)*G_slow(n-1) - f*E((n-1)tau))/(1 - f), G = decay_sum:
+        it cancels only while f^(n-1) ~ 1, at short intervals.
         """
         b, d, tau = self._exact, self.regimen.dose, EXTENDED(self.regimen.interval)
         m, fast = n - 1, max(b.ka, b.ke)
-        g_slow = np.expm1(-b.slow * tau * m) / np.expm1(-b.slow * tau)
-        carried = (decay_difference(b.ka, b.ke, tau) * g_slow
+        carried = (decay_difference(b.ka, b.ke, tau) * decay_sum(b.slow, tau, m)
                    - np.exp(-fast * tau) * decay_difference(b.ka, b.ke, tau * m))
-        return (b.q * d * carried / -np.expm1(-fast * tau),
-                d * (np.expm1(-b.ka * tau * n) / np.expm1(-b.ka * tau)))
+        return (np.asarray(b.q * d * carried / -np.expm1(-fast * tau))[..., None],
+                np.asarray(d * decay_sum(b.ka, tau, n))[..., None])
 
-    def _equi_states(self, cycle: np.ndarray):
-        """_equi_state as floats, once per cycle when fewer cycles than points."""
-        first = int(cycle.min(initial=1))
-        span = int(cycle.max(initial=1)) - first + 1
-        if span >= cycle.size:
-            return (v.astype(float) for v in self._equi_state(cycle))
-        index = cycle - first
-        return (v.astype(float)[index] for v in self._equi_state(np.arange(first, first + span)))
+    def _pieces(self, n):
+        """EXTENDED (x0, y0) entering each piece of cycle(s) n, an int or an
+        index array, shaped n's shape + (pieces,), and the pieces' spans
+        (an equi-dose regimen's one cycle of them, which broadcasts)."""
+        if self._equi:
+            return (*self._equi_pieces(n), self._spans[0])
+        return self._x0e[n - 1], self._y0e[n - 1], self._spans[n - 1]
 
     def _states(self, first: int, last: int):
-        """EXTENDED (x0, y0, t_start, tau) of cycles first..last, as arrays."""
-        if self._equi:
-            n, tau = np.arange(first, last + 1), EXTENDED(self.regimen.interval)
-            return (*self._equi_state(n), (n - 1) * tau, tau)
-        j = slice((first - 1) * self._per_cycle, last * self._per_cycle, self._per_cycle)
-        return self._x0e[j], self._y0e[j], self._starts[first - 1:last], self._spans[j]
+        """EXTENDED (x0, y0, t_start, tau) of the pieces opening cycles first..last."""
+        x0, y0, spans = self._pieces(np.arange(first, last + 1))
+        t_start = (np.arange(first - 1, last) * EXTENDED(self.regimen.interval) if self._equi
+                   else self._starts[first - 1:last])
+        return x0[:, 0], y0[:, 0], t_start, spans[..., 0]
 
     def coefficients(self, n: int) -> CycleCoefficients:
         """The piece opening cycle n (1-based)."""
@@ -282,21 +266,35 @@ class PiecewiseSolution:
         return CycleCoefficients(n, *(float(v) for v in (x0 + c2, c2, x0, y0, t_start, tau)),
                                  math.exp(-b.ka * tau), math.exp(-b.ke * tau))
 
-    def remainders(self, n: int) -> tuple[float, float]:
+    def remainders(self, n):
         """(x, y) just before dose n+1, closing cycle n; (0, 0) for n = 0.
-        The gut remainder is the pre-jump left limit at t_n."""
+        The gut remainder is the pre-jump left limit at t_n. An index
+        array n gives arrays."""
         validate_cycle(n, lowest=0, last=self.n_cycles)
-        if not self._equi:
-            return self._rem[n]
-        (x0, y0), tau = self._equi_state(n) if n else (0.0, 0.0), self.regimen.interval
-        return float(self._exact.x(x0, y0, tau)), float(self._exact.y(y0, tau))
+        closing = self._closing(np.maximum(n, 1))
+        return tuple(_shaped_like(n, np.where(n > 0, v, 0.0).astype(float)) for v in closing)
+
+    def _closing(self, n):
+        """EXTENDED (x, y) closing cycle(s) n >= 1 (inf: an equi-dose limit):
+        the last piece run over its span, as the recursion runs it."""
+        x0, y0, span = (v[..., -1] for v in self._pieces(n))
+        return self._exact.x(x0, y0, span), self._exact.y(y0, span)
 
     def _cycles(self, t: np.ndarray) -> np.ndarray:
-        """1-based cycle covering each t >= 0; dose instants open the new cycle."""
+        """1-based cycle covering each t >= 0; dose instants open the new cycle.
+        A dose every tau counts the dose times k*tau <= t, as searchsorted
+        over the grid k*tau would, without building the grid."""
         if not self._equi:
             idx = np.searchsorted(self._starts[:-1], t, side="right")
-            return np.minimum(idx, self._n_cycles)
-        return equi_cycles(t, self.regimen.interval)
+            return np.minimum(idx, self.n_cycles)
+        tau = self.regimen.interval
+        k = np.floor(t / tau)
+        if k.size and k.max() >= 2.0 ** 53:
+            raise ValidationError(f"t={t.max():g} lies beyond 2**53 dosing intervals of "
+                                  f"{tau:g} h; cycle numbers are no longer exact there")
+        k -= k * tau > t
+        k += (k + 1.0) * tau <= t
+        return k.astype(np.int64) + 1
 
     def _query(self, t) -> np.ndarray:
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -309,23 +307,25 @@ class PiecewiseSolution:
         the piece covering each time, the hours into it, the 1-based cycle."""
         t_arr = self._query(t)
         cycle = self._cycles(t_arr)
+        # States once per cycle when fewer cycles than points, else per point.
+        first = int(cycle.min(initial=1))
+        span = int(cycle.max(initial=1)) - first + 1
+        per_cycle = span < cycle.size
+        i = cycle - first if per_cycle else np.arange(cycle.size)
+        rows = np.arange(first, first + span) if per_cycle else cycle
+        x0, y0 = (v.astype(float) for v in self._pieces(rows)[:2])
         if self._equi:
-            s = t_arr - (cycle - 1) * self.regimen.interval
-            x0, y0 = self._equi_states(cycle)
+            s, cut = t_arr - (cycle - 1) * self.regimen.interval, self.regimen.window
         else:
-            i = cycle - 1
-            s = t_arr - self._starts[i]
-            if self._cut is None:
-                piece = i
-            else:
-                # Past the absorption cutoff the cycle's second piece
-                # applies, timed from the cutoff.
-                cut = self._cut[i]
-                clearing = s >= cut
-                piece = 2 * i + clearing
-                s = s - np.where(clearing, cut, 0.0)
-            x0, y0 = self._x0[piece], self._y0[piece]
-        return x0, y0, s, cycle
+            k = cycle - 1
+            s, cut = t_arr - self._starts[k], None if self._cut is None else self._cut[k]
+        if cut is not None:
+            # Past the absorption cutoff the cycle's second piece applies,
+            # timed from the cutoff.
+            clearing = s >= cut
+            i = 2 * i + clearing
+            s = s - np.where(clearing, cut, 0.0)
+        return x0.ravel()[i], y0.ravel()[i], s, cycle
 
     def evaluate(self, t):
         """(x, y, cycle) at t: concentration, gut amount (post-dose at dose
@@ -351,6 +351,14 @@ class PiecewiseSolution:
 
     def __call__(self, t):
         return self.evaluate(t)[:2]
+
+
+def validate_oral(sol: PiecewiseSolution) -> PiecewiseSolution:
+    """sol unchanged when it solves the oral model; ValidationError naming its
+    model otherwise: bolus and FAT cycles are not the single oral piece."""
+    if sol.model != "oral":
+        raise ValidationError(f"expected an oral solution, got a {sol.model} solution")
+    return sol
 
 
 def equi_multidose(p: PkParams, d: float, tau: float) -> PiecewiseSolution:

@@ -26,6 +26,7 @@ from . import __version__
 from .core import (
     Arbitrary,
     ConcentrationSeries,
+    EquiDose,
     NumericalError,
     PkParams,
     ValidationError,
@@ -170,28 +171,13 @@ class RegimenFile:
         return len(self.entries)
 
     def solution(self) -> bateman.PiecewiseSolution:
-        """The closed-form solution of the file's model.
-
-        An equi oral schedule runs indefinitely. Equi bolus and FAT
-        schedules are tabulated with dose k at exactly k*interval, the
-        instants the oral model and the sample grid use, through the
-        horizon and the last sample time.
-        """
-        entries = self.entries
-        if self.equi and self.model == "oral":
-            return bateman.equi_multidose(self.params, *entries[0])
-        if self.equi:
-            amount, interval, *window = entries[0]
-            last = max([self.horizon, *self.sample_times()[-1:]])
-            n = int(bateman.equi_cycles(np.array([last]), interval)[0])
-            # Differences of the grid k*interval sum back to it exactly.
-            taus = np.diff(np.arange(n + 1) * interval).tolist()
-            entries = [(amount, tau, *(min(s, tau) for s in window)) for tau in taus]
-        if self.model == "oral":
-            return bateman.arbitrary_multidose(self.params, Arbitrary(entries))
-        if self.model == "bolus":
-            return extmodels.bolus_multidose(self.ke, extmodels.BolusRegimen(entries))
-        return extmodels.fat_multidose(self.params, extmodels.FatRegimen(entries))
+        """The closed-form solution of the file's model: an equi schedule is
+        its one entry repeated indefinitely, in closed form."""
+        solve, table = {"oral": (bateman.arbitrary_multidose, Arbitrary),
+                        "bolus": (extmodels.bolus_multidose, extmodels.BolusRegimen),
+                        "fat": (extmodels.fat_multidose, extmodels.FatRegimen)}[self.model]
+        regimen = EquiDose(*self.entries[0]) if self.equi else table(self.entries)
+        return solve(self.ke if self.model == "bolus" else self.params, regimen)
 
 
 def load_regimen_file(path: str) -> RegimenFile:
@@ -422,9 +408,9 @@ def _json_with_cycles(payload: dict, rows) -> str:
 
 def _analyze_bolus(regfile: RegimenFile) -> dict:
     sol = regfile.solution()
-    shown = regfile.n_cycles_in_horizon()
-    cycles = [{"n": n, "start_value": sol.start_value(n),
-               "remainder": sol.remainder(n)} for n in range(1, shown + 1)]
+    n = np.arange(1, regfile.n_cycles_in_horizon() + 1)
+    cycles = [{"n": k, "start_value": start, "remainder": left} for k, start, left in
+              zip(n.tolist(), sol.start_value(n).tolist(), sol.remainder(n).tolist())]
     delta, interval = regfile.entries[-1]
     return {
         "model": "bolus",
@@ -440,9 +426,9 @@ def _analyze_bolus(regfile: RegimenFile) -> dict:
 
 def _analyze_fat(regfile: RegimenFile) -> dict:
     sol = regfile.solution()
-    shown = regfile.n_cycles_in_horizon()
-    cycles = [{"n": n, "cutoff_value": sol.cutoff_value(n),
-               "end_value": sol.end_value(n)} for n in range(1, shown + 1)]
+    n = np.arange(1, regfile.n_cycles_in_horizon() + 1)
+    cycles = [{"n": k, "cutoff_value": cutoff, "end_value": end} for k, cutoff, end in
+              zip(n.tolist(), sol.cutoff_value(n).tolist(), sol.end_value(n).tolist())]
     payload = {
         "model": "fat",
         "schema": SCHEMA_VERSION,

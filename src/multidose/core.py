@@ -124,16 +124,24 @@ def validate_params(p: PkParams) -> PkParams:
 
 @dataclass(frozen=True)
 class EquiDose:
-    """Constant regimen: `dose` mg administered every `interval` hours.
+    """Constant regimen: `dose` every `interval` hours without end; `window`,
+    for the FAT model only, is every cycle's absorption window (hours).
 
-    Both are checked on construction, as validate_entries checks an entry.
+    All are checked on construction, as validate_entries checks an entry.
     """
 
     dose: float
     interval: float
+    window: float | None = None
 
     def __post_init__(self):
-        validate_entries([(self.dose, self.interval)], ("dose", "interval"), "regimen")
+        fields = ("dose", "interval", "absorption window")[:len(self.entry)]
+        validate_entries([self.entry], fields, "regimen")
+
+    @property
+    def entry(self) -> tuple[float, ...]:
+        """(dose, interval), and the window when there is one."""
+        return (self.dose, self.interval) + (() if self.window is None else (self.window,))
 
 
 @dataclass(frozen=True)
@@ -180,12 +188,16 @@ def validate_entries(entries: Iterable[Sequence[float]], fields: Sequence[str],
     return rows
 
 
-def validate_regimen(r: Regimen) -> Regimen:
-    """Check r is an oral regimen, whose doses and intervals its
-    construction checked; return r unchanged."""
-    if not isinstance(r, (EquiDose, Arbitrary)):
-        raise ValidationError(f"expected an oral regimen, got {type(r).__name__}")
-    return r
+def validate_regimen(r: Regimen, table: type = Arbitrary, kind: str = "an oral regimen",
+                     windowed: bool = False) -> Regimen:
+    """r unchanged when it is a `table` (by default an oral Arbitrary) or an
+    EquiDose with a window exactly when `windowed`, each checked on
+    construction; ValidationError naming `kind` and r otherwise."""
+    equi = isinstance(r, EquiDose)
+    if (r.window is not None) == windowed if equi else isinstance(r, table):
+        return r
+    got = f"EquiDose with window={r.window!r}" if equi else type(r).__name__
+    raise ValidationError(f"expected {kind}, got {got}")
 
 
 def dose_times(r: Regimen, n_max: int | None = None) -> np.ndarray:

@@ -11,10 +11,11 @@ to exactly d_n, discarding whatever the previous cycle left unabsorbed;
 concentration stays continuous at both s_n and t_n while the slope
 kinks at s_n.
 
-Both are the oral piecewise table of `bateman` with other dose rules
-(bolus: x += delta, q = 0; FAT: y = d, a piece with y = 0 after each
-cutoff), sharing its remainder recursion and evaluator; at constant
-settings it reproduces the printed constant-interval formulas.
+Both are the oral pieces of `bateman` with other dose rules (bolus:
+x += delta, q = 0; FAT: y = d, a piece with y = 0 after each cutoff),
+sharing its remainder recursion and evaluator. Their constant schedules
+(EquiDose; for FAT with a window) are geometric sums in closed form,
+whose limits are the sums at n = inf.
 """
 
 from __future__ import annotations
@@ -23,9 +24,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .bateman import EXTENDED, Bateman, PiecewiseSolution, decay_difference
-from .core import (PkParams, ValidationError, validate_cycle, validate_entries,
-                   validate_params, validate_positive)
+import numpy as np
+
+from .bateman import EXTENDED, Bateman, PiecewiseSolution, _shaped_like, decay_sum
+from .core import (EquiDose, PkParams, validate_cycle, validate_entries, validate_params,
+                   validate_positive)
 
 
 @dataclass(frozen=True)
@@ -50,27 +53,40 @@ class FatRegimen:
             entries, ("dose", "interval", "absorption window"), "FAT regimen"))
 
 
+def _carried_pieces(sol: PiecewiseSolution, n):
+    """EXTENDED (x0, y0) entering the pieces of cycle(s) n of an equi-dose bolus
+    or FAT solution, where only x carries over: cycle 1's, plus K*G(n-1) decayed
+    to the piece, G = `decay_sum` at ke and K the x closing cycle 1."""
+    b, spans = sol._exact, sol._spans[0]
+    closing = b.x(sol._x0e[0, -1], sol._y0e[0, -1], spans[-1])
+    carried = (closing * np.exp(-b.ke * np.array([0.0, *spans[:-1]]))
+               * decay_sum(b.ke, EXTENDED(sol.regimen.interval), np.asarray(n)[..., None] - 1))
+    return sol._x0e[0] + carried, np.broadcast_to(sol._y0e[0], carried.shape)
+
+
 class BolusSolution(PiecewiseSolution):
     """Piecewise exponential decay with instantaneous dose jumps: the oral
-    table with no gut, each dose lifting x. At a dose time it returns the
-    post-dose value; the final cycle extends indefinitely."""
+    pieces with no gut, each dose lifting x. Takes a BolusRegimen or an
+    EquiDose without a window. At a dose time it returns the post-dose
+    value; a finite schedule's final cycle extends indefinitely."""
 
-    def __init__(self, ke: float, regimen: BolusRegimen):
+    model, _regimens = "bolus", (BolusRegimen, "a bolus regimen", False)
+    _dose = staticmethod(lambda x, y, delta: (x + delta, y))
+    _equi_pieces = _carried_pieces
+
+    def __init__(self, ke: float, regimen: BolusRegimen | EquiDose):
         self.ke = validate_positive("ke", ke)
-        if not isinstance(regimen, BolusRegimen):
-            raise ValidationError(f"expected a bolus regimen, got {type(regimen).__name__}")
-        self.regimen = regimen
         # No gut: with ka and q at zero its terms vanish exactly.
         self.bateman, self._exact = (Bateman(kind(0.0), kind(ke), kind(0.0))
                                      for kind in (float, EXTENDED))
-        self._tabulate(regimen.entries, lambda x, y, delta: (x + delta, y))
+        self._build(regimen)
 
-    def start_value(self, n: int) -> float:
-        """Concentration right after dose n (1-based)."""
+    def start_value(self, n):
+        """Concentration right after dose n (1-based; n may be an index array)."""
         validate_cycle(n, last=self.n_cycles)
-        return float(self._x0[n - 1])
+        return _shaped_like(n, self._pieces(n)[0][..., 0].astype(float))
 
-    def remainder(self, n: int) -> float:
+    def remainder(self, n):
         """Concentration just before dose n+1; 0 for n = 0."""
         return self.remainders(n)[0]
 
@@ -78,7 +94,7 @@ class BolusSolution(PiecewiseSolution):
     __call__ = PiecewiseSolution.x
 
 
-def bolus_multidose(ke: float, r: BolusRegimen) -> BolusSolution:
+def bolus_multidose(ke: float, r: BolusRegimen | EquiDose) -> BolusSolution:
     """Closed-form multi-dose IV bolus concentration."""
     return BolusSolution(ke, r)
 
@@ -87,23 +103,19 @@ def bolus_equi_remainder_limit(ke: float, delta: float, tau: float) -> float:
     """Limiting pre-dose concentration for constant bolus dosing."""
     validate_positive("ke", ke)
     validate_entries([(delta, tau)], ("delta", "interval"), "bolus regimen")
-    return delta * math.exp(-ke * tau) / -math.expm1(-ke * tau)
+    return float(BolusSolution(ke, EquiDose(delta, tau))._closing(math.inf)[0])
 
 
 def fat_equi_limits(p: PkParams, d: float, tau: float,
                     offset: float) -> tuple[float, float]:
-    """Limiting (cutoff, end-of-cycle) concentrations for constant FAT dosing.
-
-    Every cycle absorbs for `offset` hours of its `tau`, so the cutoff
-    values obey x <- x*beta + (ka*gamma*d/V)*decay_difference(offset), whose
-    fixed point decays by e^{-ke (tau - offset)} to the end of the cycle.
-    """
+    """Limiting (cutoff, end-of-cycle) concentrations for constant FAT dosing:
+    the cutoff sum q*d*E(offset)*G(n) at n = inf, and its clearance piece
+    run to the end of the cycle."""
     validate_params(p)
     validate_entries([(d, tau, offset)], ("dose", "interval", "absorption window"),
                      "FAT regimen")
-    cutoff = (p.ka * p.gamma * d / p.volume * decay_difference(p.ka, p.ke, offset)
-              / -math.expm1(-p.ke * tau))
-    return cutoff, cutoff * math.exp(-p.ke * (tau - offset))
+    sol = FatSolution(p, EquiDose(d, tau, offset))
+    return float(sol._pieces(math.inf)[0][1]), float(sol._closing(math.inf)[0])
 
 
 class FatSolution(PiecewiseSolution):
@@ -111,30 +123,28 @@ class FatSolution(PiecewiseSolution):
 
     Cycle n spans [t_{n-1}, t_n] and splits at s_n = t_{n-1} + s_offset_n:
     the oral piece entering at (x, d_n), then the clearance piece entering
-    at the cutoff state (c3, 0), x = c3*e^{-ke (t - s_n)}. Queries past the
-    final interval keep that cycle's last piece.
+    at the cutoff state (c3, 0), x = c3*e^{-ke (t - s_n)}. Takes a
+    FatRegimen or an EquiDose with a window. Queries past a finite
+    schedule's final interval keep that cycle's last piece.
     """
 
-    def __init__(self, params: PkParams, regimen: FatRegimen):
-        validate_params(params)
-        if not isinstance(regimen, FatRegimen):
-            raise ValidationError(f"expected a FAT regimen, got {type(regimen).__name__}")
-        self.params, self.regimen = params, regimen
-        self.bateman, self._exact = Bateman.of(params), Bateman.of(params, EXTENDED)
-        # The dose resets the gut, discarding what the last cycle left.
-        self._tabulate(regimen.entries, lambda x, y, d: (x, d))
+    model, _regimens = "fat", (FatRegimen, "a FAT regimen", True)
+    # The dose resets the gut, discarding what the last cycle left.
+    _dose = staticmethod(lambda x, y, d: (x, d))
+    _equi_pieces = _carried_pieces
 
-    def cutoff_value(self, n: int) -> float:
-        """Concentration at the cycle-n absorption cutoff (1-based)."""
+    def cutoff_value(self, n):
+        """Concentration at the cycle-n absorption cutoff (1-based; n may be
+        an index array)."""
         validate_cycle(n, last=self.n_cycles)
-        return float(self._x0[2 * n - 1])
+        return _shaped_like(n, self._pieces(n)[0][..., 1].astype(float))
 
-    def end_value(self, n: int) -> float:
+    def end_value(self, n):
         """Concentration at the end of cycle n (1-based)."""
         validate_cycle(n, last=self.n_cycles)
         return self.remainders(n)[0]
 
 
-def fat_multidose(p: PkParams, r: FatRegimen) -> FatSolution:
+def fat_multidose(p: PkParams, r: FatRegimen | EquiDose) -> FatSolution:
     """Closed-form multi-dose trajectory with finite absorption windows."""
     return FatSolution(p, r)

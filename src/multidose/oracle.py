@@ -28,6 +28,7 @@ from .core import (
     validate_cycle,
     validate_params,
     validate_positive,
+    validate_regimen,
 )
 
 
@@ -134,9 +135,9 @@ def integrate_impulses(p: PkParams, impulses: list[tuple[float, float]],
 
 def integrate_ode(p: PkParams, r: Regimen, t_end: float,
                   cfg: OracleConfig = OracleConfig()) -> OdeTrajectory:
-    """RK4 trajectory for a dosing regimen over [0, t_end]."""
+    """RK4 trajectory for an oral dosing regimen over [0, t_end]."""
     validate_positive("t_end", t_end)
-    if isinstance(r, EquiDose):
+    if isinstance(validate_regimen(r), EquiDose):
         n = max(1, int(np.ceil(t_end / r.interval)) + 1)
         starts = dose_times(r, n)[:-1]
         impulses = [(float(t), r.dose) for t in starts if t < t_end]
@@ -151,12 +152,13 @@ def superpose(p, r, n_doses: int | None = None):
     """Concentration as a sum of shifted single-dose responses.
 
     Oral regimens (EquiDose, Arbitrary) and finite-absorption regimens
-    (entries (dose, interval, window), as FatRegimen holds) take PkParams;
-    an IV bolus regimen (entries (delta, interval)) takes the elimination
-    rate ke instead, as bolus_multidose does. Returns a vectorized
-    callable t -> x(t). For an equi-dose regimen `n_doses` caps how many
-    doses contribute (default: enough for each call's largest time, so the
-    dose groups, and a value's last bit, may change with the batch).
+    (entries (dose, interval, window), as FatRegimen holds, or an EquiDose
+    with a window) take PkParams; an IV bolus regimen (entries (delta,
+    interval), or an EquiDose) takes the elimination rate ke instead, as
+    bolus_multidose does. Returns a vectorized callable t -> x(t). For an
+    equi-dose regimen `n_doses` caps how many doses contribute (default:
+    enough for each call's largest time, so the dose groups, and a value's
+    last bit, may change with the batch).
     """
     if not isinstance(p, PkParams):
         # IV bolus: each delta enters plasma directly and decays at ke = p.
@@ -167,9 +169,10 @@ def superpose(p, r, n_doses: int | None = None):
 
 
 def superpose_gut(p: PkParams, r: Regimen, n_doses: int | None = None):
-    """Gut amount as a sum of shifted exponential decays (post-dose at t_n)."""
+    """Gut amount of an oral regimen as a sum of shifted exponential decays
+    (post-dose at t_n)."""
     validate_params(p)
-    return _dose_sum(r, n_doses, 1.0, p.ka)
+    return _dose_sum(validate_regimen(r), n_doses, 1.0, p.ka)
 
 
 def _dose_sum(r, n_doses: int | None, weight: float, k_out: float,
@@ -202,7 +205,8 @@ def _dose_sum(r, n_doses: int | None, weight: float, k_out: float,
         if fields is None:
             reach = int(np.floor(t_arr.max(initial=0.0) / r.interval)) + 1
             starts = np.arange(reach if n_doses is None else validate_cycle(n_doses)) * r.interval
-            scale, windows = np.full(starts.size, weight * r.dose), None
+            scale = np.full(starts.size, weight * r.dose)
+            windows = None if r.window is None else np.full(starts.size, r.window)
         else:
             starts = np.concatenate(([0.0], np.cumsum(fields[:-1, 1])))
             scale, windows = weight * fields[:, 0], fields[:, 2] if fields.shape[1] > 2 else None

@@ -14,9 +14,8 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .core import (PkParams, validate_cycle, validate_params, validate_positive,
-                   validate_regimen)
-from .bateman import EXTENDED, Bateman, PiecewiseSolution, equi_multidose
+from .core import PkParams, validate_cycle, validate_params, validate_positive
+from .bateman import EXTENDED, Bateman, PiecewiseSolution, equi_multidose, validate_oral
 
 #: Cycles per numpy pass of cycle_rows, which streams rows a block at a time.
 ROWS_PER_PASS = 4096
@@ -71,7 +70,7 @@ def cycle_rows(sol: PiecewiseSolution, last: int,
     as tuples, checked once. Bolus and FAT solutions are rejected: their cycles
     are not the single oral piece these formulas read.
     """
-    validate_regimen(sol.regimen)
+    validate_oral(sol)
     validate_cycle(first)
     validate_cycle(last, lowest=first, last=sol.n_cycles)
     return itertools.chain.from_iterable(

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (EquiDose, PkParams, ValidationError, validate_cycle, validate_params,
-                   validate_positive, validate_regimen)
+                   validate_positive)
 from .bateman import (EXTENDED, Bateman, PiecewiseSolution, decay_difference,
-                      equi_multidose)
+                      equi_multidose, validate_oral)
 from .pkmetrics import auc_single
 
 #: Cycles n_epsilon may scan before it reports that no steady state is near.
@@ -136,7 +136,7 @@ def periodicity_gap(sol: PiecewiseSolution, n):
     peak time clipped into it, and n may be an array. Bolus and FAT
     solutions are rejected: their cycles are not one oral piece.
     """
-    validate_regimen(sol.regimen)
+    validate_oral(sol)
     validate_cycle(n)
     b = sol.bateman
     if isinstance(sol.regimen, EquiDose):

@@ -107,6 +107,23 @@ def mp_fat_limits(p, d, tau, offset):
         return cutoff, cutoff * mpmath.exp(-ke * (t - s))
 
 
+def mp_bolus_state(ke, delta, tau, n):
+    """x right after dose n of delta every tau: delta*(1 - beta^n)/(1 - beta)."""
+    with mpmath.workdps(DIGITS):
+        beta = mpmath.exp(-mpmath.mpf(ke) * mpmath.mpf(tau))
+        return mpmath.mpf(delta) * (1 - beta ** n) / (1 - beta)
+
+
+def mp_fat_cutoff(p, d, tau, window, n):
+    """x at the absorption cutoff of cycle n of d every tau, absorbing for
+    `window`: the single-dose cutoff times (1 - beta^n)/(1 - beta)."""
+    with mpmath.workdps(DIGITS):
+        ka, ke, g = _gain(p, d)
+        t, w = _mp(tau, window)
+        beta = mpmath.exp(-ke * t)
+        return g * (mpmath.exp(-ke * w) - mpmath.exp(-ka * w)) * (1 - beta ** n) / (1 - beta)
+
+
 def mp_equi_coefficients(p, d, tau, n):
     """c1, c2 and y_start of cycle n of d every tau: geometric sums."""
     with mpmath.workdps(DIGITS):

@@ -267,6 +267,32 @@ class TestSimulate:
         assert np.max(np.abs(columns["bolus"][1] / bolus_post - 1.0)) <= 1e-5
         assert np.all(columns["fat"][2] == dose)
 
+    @pytest.mark.parametrize("model,params,equi", [
+        ("oral", {"ka": 0.9, "ke": 0.25, "gamma": 0.05, "volume": 10.0}, {}),
+        ("bolus", {"ke": 0.3838}, {}),
+        ("fat", {"ka": 0.9, "ke": 0.25, "gamma": 0.05, "volume": 10.0},
+         {"fat_offset": 0.004}),
+    ], ids=["oral", "bolus", "fat"])
+    def test_equi_horizon_of_a_billion_intervals(self, tmp_path, model, params, equi):
+        # An equi schedule is one entry repeated in closed form: building it
+        # does not depend on the horizon, here 1e9 intervals of 0.01 h.
+        path = tmp_path / "regimen.json"
+        path.write_text(json.dumps({
+            "schema": 1, "model": model, "params": params,
+            "schedule": {"equi": {"dose": 6.0, "interval": 0.01, **equi}},
+            "horizon": 1e7, "sample_step": 1e6}))
+        regfile = load_regimen_file(str(path))
+        sol = regfile.solution()
+        assert sol.n_cycles is None
+        times = regfile.sample_times()
+        assert times[-1] == 1e7
+        x, y, cycles = sol.evaluate(times)
+        assert np.all(np.isfinite(x)) and np.all(np.isfinite(y)) and x[-1] > 0.0
+        assert cycles[-1] == 10 ** 9 + 1
+        cp = run_cli("simulate", str(path))
+        assert cp.returncode == 0, cp.stderr
+        assert len(cp.stdout.splitlines()) == 12
+
     def test_fat_model_simulation(self, tmp_path):
         doc = {
             "schema": 1,

@@ -1,11 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from multidose.core import Arbitrary, EquiDose, PkParams, ValidationError
+from multidose.bateman import arbitrary_multidose
 from multidose.extmodels import (
     BolusRegimen,
+    BolusSolution,
     FatRegimen,
     bolus_equi_remainder_limit,
     bolus_multidose,
@@ -14,7 +17,8 @@ from multidose.extmodels import (
 )
 from multidose.oracle import _rk4_segment
 
-from mpref import NEAR_EQUAL, TAUS, mp_bolus_limit, mp_fat_limits
+from mpref import (DIGITS, NEAR_EQUAL, PIECE_TAUS, SPREAD, TAUS, mp_bolus_limit,
+                   mp_bolus_state, mp_fat_cutoff, mp_fat_limits, mp_piece, piece_bound, rel)
 
 #: Machine epsilon: the spacing of doubles at 1.
 EPS = 2.0 ** -52
@@ -89,7 +93,7 @@ class TestBolus:
         with pytest.raises(ValidationError):
             bolus_multidose(0.0, BolusRegimen([(100.0, 4.0)]))
 
-    @pytest.mark.parametrize("regimen", [Arbitrary([(100.0, 6.0)] * 3), EquiDose(100.0, 6.0),
+    @pytest.mark.parametrize("regimen", [Arbitrary([(100.0, 6.0)] * 3), EquiDose(100.0, 6.0, 2.0),
                                          FatRegimen([(100.0, 6.0, 2.0)] * 3)],
                              ids=["arbitrary", "equi", "fat"])
     def test_regimen_must_be_bolus(self, regimen):
@@ -233,3 +237,130 @@ class TestFat:
     def test_regimen_must_be_fat(self, regimen):
         with pytest.raises(ValidationError, match="expected a FAT regimen, got"):
             fat_multidose(FAT_PARAMS, regimen)
+
+
+class TestEquiClosedForm:
+    """Constant bolus and FAT schedules are one EquiDose entry repeated, in
+    closed form: every piece's state, read at the offsets s = t - t_start the
+    evaluator forms, against the 60-digit geometric sums."""
+
+    CYCLES = (1, 2, 3, 10, 1000)
+
+    @pytest.mark.parametrize("p", NEAR_EQUAL + SPREAD, ids=repr)
+    def test_bolus_against_mpmath(self, p):
+        with mpmath.workdps(DIGITS):
+            for tau in PIECE_TAUS:
+                sol = bolus_multidose(p.ke, EquiDose(100.0, tau))
+                assert sol.n_cycles is None
+                bound = piece_bound(p, tau)
+                beta = mpmath.exp(-mpmath.mpf(p.ke) * mpmath.mpf(tau))
+                for n in self.CYCLES:
+                    state = mp_bolus_state(p.ke, 100.0, tau, n)
+                    assert rel(sol.start_value(n), state) <= bound, (tau, n)
+                    assert rel(sol.remainder(n), state * beta) <= bound, (tau, n)
+                    assert sol.remainders(n)[1] == 0.0
+                    for theta in (0.0, 0.37, 0.9):
+                        t = (n - 1) * tau + theta * tau
+                        x, y, cycle = sol.evaluate(t)
+                        s = mpmath.mpf(t) - mpmath.mpf((cycle - 1) * tau)
+                        ref = (mp_bolus_state(p.ke, 100.0, tau, cycle)
+                               * mpmath.exp(-mpmath.mpf(p.ke) * s))
+                        assert rel(x, ref) <= bound and y == 0.0, (tau, n, theta)
+
+    @pytest.mark.parametrize("p", NEAR_EQUAL + SPREAD, ids=repr)
+    def test_fat_against_mpmath(self, p):
+        with mpmath.workdps(DIGITS):
+            for tau in PIECE_TAUS:
+                window = 0.5 * tau
+                sol = fat_multidose(p, EquiDose(100.0, tau, window))
+                bound = piece_bound(p, tau)
+                for n in self.CYCLES:
+                    cutoff = mp_fat_cutoff(p, 100.0, tau, window, n)
+                    end, _ = mp_piece(p, cutoff, 0, tau - window)
+                    assert rel(sol.cutoff_value(n), cutoff) <= bound, (tau, n)
+                    assert rel(sol.end_value(n), end) <= bound, (tau, n)
+                    rem_x, rem_y = sol.remainders(n)
+                    assert rel(rem_x, end) <= bound and rem_y == 0.0, (tau, n)
+                    for theta in (0.0, 0.37, 0.9):
+                        t = (n - 1) * tau + theta * tau
+                        x, y, cycle = sol.evaluate(t)
+                        s = mpmath.mpf(t) - mpmath.mpf((cycle - 1) * tau)
+                        if s < window:
+                            carried = mp_fat_cutoff(p, 100.0, tau, window, cycle - 1)
+                            entering, _ = mp_piece(p, carried, 0, tau - window)
+                            ref_x, ref_y = mp_piece(p, entering, 100.0, s)
+                        else:
+                            ref_x, ref_y = mp_piece(
+                                p, mp_fat_cutoff(p, 100.0, tau, window, cycle), 0, s - window)
+                        assert rel(x, ref_x) <= bound, (tau, n, theta)
+                        assert rel(y, ref_y) <= bound if ref_y else y == 0.0, (tau, n, theta)
+
+    @pytest.mark.parametrize("tau", [0.5, 6.0])
+    def test_equal_to_long_tables(self, tau):
+        # Dyadic intervals: the table's cumulative dose times are the equi
+        # grid k*tau exactly, so both place every piece alike.
+        count, t = 400, np.linspace(0.0, 400 * tau, 20001)[:-1]
+        n = np.arange(1, count + 1)
+        pairs = [(bolus_multidose(KE_BOLUS, BolusRegimen([(600.0, tau)] * count)),
+                  bolus_multidose(KE_BOLUS, EquiDose(600.0, tau)),
+                  ("start_value", "remainder")),
+                 (fat_multidose(FAT_PARAMS, FatRegimen([(600.0, tau, 0.4 * tau)] * count)),
+                  fat_multidose(FAT_PARAMS, EquiDose(600.0, tau, 0.4 * tau)),
+                  ("cutoff_value", "end_value"))]
+        for table, equi, accessors in pairs:
+            for name in accessors:
+                got, expected = getattr(equi, name)(n), getattr(table, name)(n)
+                assert np.max(np.abs(got - expected) / expected) <= 2 * EPS, name
+            x, y, cycle = equi.evaluate(t)
+            x_table, y_table, cycle_table = table.evaluate(t)
+            assert np.array_equal(cycle, cycle_table)
+            assert np.max(np.abs(x - x_table) / np.maximum(x_table, 1e-300)) <= 4 * EPS
+            assert np.max(np.abs(y - y_table)) <= 4 * EPS * 600.0
+
+    def test_limits_are_the_sums_at_infinity(self):
+        bolus = bolus_multidose(KE_BOLUS, EquiDose(600.0, 6.0))
+        limit = bolus_equi_remainder_limit(KE_BOLUS, 600.0, 6.0)
+        assert abs(bolus.remainder(10_000) - limit) <= EPS * limit
+        fat = fat_multidose(FAT_PARAMS, EquiDose(600.0, 5.0, 2.0))
+        cutoff, end = fat_equi_limits(FAT_PARAMS, 600.0, 5.0, 2.0)
+        assert abs(fat.cutoff_value(10_000) - cutoff) <= EPS * cutoff
+        assert abs(fat.end_value(10_000) - end) <= EPS * end
+
+    @pytest.mark.parametrize("make", [
+        lambda: bolus_multidose(KE_BOLUS, BolusRegimen(list(zip(COMPANION_DELTAS,
+                                                                COMPANION_GAPS)))),
+        lambda: bolus_multidose(KE_BOLUS, EquiDose(600.0, 4.0)),
+        lambda: fat_multidose(FAT_PARAMS, FatRegimen([(600.0, 5.0, 2.0), (400.0, 4.0, 4.0),
+                                                      (700.0, 6.0, 1.5)])),
+        lambda: fat_multidose(FAT_PARAMS, EquiDose(600.0, 5.0, 2.0)),
+    ], ids=["bolus-table", "bolus-equi", "fat-table", "fat-equi"])
+    def test_array_calls_equal_scalar_calls(self, make):
+        sol = make()
+        n = np.arange(1, 4)
+        names = (("start_value", "remainder") if isinstance(sol, BolusSolution)
+                 else ("cutoff_value", "end_value"))
+        for name in names:
+            values = getattr(sol, name)(n)
+            assert values.dtype == float and values.shape == n.shape
+            assert values.tolist() == [getattr(sol, name)(int(k)) for k in n], name
+            assert all(type(getattr(sol, name)(int(k))) is float for k in n)
+        rem_x, rem_y = sol.remainders(np.arange(0, 4))
+        assert rem_x.tolist() == [sol.remainders(k)[0] for k in range(4)]
+        assert rem_y.tolist() == [sol.remainders(k)[1] for k in range(4)]
+
+    @pytest.mark.parametrize("build,regimen,message", [
+        (lambda r: arbitrary_multidose(FAT_PARAMS, r), EquiDose(100.0, 6.0, 2.0),
+         "expected an oral regimen, got EquiDose with window=2.0"),
+        (lambda r: fat_multidose(FAT_PARAMS, r), EquiDose(100.0, 6.0),
+         "expected a FAT regimen, got EquiDose with window=None"),
+    ], ids=["oral-window", "fat-no-window"])
+    def test_window_belongs_to_fat(self, build, regimen, message):
+        with pytest.raises(ValidationError, match=message):
+            build(regimen)
+
+    def test_window_is_checked_as_a_fat_entry(self):
+        with pytest.raises(ValidationError, match="absorption window must be <= interval"):
+            EquiDose(100.0, 6.0, 6.5)
+        with pytest.raises(ValidationError, match="absorption window must be > 0"):
+            EquiDose(100.0, 6.0, 0.0)
+

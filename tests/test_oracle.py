@@ -36,6 +36,17 @@ def test_equi_dose_ten_cycles(canonical):
     assert np.max(np.abs(traj.x - xc)) / xc.max() < 1e-6
 
 
+@pytest.mark.parametrize("regimen", [EquiDose(100.0, 6.0, 2.0), FatRegimen([(100.0, 6.0, 2.0)]),
+                                     BolusRegimen([(100.0, 6.0)])],
+                         ids=["equi-window", "fat", "bolus"])
+def test_integrator_and_gut_sum_take_oral_regimens_only(canonical, regimen):
+    # Their doses land in the gut and stay there: no window, no jump in x.
+    with pytest.raises(ValidationError, match="expected an oral regimen"):
+        integrate_ode(canonical, regimen, 10.0)
+    with pytest.raises(ValidationError, match="expected an oral regimen"):
+        superpose_gut(canonical, regimen)
+
+
 def test_zero_impulses_stay_at_zero(canonical):
     traj = integrate_impulses(canonical, [(0.0, 0.0)], 5.0, OracleConfig(step=1e-3))
     assert np.all(traj.x == 0.0)
@@ -216,6 +227,20 @@ def test_grouped_equi_sum_equals_matrix_sum(canonical, n_doses):
     expected = _matrix_sum(starts, np.full(count, 100.0), None, amplitude,
                            canonical.ke, canonical.ka, t)
     got = superpose(canonical, EquiDose(100.0, tau), n_doses=n_doses)(t)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(expected)
+
+
+@pytest.mark.parametrize("n_doses", [None, 1, K - 1, K * K + 1])
+def test_grouped_equi_window_sum_equals_matrix_sum(n_doses):
+    # An EquiDose with an absorption window: the FAT model's constant schedule.
+    tau, window = 6.0, 2.5
+    t = _query_times(np.arange(50) * tau, np.full(50, window), seed=8)
+    count = int(np.floor(t.max() / tau)) + 1 if n_doses is None else n_doses
+    starts = np.arange(count) * tau
+    amplitude = FAT_P.ka * FAT_P.gamma / (FAT_P.volume * (FAT_P.ka - FAT_P.ke))
+    expected = _matrix_sum(starts, np.full(count, 100.0), np.full(count, window), amplitude,
+                           FAT_P.ke, FAT_P.ka, t)
+    got = superpose(FAT_P, EquiDose(100.0, tau, window), n_doses=n_doses)(t)
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(expected)
 
 

@@ -234,3 +234,18 @@ def test_cycle_metrics_rejects_bolus_and_fat():
     for sol in (fat, bolus):
         with pytest.raises(ValidationError, match="oral"):
             cycle_metrics(sol, 2)
+
+
+def test_cycle_rows_rejects_equi_bolus_and_fat():
+    # An equi bolus regimen is a window-free EquiDose, as an oral one is:
+    # the solution's model, not its regimen, is checked.
+    from multidose.core import EquiDose
+    from multidose.extmodels import bolus_multidose, fat_multidose
+    from multidose.pkmetrics import cycle_rows
+
+    for sol, model in ((bolus_multidose(0.3, EquiDose(100.0, 6.0)), "bolus"),
+                       (fat_multidose(PARAM_SETS[0], EquiDose(100.0, 6.0, 2.0)), "fat")):
+        with pytest.raises(ValidationError, match=f"expected an oral solution, got a {model}"):
+            cycle_rows(sol, 2)
+        with pytest.raises(ValidationError, match="oral"):
+            cycle_metrics(sol, 2)

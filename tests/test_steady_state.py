@@ -245,6 +245,15 @@ class TestPeriodicityGap:
         with pytest.raises(ValidationError, match="oral"):
             periodicity_gap(sol, 2)
 
+    @pytest.mark.parametrize("model", ["bolus", "fat"])
+    def test_rejects_equi_bolus_and_fat_solutions(self, canonical, model):
+        from multidose.core import EquiDose
+
+        sol = (bolus_multidose(0.3, EquiDose(100.0, 6.0)) if model == "bolus"
+               else fat_multidose(canonical, EquiDose(100.0, 6.0, 2.0)))
+        with pytest.raises(ValidationError, match=f"expected an oral solution, got a {model}"):
+            periodicity_gap(sol, 2)
+
     @pytest.mark.parametrize("p", PARAM_SETS, ids=["canonical", "fitted", "flipflop"])
     def test_array_of_cycles_matches_scalar_calls(self, p):
         sol = equi_multidose(p, 100.0, 6.0)
