@@ -16,9 +16,12 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
+import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -43,14 +46,10 @@ VERIFY_TOLERANCE = 1e-8
 
 _HOURS_PER_UNIT = {"h": 1.0, "day": 24.0}
 
-#: One `simulate` CSV row: six significant digits per number.
-_CSV_ROW = "%.6g,%.6g,%.6g,%d\n"
-#: Rows formatted per block of `simulate` output. A block's Python lists and
-#: row strings are freed before the next block is formatted, so they bound
-#: the formatter's extra memory: whole-table lists raised peak RSS by a third
-#: at 109k rows, and 8,192-row blocks still by 2% at 16k rows. Larger blocks
-#: format no faster.
-CSV_BLOCK_ROWS = 2048
+#: Rows formatted and written per `simulate` block, with 0.9 MB of arrays: 8,192
+#: were 7% faster but 0.5 MB higher in RSS, 1,024 or 109k 25-40% slower.
+CSV_BLOCK_ROWS = 4096
+_E_MIN, _E_MAX = -302, 308  # decimal exponents the CSV writer rounds in arithmetic
 #: One `analyze` cycle, laid out as json.dumps(indent=2, sort_keys=True) writes it.
 _CYCLE_ROW = """    {
       "auc": %r,
@@ -215,18 +214,91 @@ def cmd_simulate(args) -> int:
             )
             return EXIT_NUMERICAL
 
-    _write_text(args.out, "".join(_csv_blocks(times, x, y, cycles)))
+    _write(args.out, _csv_blocks(times, x, y, cycles))
     return EXIT_OK
 
 
-def _csv_blocks(times, x, y, cycles) -> Iterator[str]:
+def _csv_blocks(times, x, y, cycles) -> Iterator[bytes]:
     """The simulate CSV: its header, then CSV_BLOCK_ROWS rows per piece."""
-    yield "t_hours,x_conc,y_mg,cycle\n"
+    yield b"t_hours,x_conc,y_mg,cycle\n"
     for start in range(0, times.size, CSV_BLOCK_ROWS):
         rows = slice(start, start + CSV_BLOCK_ROWS)
-        columns = (times[rows].tolist(), x[rows].tolist(), y[rows].tolist(),
-                   cycles[rows].tolist())
-        yield "".join(map(_CSV_ROW.__mod__, zip(*columns)))
+        yield _csv_rows(times[rows], x[rows], y[rows], cycles[rows])
+
+
+def _csv_rows(times, x, y, cycles) -> bytes:
+    """b"%.6g,%.6g,%.6g,%d\\n" % row for each row, built as eight NUL-padded
+    little-endian words a row, two per column. Python formats the rows with a
+    value near a tie, not finite or under 1e-302, or a cycle not in [0, 1e9)."""
+    tab = _csv_tables()
+    words = np.empty((len(times), 8), "<u8")
+    c = np.asarray(cycles, np.int64)
+    ok = (c >= 0) & (c < 10 ** 9)
+    for k, column in enumerate((times, x, y)):
+        ok &= _g6_words(tab, np.asarray(column, float), words[:, 2 * k:2 * k + 2])
+    c = np.where(ok, c, 0)
+    high, top = c // 1000, c // 1000000
+    # Nine digits in two words, '\n' after them; shifting right drops leading zeros.
+    zeros = (64 - 8 * np.searchsorted(tab.tens, c, "right")).astype(np.uint64)
+    words[:, 6] = (tab.digits3.take(top) | tab.digits3.take(high - 1000 * top) << 24
+                   ) >> np.minimum(zeros, 48)
+    words[:, 7] = (tab.digits3.take(c - 1000 * high) | 0x0A << 24) >> np.maximum(zeros, 48) - 48
+    bad = np.flatnonzero(~ok)
+    rows = zip(*(np.asarray(column)[bad].tolist() for column in (times, x, y, cycles)))
+    text = np.array([b"%.6g,%.6g,%.6g,%d\n" % row for row in rows], "S64")
+    words[bad] = text.view("<u8").reshape(bad.size, 8)
+    return words.tobytes().translate(None, b"\0")
+
+
+def _g6_words(tab, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write '%.6g,' of each value into two words of `out`; where it is right."""
+    a = np.abs(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(a) + 2.1715e-7)  # once rounded: log10(1 / 0.9999995)
+        xi = (np.fmin(np.fmax(e, _E_MIN - 1), _E_MAX + 1) - (_E_MIN - 1)).astype(np.intp)
+        m = a * tab.scale.take(xi)
+        r = np.rint(m)
+        # m = |v| * 10**(5 - e) after two roundings is off by under 3e-10, so r
+        # is the exact rounding away from a tie, and e is right if m lies clear
+        # inside [99999.95, 999999.5); row 0 spells zero, nan and inf fail.
+        ok = (np.abs(m - r) < 0.5 - 1e-9) & (m > 99999.95 + 1e-9) & (r < 1e6) | (a == 0)
+    r = np.where(ok, r, 1e5).astype(np.intp)
+    high = r // 1000
+    low = r - 1000 * high
+    digits = tab.digits3.take(high) | tab.digits3.take(low) << 24
+    j = 7 * xi + np.maximum(tab.kept_low.take(low), tab.kept_high.take(high))
+    body = digits & tab.stay.take(j) | tab.point.take(j) | (digits & tab.moved.take(j)) << 8
+    head = body & tab.first.take(xi)  # the digits after '0.000' go in the second word
+    out[:, 0] = head << 8 | tab.prefix.take(xi) | np.signbit(v) * np.uint64(0x2D)
+    out[:, 1] = body ^ head | tab.tail.take(j)
+    return ok
+
+
+@functools.cache
+def _csv_tables() -> SimpleNamespace:
+    """Lookup words of the CSV writer: ASCII bytes, first character lowest."""
+    i = np.arange(1000, dtype=np.uint64)
+    zeros = (i % 10 == 0).astype(np.intp) + (i % 100 == 0) + (i == 0)
+    # Row k: exponent _E_MIN - 1 + k (row 0 spells zero); column: digits kept.
+    xs = np.arange(_E_MIN - 1, _E_MAX + 2)
+    after = (-4 <= xs) & (xs < 0)
+    ip = np.where((-4 <= xs) & (xs <= 5), np.maximum(xs + 1, 0), 1)[:, None]
+    mask = np.array([(1 << 8 * k) - 1 for k in range(7)], np.uint64)
+    shown = mask[np.maximum(np.arange(7), ip)]
+    dot = (shown > mask[ip]) & (ip > 0)
+    stay, moved = np.where(dot, mask[ip], shown), np.where(dot, shown ^ mask[ip], 0)
+    point = dot * (np.uint64(0x2E) << 8 * ip.astype(np.uint64))
+    words = lambda texts: np.array(texts, "S8").view("<u8")
+    suffix = words([b"," if -4 <= x <= 5 else b"e%+03d," % x for x in xs.tolist()])
+    tail = np.where(after[:, None], (mask + np.uint64(1)) * np.uint64(0x2C), suffix[:, None])
+    stay[0], moved[0], point[0], tail[0] = 0, 0, ord("0"), ord(",")
+    return SimpleNamespace(
+        digits3=48 + i // 100 | (48 + i // 10 % 10) << 8 | (48 + i % 10) << 16,
+        kept_low=np.where(i > 0, 6 - zeros, 0), kept_high=3 - zeros,
+        scale=np.array([0.0] + [float(f"1e{5 - x}") for x in xs[1:].tolist()]),
+        prefix=words([b"\x000." + b"0" * (-x - 1) if -4 <= x < 0 else b"" for x in xs.tolist()]),
+        first=np.where(after, np.uint64(0), ~np.uint64(0)), stay=stay, moved=moved,
+        point=point, tail=tail, tens=10 ** np.arange(1, 9))
 
 
 # -- fit ---------------------------------------------------------------------
@@ -292,7 +364,7 @@ def cmd_fit(args) -> int:
     if args.mc_reps:
         payload["monte_carlo"] = _monte_carlo(series, result, args)
 
-    _write_text(args.out, _json_dumps(payload))
+    _write(args.out, [_json_dumps(payload).encode()])
     return EXIT_OK
 
 
@@ -347,7 +419,7 @@ def cmd_design(args) -> int:
         d_r = dosing._dose_for_trough(p, target.lower, tau_r)
         payload["rounded"] = {"tau": tau_r, "d": d_r,
                               **_achieved(p, d_r, tau_r, target)}
-    _write_text(args.out, _json_dumps(payload))
+    _write(args.out, [_json_dumps(payload).encode()])
     return EXIT_OK
 
 
@@ -378,7 +450,7 @@ def cmd_analyze(args) -> int:
     else:
         text = _json_dumps(_analyze_bolus(regfile) if regfile.model == "bolus"
                            else _analyze_fat(regfile))
-    _write_text(args.out, text)
+    _write(args.out, [text.encode()])
     return EXIT_OK
 
 
@@ -447,12 +519,20 @@ def _json_dumps(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write(path: str | None, chunks: Iterable[bytes]) -> None:
+    """Write each chunk in turn to `--out`, or to stdout for None and '-'."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        try:
+            sys.stdout.buffer.writelines(chunks)
+        except BrokenPipeError:  # the reader, such as `head`, has what it wanted
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+    try:
+        handle = open(path, "wb")
+    except OSError as exc:
+        raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
+    with handle:
+        handle.writelines(chunks)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,8 +10,11 @@ import mpmath
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from multidose import cli
-from multidose.cli import (CSV_BLOCK_ROWS, _json_with_cycles, _monte_carlo,
+from multidose.cli import (CSV_BLOCK_ROWS, _csv_rows, _json_with_cycles, _monte_carlo,
                            load_regimen_file)
 from multidose.core import ConcentrationSeries, NoConvergence, PkParams
 from multidose.bateman import single_dose
@@ -161,6 +164,33 @@ class TestSimulate:
         cp = run_cli("simulate", str(path))
         assert cp.returncode == 0, cp.stderr
         assert cp.stdout == "t_hours,x_conc,y_mg,cycle\n"
+        out = tmp_path / "out.csv"
+        cp = run_cli("simulate", str(path), "--out", str(out))
+        assert cp.returncode == 0, cp.stderr
+        assert out.read_bytes() == b"t_hours,x_conc,y_mg,cycle\n"
+
+    @pytest.mark.parametrize("name", ["oral_equi", "bolus_mixed", "fat_mixed"])
+    def test_stdout_and_out_give_identical_bytes(self, tmp_path, name):
+        out = tmp_path / "out.csv"
+        cmd = [sys.executable, "-m", "multidose", "simulate", str(DATA / f"{name}.json")]
+        to_stdout = subprocess.run(cmd, capture_output=True, check=True)
+        subprocess.run(cmd + ["--out", str(out)], check=True)
+        assert to_stdout.stdout == out.read_bytes()
+
+    def test_reader_closing_early_ends_quietly(self, tmp_path):
+        # 200,001 rows, far more than a pipe holds: the writer is still
+        # writing when the reader closes its end.
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({
+            "schema": 1, "model": "bolus", "params": {"ke": 0.3},
+            "schedule": {"equi": {"dose": 5.0, "interval": 1.0}},
+            "horizon": 2000.0, "sample_step": 0.01}))
+        with subprocess.Popen([sys.executable, "-m", "multidose", "simulate", str(path)],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"t_hours,x_conc,y_mg,cycle\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == 0
+            assert proc.stderr.read() == b""
 
     def test_verify_passes_for_all_models(self, tmp_path):
         for name in ("oral_equi", "oral_skip", "bolus_mixed", "fat_mixed"):
@@ -186,6 +216,11 @@ class TestSimulate:
                                   "superposition oracle by ")
         assert "(> 1e-08 x max(1, peak " in message
         assert not out.exists()
+        # An existing output is not even opened: it keeps every byte.
+        out.write_bytes(b"earlier output\n")
+        assert cli.main(["simulate", str(DATA / "oral_equi.json"), "--verify",
+                         "--out", str(out)]) == cli.EXIT_NUMERICAL
+        assert out.read_bytes() == b"earlier output\n"
 
     def test_verify_scales_tolerance_with_the_peak(self, capsys, tmp_path):
         # 1,000 irregular bolus doses near a peak of 9e5: the closed form is
@@ -330,6 +365,78 @@ class TestSimulate:
         cp = run_cli("simulate", str(path))
         assert cp.returncode == 0, cp.stderr
         assert cp.stdout == (DATA / "golden_simulate_oral_equi.csv").read_text()
+
+
+def _python_rows(times, x, y, cycles) -> bytes:
+    rows = zip(times.tolist(), x.tolist(), y.tolist(), cycles.tolist())
+    return "".join("%.6g,%.6g,%.6g,%d\n" % row for row in rows).encode()
+
+
+class TestCsvWriter:
+    """The simulate row writer against Python's formatting, byte for byte."""
+
+    @staticmethod
+    def check(values, cycles=None):
+        v = np.asarray(values, dtype=float)
+        c = np.zeros(v.size, np.int64) if cycles is None else np.asarray(cycles, np.int64)
+        for columns in ((v, -v, v[::-1]), (-v[::-1], v, -v)):
+            got, expected = _csv_rows(*columns, c), _python_rows(*columns, c)
+            assert got.split(b"\n") == expected.split(b"\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(), st.floats(), st.floats(),
+                              st.integers(-2 ** 63, 2 ** 63 - 1)), max_size=40))
+    def test_arbitrary_doubles_and_counts(self, rows):
+        t, x, y, c = (np.array(column) for column in zip(*rows)) if rows else (
+            np.array([]), np.array([]), np.array([]), np.array([], np.int64))
+        assert _csv_rows(t, x, y, c) == _python_rows(t, x, y, c)
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(0).integers(0, 2 ** 64, 50_000, dtype=np.uint64)
+        self.check(bits.view(np.float64))
+
+    def test_near_ties(self):
+        # (r + 1/2) * 10**j and its neighbours 1-2 ulp away, where six-digit
+        # rounding turns on bits far below what the arithmetic keeps.
+        r = np.random.default_rng(1).integers(100_000, 1_000_000, 40) + 0.5
+        ties = np.concatenate([r * 10.0 ** j for j in range(-25, 31)])
+        self.check(np.concatenate([ties, np.nextafter(ties, np.inf),
+                                   np.nextafter(np.nextafter(ties, np.inf), np.inf),
+                                   np.nextafter(ties, 0.0),
+                                   np.nextafter(np.nextafter(ties, 0.0), 0.0)]))
+
+    def test_decade_boundaries(self):
+        # Each 10**j and its neighbours switch exponent or notation; 999999.5e-6
+        # rounds up into the next decade.
+        powers = np.array([10.0 ** j for j in range(-323, 309)])
+        below, above = np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)
+        self.check(np.concatenate([powers, below, above, np.nextafter(below, 0.0),
+                                   np.nextafter(above, np.inf),
+                                   [999999.5 * 10.0 ** j for j in range(-30, 31)]]))
+
+    def test_special_values(self):
+        self.check([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324,
+                    2.2250738585072014e-308, 1.7976931348623157e308, 1e-5, 9.99999e-5,
+                    123456.5, 1234565.0])
+
+    def test_cycle_counts(self):
+        counts = [0, 9, 10, 99, 100, 999_999, 10 ** 6, 999_999_999, 10 ** 9, 2 ** 53, -1]
+        self.check(np.linspace(0.5, 2.0, len(counts)), counts)
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze", "design", "fit"])
+def test_unwritable_out_exits_2_naming_the_path(tmp_path, capsys, command):
+    t = np.array([0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.5, 8.0, 10.0, 12.0])
+    c = single_dose(PkParams(ka=0.7480, ke=0.2031, gamma=19.1933, volume=5000.0), 250.0).x(t)
+    series = tmp_path / "series.csv"
+    series.write_text("t,c\n" + "".join(f"{a},{b}\n" for a, b in zip(t, c)))
+    args = {"simulate": ["simulate", str(DATA / "oral_equi.json")],
+            "analyze": ["analyze", str(DATA / "oral_equi.json")],
+            "design": list(DESIGN),
+            "fit": ["fit", str(series), "--dose", "250", "--time-unit", "h"]}[command]
+    out = tmp_path / "missing" / "out"
+    assert cli.main(args + ["--out", str(out)]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {out}: No such file or directory\n"
 
 
 class TestSchemaErrors:
