@@ -111,18 +111,35 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _initial_guess(t: np.ndarray, c: np.ndarray, d: float,
                    v: float) -> np.ndarray:
-    """Standard heuristics: terminal slope for ke, then peak matching."""
-    tt, cc = t[-3:], c[-3:]
-    positive = cc > 0.0
-    slope = (np.polyfit(tt[positive], np.log(cc[positive]), 1)[0]
-             if positive.sum() >= 2 else np.nan)
-    ke = -slope if slope < 0.0 else 1.0 / max(t[-1], 1e-6)
+    """Standard heuristics for each row of c (R, m), as log-params (R, 3):
+    terminal slope for ke, then peak matching. One polyfit per sign pattern
+    of the last three samples gives each row the guess it gets alone."""
+    tail = t[-3:]
+    positive = c[:, -3:] > 0.0
+    logs = np.log(np.where(positive, c[:, -3:], 1.0))
+    ke = np.full(len(c), 1.0 / max(t[-1], 1e-6))
+    pattern = positive @ [1, 2, 4]
+    for code in set(pattern.tolist()):
+        key = [bool(code & bit) for bit in (1, 2, 4)]
+        if sum(key) < 2:
+            continue
+        x = tail[key]
+        if not (x * x).any():
+            # polyfit scales its columns by sqrt(sum t^2), which is then 0.
+            raise ValidationError(f"sample times {x.tolist()} are too close to 0 "
+                                  "for a terminal slope: their squares underflow")
+        rows = pattern == code
+        slope = np.polyfit(x, logs[rows][:, key].T, 1)[0]
+        ke[rows] = np.where(slope < 0.0, -slope, ke[rows])
     ka = 5.0 * ke
+    for i in np.flatnonzero(~((0.0 < ka) & (ka < math.inf))):
+        validate_params(PkParams(ka=ka[i], ke=ke[i], gamma=1.0, volume=v))
+    t_peak = np.array([math.log(a / e) / (a - e) for a, e in zip(ka.tolist(), ke.tolist())])
     ref = PkParams(ka=ka, ke=ke, gamma=1.0, volume=v)
-    t_peak = math.log(ka / ke) / (ka - ke)
-    unit_peak = single_dose(ref, d).x(t_peak)
-    gamma = max(c.max(), 1e-12) / unit_peak if unit_peak > 0 else 1.0
-    return np.log(np.array([ka, ke, gamma]))
+    unit_peak = absorption_gain(ref) * d * (np.exp(-ke * t_peak) - np.exp(-ka * t_peak))
+    gamma = np.divide(np.maximum(c.max(axis=1), 1e-12), unit_peak,
+                      out=np.ones(len(c)), where=unit_peak > 0)
+    return np.log(np.stack((ka, ke, gamma), axis=1))
 
 
 def fit_single_dose(series: ConcentrationSeries, d: float, v: float,
@@ -143,7 +160,7 @@ def fit_batch(times, values, d: float, v: float, init: PkParams | None = None
     it gets when fitted alone, bit for bit (every reduction is a stacked
     matmul, which calls the BLAS routine one row's product calls): its
     FitResult, or the NoConvergence `fit_single_dose` raises for it. A
-    failing row never stops the others; bad d, v, init or shapes raise.
+    failing row never stops the others; bad d, v, init, shapes or times raise.
     """
     validate_positive("dose", d)
     validate_positive("volume", v)
@@ -159,7 +176,7 @@ def fit_batch(times, values, d: float, v: float, init: PkParams | None = None
         validate_params(init)
         theta = np.tile(np.log(np.array([init.ka, init.ke, init.gamma])), (len(c), 1))
     else:
-        theta = np.array([_initial_guess(t, row, d, v) for row in c]).reshape(-1, 3)
+        theta = _initial_guess(t, c, d, v)
 
     # A trial step can underflow exp(theta) to a zero rate: a zero curve and
     # a NaN Jacobian. Such a step is rejected unless it lowers the SSE, and a

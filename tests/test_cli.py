@@ -543,6 +543,17 @@ class TestFitCommand:
                      "--time-unit", "h")
         assert cp.returncode == 2
 
+    def test_underflowing_tail_times_are_a_typed_error(self, tmp_path):
+        # polyfit would scale the tail times by sqrt(sum t^2) = 0 and LAPACK
+        # would fail on the NaN columns.
+        path = tmp_path / "tiny.csv"
+        path.write_text("t,c\n0,1\n1e-323,1\n2e-323,1e300\n3e-323,1e-300\n")
+        cp = run_cli("fit", str(path), "--dose", "250", "--volume", "5000",
+                     "--time-unit", "h")
+        assert cp.returncode == 2
+        assert "sample times [1e-323, 2e-323, 3e-323]" in cp.stderr
+        assert "Traceback" not in cp.stderr and "DLASCL" not in cp.stderr
+
     def test_monte_carlo_summary(self, tmp_path):
         path, _ = self.write_series(tmp_path)
         cp = run_cli("fit", str(path), "--dose", "250", "--volume", "5000",
@@ -561,41 +572,54 @@ class TestFitCommand:
             "--seed", "12345").stdout)
         assert again["monte_carlo"] == mc
 
-    def test_monte_carlo_equals_one_fit_per_replicate(self):
-        # The batched summary against a loop that draws each replicate's
-        # noise and fits it alone, on 50 seeds; at 5% noise some rows fail.
+    def test_monte_carlo_equals_one_fit_per_replicate(self, monkeypatch):
+        # The blocked summary against a loop that draws each replicate's
+        # noise and fits it alone: 12 replicates on 50 seeds, and prefixes of
+        # 600 on one more seed at counts on both sides of a block seam, with
+        # the default block and with blocks of 7. At 5% noise some rows fail.
         truth = PkParams(ka=0.7480, ke=0.2031, gamma=19.1933, volume=5000.0)
         t = np.array([0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0, 12.0, 16.0, 24.0])
         series = ConcentrationSeries(t, single_dose(truth, 250.0).x(t))
         base = fit_single_dose(series, 250.0, 5000.0)
         clean = predict(t, base, 250.0, 5000.0).values_array()
-        reps, noise, all_failed = 12, 0.05, 0
-        for seed in range(50):
+        noise = 0.05
+
+        def one_by_one(seed, reps):
+            """Each replicate's outcome: None if it fails, else covered or not."""
             rng = np.random.default_rng(seed)
-            covered = failed = 0
+            outcomes = []
             for _ in range(reps):
                 noise_row = rng.normal(0.0, noise * clean.max(), t.size)
                 noisy = np.maximum(clean + noise_row, 0.0)
                 try:
                     rep = fit_single_dose(ConcentrationSeries(t, noisy), 250.0, 5000.0)
                 except NoConvergence:
-                    failed += 1
+                    outcomes.append(None)
                     continue
                 if rep.stderr is None:
-                    failed += 1
+                    outcomes.append(None)
                     continue
                 estimates = (rep.params.ka, rep.params.ke, rep.params.gamma)
-                covered += all(abs(e - x) <= 3.0 * se for e, x, se in
-                               zip(estimates, (base.params.ka, base.params.ke,
-                                               base.params.gamma), rep.stderr))
-            args = SimpleNamespace(seed=seed, mc_reps=reps, mc_noise=noise,
-                                   dose=250.0, volume=5000.0)
-            summary = _monte_carlo(series, base, args)
-            assert summary["failed"] == failed
-            assert summary["coverage_3se"] == (covered / (reps - failed)
-                                               if failed < reps else 0.0)
-            all_failed += failed
-        assert all_failed > 0
+                outcomes.append(all(abs(e - x) <= 3.0 * se for e, x, se in
+                                    zip(estimates, (base.params.ka, base.params.ke,
+                                                    base.params.gamma), rep.stderr)))
+            return outcomes
+
+        cases = [(seed, one_by_one(seed, 12)) for seed in range(50)]
+        long_run = one_by_one(50, 600)
+        cases += [(50, long_run[:reps]) for reps in (1, 255, 256, 257, 600)]
+        for block in (cli.MC_BLOCK_ROWS, 7):
+            monkeypatch.setattr(cli, "MC_BLOCK_ROWS", block)
+            for seed, outcomes in cases:
+                args = SimpleNamespace(seed=seed, mc_reps=len(outcomes), mc_noise=noise,
+                                       dose=250.0, volume=5000.0)
+                summary = _monte_carlo(series, base, args)
+                failed = outcomes.count(None)
+                assert summary["failed"] == failed
+                assert summary["coverage_3se"] == (outcomes.count(True) / (len(outcomes) - failed)
+                                                   if failed < len(outcomes) else 0.0)
+        assert sum(outcomes.count(None) for _, outcomes in cases[:50]) > 0
+        assert None in long_run
 
 
 class TestRejectedFlags:

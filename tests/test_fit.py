@@ -1,3 +1,5 @@
+import math
+import re
 import warnings
 
 import numpy as np
@@ -221,6 +223,84 @@ class TestBatch:
             fit_batch(self.TIMES, self.good_rows(2), 0.0, 5000.0)
         with pytest.raises(ValidationError):
             fit_batch(self.TIMES[:-1], self.good_rows(2), 250.0, 5000.0)
+
+
+def per_row_guess(t, c, d, v):
+    """The starting point of one row, computed alone: the reference the
+    grouped `fit._initial_guess` must equal bit for bit."""
+    tt, cc = t[-3:], c[-3:]
+    positive = cc > 0.0
+    slope = (np.polyfit(tt[positive], np.log(cc[positive]), 1)[0]
+             if positive.sum() >= 2 else np.nan)
+    ke = -slope if slope < 0.0 else 1.0 / max(t[-1], 1e-6)
+    ka = 5.0 * ke
+    ref = PkParams(ka=ka, ke=ke, gamma=1.0, volume=v)
+    t_peak = math.log(ka / ke) / (ka - ke)
+    unit_peak = single_dose(ref, d).x(t_peak)
+    gamma = max(c.max(), 1e-12) / unit_peak if unit_peak > 0 else 1.0
+    return np.log(np.array([ka, ke, gamma]))
+
+
+class TestInitialGuess:
+    TIMES = np.array(TestRejectedTrials.TIMES)
+
+    def rows(self, n, seed):
+        """Noisy single-dose curves (rates scaled 0.5-2x, noise 0.005-1.0 of
+        the peak) whose last three samples take each of the 8 sign patterns
+        in turn, a non-positive sample being 0 or negative."""
+        rng = np.random.default_rng(seed)
+        ka, ke = (np.array([[0.748], [0.2031]]) * rng.uniform(0.5, 2.0, (2, n)))[..., None]
+        clean = (np.exp(-ke * self.TIMES) - np.exp(-ka * self.TIMES)) / (ka - ke)
+        clean /= clean.max(axis=1)[:, None]
+        rows = clean + rng.normal(0.0, 1.0, clean.shape) * rng.uniform(0.005, 1.0, (n, 1))
+        pattern = np.arange(n) % 8
+        for j, column in enumerate(range(-3, 0)):
+            tail = np.abs(rows[:, column])
+            drop = np.where(rng.random(n) < 0.5, 0.0, -tail)
+            rows[:, column] = np.where((pattern >> j) & 1 == 1, tail, drop)
+        return rows
+
+    @staticmethod
+    def bits(guess):
+        return guess.view(np.uint64)
+
+    def test_grouped_equals_per_row(self):
+        rows = self.rows(12_000, seed=15)
+        grouped = fit._initial_guess(self.TIMES, rows, 250.0, 5000.0)
+        alone = np.array([per_row_guess(self.TIMES, r, 250.0, 5000.0) for r in rows])
+        assert np.array_equal(self.bits(grouped), self.bits(alone))
+        patterns = (rows[:, -3:] > 0.0) @ [1, 2, 4]
+        assert set(patterns.tolist()) == set(range(8))
+
+    def test_row_alone_equals_row_in_batch(self):
+        rows = self.rows(40, seed=16)
+        batch = fit._initial_guess(self.TIMES, rows, 250.0, 5000.0)
+        for row, guess in zip(rows, batch):
+            alone = fit._initial_guess(self.TIMES, row[None, :], 250.0, 5000.0)
+            assert np.array_equal(self.bits(alone[0]), self.bits(guess))
+
+    @pytest.mark.parametrize("last", [np.inf, np.nan])
+    def test_invalid_start_raises_as_alone(self, last):
+        # 5*ke from a log-slope cannot overflow: the logs of doubles span
+        # about 1,454, over times whose squares do not underflow. A
+        # non-finite last time makes the fallback ke = 1/t[-1] zero or NaN,
+        # and ka = 5*ke with it. Row 0 has no positive tail sample; no row
+        # has a positive last one.
+        times = np.append(self.TIMES[:-1], last)
+        rows = self.rows(4, seed=17)
+        with pytest.raises(ValidationError) as alone, warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            per_row_guess(times, rows[0], 250.0, 5000.0)
+        with pytest.raises(type(alone.value), match=f"^{re.escape(str(alone.value))}$"):
+            fit._initial_guess(times, rows, 250.0, 5000.0)
+
+    def test_underflowing_tail_times_raise(self):
+        times = [0.0, 1e-323, 2e-323, 3e-323]
+        values = [1.0, 1.0, 1e300, 1e-300]
+        with pytest.raises(ValidationError, match=r"sample times \[1e-323, 2e-323, 3e-323\]"):
+            fit_batch(times, [values], 250.0, 5000.0)
+        with pytest.raises(ValidationError, match="squares underflow"):
+            fit_single_dose(ConcentrationSeries(times, values), 250.0, 5000.0)
 
 
 class TestJacobian:
