@@ -106,8 +106,9 @@ class Bateman:
         return decay_b
 
     def y(self, y0, s):
-        """y s hours into the piece entering with y0 in the gut."""
-        return y0 * _lib(self.ka, s).exp(-self.ka * s)
+        """y s hours into the piece entering with y0 in the gut; with ka = 0
+        (the bolus) y0 at every s, s = inf too, where -ka*s is NaN."""
+        return y0 * _lib(self.ka, s).exp(-self.ka * s) if self.ka else y0 * np.ones_like(s)
 
     def peak(self, x0, y0, tau=math.inf):
         """(s, x): where on [0, tau] x peaks, and x there, for x0 >= 0 < y0.
@@ -182,9 +183,10 @@ class PiecewiseSolution:
     and FAT models of `extmodels`), immutable after construction.
 
     Equi-dose regimens have every piece's state in closed form, others the
-    table `_build` builds. `_locate` finds the piece covering each time;
-    x, y, evaluate and __call__ read that piece's forms. n_cycles is the
-    number of cycles, None for an unbounded equi-dose schedule.
+    table `_build` builds. `_locate` finds the piece covering each time
+    (by runs of cycles or point by point, alike); x, y, evaluate and
+    __call__ read its forms. n_cycles is the number of cycles, None for an
+    unbounded equi-dose schedule.
     """
 
     #: The model, the validate_regimen arguments for its regimens, and the
@@ -296,48 +298,76 @@ class PiecewiseSolution:
         k += (k + 1.0) * tau <= t
         return k.astype(np.int64) + 1
 
+    def _start(self, n):
+        """The float time of dose n, opening cycle(s) n (1-based)."""
+        return (n - 1) * self.regimen.interval if self._equi else self._starts[n - 1]
+
     def _query(self, t) -> np.ndarray:
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         if not np.all(t_arr >= 0.0):
             raise ValidationError("trajectory is defined for t >= 0 only")
         return t_arr
 
-    def _locate(self, t):
-        """(x0, y0, s, cycle) at t from one cycle lookup: the state entering
-        the piece covering each time, the hours into it, the 1-based cycle."""
+    def _runs(self, t: np.ndarray):
+        """(rows, counts) for a 1-D non-decreasing t spanning fewer cycles than
+        points: its cycles (`_cycles` of t[0] and t[-1] and those between)
+        and how many times each covers, as `_cycles` splits them; else None."""
+        if t.ndim != 1 or t.size < 2 or not (t[1:] >= t[:-1]).all():
+            return None
+        first, last = self._cycles(t[[0, -1]]).tolist()
+        if last - first + 1 >= t.size:
+            return None
+        rows = np.arange(first, last + 1)
+        ends = np.searchsorted(t, self._start(rows[1:]), side="left")
+        return rows, np.diff(ends, prepend=0, append=t.size)
+
+    def _locate(self, t, cycles: bool = False):
+        """(x0, y0, s, cycle) at t: the state entering the piece covering each
+        time, the hours into it, the 1-based cycle (on the run path only if
+        `cycles`). The run path fills each of `_runs`' runs by np.repeat;
+        other queries look up each point's `_cycles`. Both read the same
+        states and the same s = t - t_start, so they agree bit for bit."""
         t_arr = self._query(t)
-        cycle = self._cycles(t_arr)
-        # States once per cycle when fewer cycles than points, else per point.
-        first = int(cycle.min(initial=1))
-        span = int(cycle.max(initial=1)) - first + 1
-        per_cycle = span < cycle.size
-        i = cycle - first if per_cycle else np.arange(cycle.size)
-        rows = np.arange(first, first + span) if per_cycle else cycle
-        x0, y0 = (v.astype(float) for v in self._pieces(rows)[:2])
-        if self._equi:
-            s, cut = t_arr - (cycle - 1) * self.regimen.interval, self.regimen.window
+        runs = self._runs(t_arr)
+        if runs is None:
+            cycle = self._cycles(t_arr)
+            # States once per cycle when fewer cycles than points, else per point.
+            first = int(cycle.min(initial=1))
+            span = int(cycle.max(initial=1)) - first + 1
+            per_cycle = span < cycle.size
+            i = cycle - first if per_cycle else np.arange(cycle.size).reshape(cycle.shape)
+            rows = np.arange(first, first + span) if per_cycle else cycle
+            per_point = lambda of_cycle: of_cycle(cycle)
         else:
-            k = cycle - 1
-            s, cut = t_arr - self._starts[k], None if self._cut is None else self._cut[k]
+            rows, counts = runs
+            per_point = lambda of_cycle: np.repeat(of_cycle(rows), counts)
+            i = np.repeat(np.arange(rows.size), counts)
+            cycle = np.repeat(rows, counts) if cycles else None
+        x0, y0 = (v.astype(float) for v in self._pieces(rows)[:2])
+        s = per_point(self._start)
+        np.subtract(t_arr, s, out=s)
+        cut = (self.regimen.window if self._equi
+               else None if self._cut is None else per_point(lambda n: self._cut[n - 1]))
         if cut is not None:
             # Past the absorption cutoff the cycle's second piece applies,
             # timed from the cutoff.
             clearing = s >= cut
             i = 2 * i + clearing
-            s = s - np.where(clearing, cut, 0.0)
+            s -= np.where(clearing, cut, 0.0)
         return x0.ravel()[i], y0.ravel()[i], s, cycle
 
     def evaluate(self, t):
         """(x, y, cycle) at t: concentration, gut amount (post-dose at dose
         instants) and 1-based cycle; Python numbers for a scalar t, arrays
         otherwise."""
-        x0, y0, s, cycle = self._locate(t)
+        x0, y0, s, cycle = self._locate(t, cycles=True)
         x, y = self.bateman.x(x0, y0, s), self.bateman.y(y0, s)
         return _shaped_like(t, x), _shaped_like(t, y), _shaped_like(t, cycle)
 
     def cycle_index(self, t) -> np.ndarray | int:
         """1-based cycle covering t; dose instants map to the new cycle."""
-        return _shaped_like(t, self._cycles(self._query(t)))
+        runs = self._runs(t_arr := self._query(t))
+        return _shaped_like(t, self._cycles(t_arr) if runs is None else np.repeat(*runs))
 
     def x(self, t):
         """Plasma concentration at t (scalar or array)."""
@@ -350,7 +380,8 @@ class PiecewiseSolution:
         return _shaped_like(t, self.bateman.y(y0, s))
 
     def __call__(self, t):
-        return self.evaluate(t)[:2]
+        x0, y0, s, _ = self._locate(t)
+        return _shaped_like(t, self.bateman.x(x0, y0, s)), _shaped_like(t, self.bateman.y(y0, s))
 
 
 def validate_oral(sol: PiecewiseSolution) -> PiecewiseSolution:

@@ -87,6 +87,18 @@ def validate_positive(name: str, value: float) -> float:
     return value
 
 
+def validate_times(times):
+    """`times` unchanged if finite, >= 0 and strictly increasing; else a ValidationError
+    naming the first time that is not."""
+    for i, v in enumerate(times):
+        if not np.isfinite(v) or v < 0.0:
+            raise ValidationError(f"time at index {i} must be finite and >= 0, got {v!r}")
+        if i and v <= times[i - 1]:
+            raise ValidationError(f"times must be strictly increasing; index {i} has {v!r} "
+                                  f"after {times[i-1]!r}")
+    return times
+
+
 def validate_cycle(n, lowest: int = 1, last: int | None = None):
     """Cycle number(s) `n`, an integer or integer array, unchanged in range.
 
@@ -236,13 +248,7 @@ class ConcentrationSeries:
             raise ValidationError(
                 f"times ({len(t)}) and values ({len(c)}) differ in length"
             )
-        for i, v in enumerate(t):
-            if not np.isfinite(v) or v < 0.0:
-                raise ValidationError(f"time at index {i} must be finite and >= 0, got {v!r}")
-            if i and v <= t[i - 1]:
-                raise ValidationError(
-                    f"times must be strictly increasing; index {i} has {v!r} after {t[i-1]!r}"
-                )
+        validate_times(t)
         for i, v in enumerate(c):
             if not np.isfinite(v) or v < 0.0:
                 raise ValidationError(

@@ -29,6 +29,7 @@ from .core import (
     ValidationError,
     validate_params,
     validate_positive,
+    validate_times,
 )
 from .bateman import absorption_gain, single_dose
 
@@ -160,11 +161,13 @@ def fit_batch(times, values, d: float, v: float, init: PkParams | None = None
     it gets when fitted alone, bit for bit (every reduction is a stacked
     matmul, which calls the BLAS routine one row's product calls): its
     FitResult, or the NoConvergence `fit_single_dose` raises for it. A
-    failing row never stops the others; bad d, v, init, shapes or times raise.
+    failing row never stops the others; bad d, v, init, shapes or times
+    (`ConcentrationSeries`'s rule) raise.
     """
     validate_positive("dose", d)
     validate_positive("volume", v)
     t = np.asarray(times, dtype=float)
+    validate_times(t.tolist())
     c = np.atleast_2d(np.asarray(values, dtype=float))
     if len(t) < 4:
         raise InsufficientData(

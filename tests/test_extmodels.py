@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
 from multidose.core import Arbitrary, EquiDose, PkParams, ValidationError
-from multidose.bateman import arbitrary_multidose
+from multidose.bateman import arbitrary_multidose, equi_multidose
 from multidose.extmodels import (
     BolusRegimen,
     BolusSolution,
@@ -364,3 +365,91 @@ class TestEquiClosedForm:
         with pytest.raises(ValidationError, match="absorption window must be > 0"):
             EquiDose(100.0, 6.0, 0.0)
 
+
+#: Oral parameters for the lookup tests; k*0.7 rounds for most k.
+LOOKUP_PARAMS = PkParams(ka=1.0, ke=0.1, gamma=1.0, volume=1.0)
+LOOKUP_SOLUTIONS = {
+    "equi-oral": lambda: equi_multidose(LOOKUP_PARAMS, 100.0, 0.7),
+    "equi-bolus": lambda: bolus_multidose(KE_BOLUS, EquiDose(600.0, 0.7)),
+    "equi-fat": lambda: fat_multidose(FAT_PARAMS, EquiDose(600.0, 0.7, 0.3)),
+    "arbitrary-oral": lambda: arbitrary_multidose(
+        LOOKUP_PARAMS, Arbitrary([(100.0, 0.7), (30.0, 1.3), (250.0, 0.1), (50.0, 2.9)] * 8)),
+    "bolus-table": lambda: bolus_multidose(
+        KE_BOLUS, BolusRegimen(list(zip(COMPANION_DELTAS, COMPANION_GAPS)) * 6)),
+    "fat-table": lambda: fat_multidose(FAT_PARAMS, FatRegimen(
+        [(600.0, 5.0, 2.0), (400.0, 0.7, 0.7), (700.0, 6.1, 1.5), (90.0, 1.1, 0.3)] * 8)),
+}
+
+
+def lookup_query(sol) -> np.ndarray:
+    """Sorted times: t = 0, every dose instant and absorption cutoff and one
+    ulp either side, duplicates, random times and, for tables, +inf."""
+    if sol.n_cycles is None:
+        starts = np.arange(45) * sol.regimen.interval
+        cuts = starts + (sol.regimen.window or 0.0)
+    else:
+        starts = sol._starts[:-1]
+        cuts = starts + (0.0 if sol._cut is None else sol._cut)
+    marks = np.concatenate((starts, cuts, [starts[-1] + 20.0]))
+    t = np.concatenate((marks, np.nextafter(marks, 0.0), np.nextafter(marks, np.inf),
+                        marks[::5], np.random.default_rng(16).uniform(0.0, marks.max(), 500),
+                        [math.inf] if sol.n_cycles else []))
+    return np.sort(t)
+
+
+def lookup_answers(sol, t) -> list[np.ndarray]:
+    """x, y, evaluate's three, __call__'s one or two and cycle_index at t, raveled."""
+    call = sol(t)
+    return [np.ravel(v) for v in (sol.x(t), sol.y(t), *sol.evaluate(t),
+                                  *(call if isinstance(call, tuple) else (call,)),
+                                  sol.cycle_index(t))]
+
+
+def assert_same_bits(got: list[np.ndarray], want: list[np.ndarray]):
+    assert [(v.dtype, v.tobytes()) for v in got] == [(v.dtype, v.tobytes()) for v in want]
+
+
+class TestLookupPaths:
+    """A sorted 1-D query spanning fewer cycles than points fills each
+    cycle's run of points by np.repeat; any other query looks up each point.
+    The two agree bit for bit."""
+
+    @pytest.mark.parametrize("make", LOOKUP_SOLUTIONS.values(), ids=LOOKUP_SOLUTIONS.keys())
+    def test_sorted_query_equals_shuffled_reshaped_and_scalar(self, make):
+        sol = make()
+        t = lookup_query(sol)
+        assert sol._runs(t) is not None
+        dense = lookup_answers(sol, t)
+        assert not any(np.isnan(v).any() for v in dense)
+        perm = np.random.default_rng(1).permutation(t.size)
+        assert sol._runs(t[perm]) is None
+        assert_same_bits(lookup_answers(sol, t[perm]), [v[perm] for v in dense])
+        assert_same_bits(lookup_answers(sol, t[:, None]), dense)
+        scalars = [lookup_answers(sol, v) for v in t.tolist()]
+        assert_same_bits([np.concatenate(v) for v in zip(*scalars)], dense)
+
+    @pytest.mark.parametrize("make", LOOKUP_SOLUTIONS.values(), ids=LOOKUP_SOLUTIONS.keys())
+    def test_sparse_and_empty_multidimensional_queries(self, make):
+        sol = make()
+        # Six times in six cycles: each point looked up alone, shaped (2, 3).
+        t = lookup_query(sol)[:-1:37][:6]
+        assert np.unique(sol.cycle_index(t)).size == 6
+        assert_same_bits(lookup_answers(sol, t.reshape(2, 3)), lookup_answers(sol, t))
+        for v in (sol.x(np.zeros((0, 3))), sol.y(np.zeros((0, 3))),
+                  *sol.evaluate(np.zeros((0, 3))), sol.cycle_index(np.zeros((0, 3)))):
+            assert v.shape == (0, 3)
+
+    def test_sparse_sorted_query_builds_no_grid(self):
+        # 1e6 h at 0.75 h spans 1.3M cycles: a grid of them would be 10.7 MB.
+        sol = equi_multidose(LOOKUP_PARAMS, 100.0, 0.75)
+        t = np.array([0.5, 1e6])
+        assert sol._runs(t) is None
+        tracemalloc.start()
+        try:
+            answers = lookup_answers(sol, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        assert_same_bits(answers, [np.concatenate(v) for v in
+                                   zip(*(lookup_answers(sol, v) for v in t.tolist()))])

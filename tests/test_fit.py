@@ -224,6 +224,18 @@ class TestBatch:
         with pytest.raises(ValidationError):
             fit_batch(self.TIMES[:-1], self.good_rows(2), 250.0, 5000.0)
 
+    @pytest.mark.parametrize("change", [
+        (-1, math.nan), (-1, math.inf), (-1, 1.0), (0, -1.0), (5, TestRejectedTrials.TIMES[4]),
+    ], ids=["nan-last", "inf-last", "decreasing", "negative", "repeated"])
+    def test_times_follow_the_series_rule(self, change, capfd):
+        times = list(self.TIMES)
+        times[change[0]] = change[1]
+        with pytest.raises(ValidationError) as series:
+            ConcentrationSeries(times, self.good_rows(1)[0].tolist())
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(series.value))}$"):
+            fit_batch(times, self.good_rows(2), 250.0, 5000.0)
+        assert capfd.readouterr() == ("", "")
+
 
 def per_row_guess(t, c, d, v):
     """The starting point of one row, computed alone: the reference the
