@@ -34,6 +34,7 @@ from .core import (
     PkParams,
     ValidationError,
     validate_params,
+    validate_positive,
 )
 from . import bateman, dosing, extmodels, fit as fitmod, oracle, pkmetrics, steady_state
 
@@ -75,15 +76,14 @@ def _require(doc: dict, key: str, path: str = ""):
     return doc[key]
 
 
-def _positive(value, where: str, zero_ok: bool = False) -> float:
+def _number(value, where: str, zero_ok: bool = False) -> float:
+    """`value` as a float held to `validate_positive` under its JSON path
+    `where` (0 passes too if `zero_ok`); RegimenFileError if not a number."""
     try:
-        out = float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise RegimenFileError(f"{where}: expected a number, got {value!r}") from None
-    if not np.isfinite(out) or out < 0.0 or (out == 0.0 and not zero_ok):
-        bound = ">=" if zero_ok else ">"
-        raise RegimenFileError(f"{where}: must be {bound} 0 and finite, got {value!r}")
-    return out
+    return number if zero_ok and number == 0.0 else validate_positive(where, number)
 
 
 class RegimenFile:
@@ -113,14 +113,14 @@ class RegimenFile:
             )
         scale = _HOURS_PER_UNIT[unit]
 
-        ke = _positive(_require(params, "ke", "params"), "params.ke") / scale
+        ke = _number(_require(params, "ke", "params"), "params.ke") / scale
         if self.model == "bolus":
             self.params = None
             self.ke = ke
         else:
-            ka = _positive(_require(params, "ka", "params"), "params.ka") / scale
-            gamma = _positive(_require(params, "gamma", "params"), "params.gamma")
-            volume = _positive(params.get("volume", 5000.0), "params.volume")
+            ka = _number(_require(params, "ka", "params"), "params.ka") / scale
+            gamma = _number(_require(params, "gamma", "params"), "params.gamma")
+            volume = _number(params.get("volume", 5000.0), "params.volume")
             self.params = validate_params(
                 PkParams(ka=ka, ke=ke, gamma=gamma, volume=volume)
             )
@@ -142,18 +142,18 @@ class RegimenFile:
                 raise RegimenFileError("schedule.arbitrary: expected a non-empty array")
             self.entries = [self._entry(item, f"schedule.arbitrary[{i}]", scale)
                             for i, item in enumerate(block)]
-        self.horizon = _positive(_require(doc, "horizon"), "horizon", zero_ok=True) * scale
-        self.sample_step = _positive(_require(doc, "sample_step"), "sample_step") * scale
+        self.horizon = _number(_require(doc, "horizon"), "horizon", zero_ok=True) * scale
+        self.sample_step = _number(_require(doc, "sample_step"), "sample_step") * scale
 
     def _entry(self, item, where: str, scale: float) -> tuple:
         """(dose, interval) in hours, plus the absorption window for FAT."""
         if not isinstance(item, dict):
             raise RegimenFileError(f"{where}: expected an object")
-        dose = _positive(_require(item, "dose", where), f"{where}.dose")
-        interval = _positive(_require(item, "interval", where), f"{where}.interval") * scale
+        dose = _number(_require(item, "dose", where), f"{where}.dose")
+        interval = _number(_require(item, "interval", where), f"{where}.interval") * scale
         if self.model != "fat":
             return dose, interval
-        offset = _positive(_require(item, "fat_offset", where), f"{where}.fat_offset") * scale
+        offset = _number(_require(item, "fat_offset", where), f"{where}.fat_offset") * scale
         if offset > interval:
             raise RegimenFileError(
                 f"{where}.fat_offset: absorption window {offset:g} exceeds the "

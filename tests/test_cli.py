@@ -463,6 +463,30 @@ class TestSchemaErrors:
         assert cp.returncode == 2
         assert "schedule.equi.dose" in cp.stderr
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("dose", "ten", "schedule.arbitrary[1].dose: expected a number, got 'ten'"),
+        ("dose", None, "schedule.arbitrary[1].dose: expected a number, got None"),
+        ("dose", -5, "schedule.arbitrary[1].dose must be > 0 and finite, got -5.0"),
+        ("interval", 0, "schedule.arbitrary[1].interval must be > 0 and finite, got 0.0"),
+        ("interval", "NaN", "schedule.arbitrary[1].interval must be > 0 and finite, got nan"),
+        ("dose", "Infinity", "schedule.arbitrary[1].dose must be > 0 and finite, got inf"),
+    ])
+    def test_numbers_are_held_to_the_core_rule_under_their_path(self, field, value, message):
+        doc = json.loads((DATA / "oral_skip.json").read_text())
+        doc["schedule"]["arbitrary"][1][field] = value
+        with pytest.raises(cli.ValidationError) as info:
+            cli.RegimenFile(doc)
+        assert str(info.value) == message
+
+    def test_horizon_accepts_zero_but_not_less(self, tmp_path):
+        doc = json.loads((DATA / "oral_equi.json").read_text())
+        assert cli.RegimenFile({**doc, "horizon": 0}).horizon == 0.0
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps({**doc, "horizon": -1.0}))
+        cp = run_cli("simulate", str(path))
+        assert cp.returncode == 2
+        assert "horizon must be > 0 and finite, got -1.0" in cp.stderr
+
     def test_fat_offset_beyond_interval_names_entry(self, tmp_path):
         equi = {"equi": {"dose": 600.0, "interval": 5.0, "fat_offset": 6.0}}
         arbitrary = {"arbitrary": [

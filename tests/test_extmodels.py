@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from multidose.core import Arbitrary, EquiDose, PkParams, ValidationError
-from multidose.bateman import arbitrary_multidose, equi_multidose
+from multidose import bateman
+from multidose.bateman import BLOCK_POINTS, arbitrary_multidose, equi_multidose
 from multidose.extmodels import (
     BolusRegimen,
     BolusSolution,
@@ -409,10 +410,25 @@ def assert_same_bits(got: list[np.ndarray], want: list[np.ndarray]):
     assert [(v.dtype, v.tobytes()) for v in got] == [(v.dtype, v.tobytes()) for v in want]
 
 
+def block_query(sol) -> np.ndarray:
+    """2*BLOCK_POINTS + 1 sorted times: the second block opens at cycle 11's
+    dose instant and the third, its one point, at that cycle's absorption
+    cutoff (without a window, cycle 12's dose instant); the last point
+    before each of these edges is one ulp below it."""
+    edges = [sol._start(11), sol._start(12)]
+    if sol._cut is not None:
+        edges[1] = edges[0] + (sol.regimen.window if sol.n_cycles is None else sol._cut[10])
+    rng = np.random.default_rng(17)
+    first = np.sort(rng.uniform(0.0, edges[0], BLOCK_POINTS - 1))
+    second = np.sort(rng.uniform(edges[0], edges[1], BLOCK_POINTS - 2))
+    below = np.nextafter(edges, 0.0)
+    return np.concatenate((first, [below[0], edges[0]], second, [below[1], edges[1]]))
+
+
 class TestLookupPaths:
-    """A sorted 1-D query spanning fewer cycles than points fills each
-    cycle's run of points by np.repeat; any other query looks up each point.
-    The two agree bit for bit."""
+    """A sorted query spanning fewer cycles than points fills each cycle's
+    run of points by np.repeat; any other query looks up each point. Both
+    evaluate BLOCK_POINTS points at a time, and all agree bit for bit."""
 
     @pytest.mark.parametrize("make", LOOKUP_SOLUTIONS.values(), ids=LOOKUP_SOLUTIONS.keys())
     def test_sorted_query_equals_shuffled_reshaped_and_scalar(self, make):
@@ -427,6 +443,12 @@ class TestLookupPaths:
         assert_same_bits(lookup_answers(sol, t[:, None]), dense)
         scalars = [lookup_answers(sol, v) for v in t.tolist()]
         assert_same_bits([np.concatenate(v) for v in zip(*scalars)], dense)
+
+    @pytest.mark.parametrize("make", LOOKUP_SOLUTIONS.values(), ids=LOOKUP_SOLUTIONS.keys())
+    def test_paths_agree_in_seven_point_blocks(self, make, monkeypatch):
+        # Every mark of the query then lies near a block edge.
+        monkeypatch.setattr(bateman, "BLOCK_POINTS", 7)
+        self.test_sorted_query_equals_shuffled_reshaped_and_scalar(make)
 
     @pytest.mark.parametrize("make", LOOKUP_SOLUTIONS.values(), ids=LOOKUP_SOLUTIONS.keys())
     def test_sparse_and_empty_multidimensional_queries(self, make):
@@ -453,3 +475,68 @@ class TestLookupPaths:
         assert peak < 100_000
         assert_same_bits(answers, [np.concatenate(v) for v in
                                    zip(*(lookup_answers(sol, v) for v in t.tolist()))])
+
+    @pytest.mark.parametrize("make", LOOKUP_SOLUTIONS.values(), ids=LOOKUP_SOLUTIONS.keys())
+    def test_dose_instant_and_cutoff_on_block_edges(self, make):
+        sol = make()
+        t = block_query(sol)
+        assert t.size == 2 * BLOCK_POINTS + 1 and (np.diff(t) >= 0.0).all()
+        assert np.array_equal(sol.cycle_index(t[BLOCK_POINTS - 1:BLOCK_POINTS + 1]), [10, 11])
+        assert sol._runs(t) is not None
+        dense = lookup_answers(sol, t)
+        assert not any(np.isnan(v).any() for v in dense)
+        perm = np.random.default_rng(2).permutation(t.size)
+        assert_same_bits(lookup_answers(sol, t[perm]), [v[perm] for v in dense])
+        assert_same_bits(lookup_answers(sol, t.reshape(-1, 1)), dense)
+        edges = np.r_[BLOCK_POINTS - 2:BLOCK_POINTS + 2, 2 * BLOCK_POINTS - 2:t.size]
+        scalars = [lookup_answers(sol, v) for v in t[edges].tolist()]
+        assert_same_bits([np.concatenate(v) for v in zip(*scalars)], [v[edges] for v in dense])
+        for n in (BLOCK_POINTS - 1, BLOCK_POINTS, BLOCK_POINTS + 1):
+            assert_same_bits(lookup_answers(sol, t[:n]), [v[:n] for v in dense])
+            assert_same_bits(lookup_answers(sol, t[:n][::-1]), [v[:n][::-1] for v in dense])
+
+    @pytest.mark.parametrize("make", [v for k, v in LOOKUP_SOLUTIONS.items() if "equi" in k],
+                             ids=[k for k in LOOKUP_SOLUTIONS if "equi" in k])
+    def test_sparse_query_across_blocks(self, make):
+        # More cycles than points: each block looks up its points' own states.
+        sol = make()
+        t = block_query(sol) * 7000.0
+        assert sol.cycle_index(t[-1]) > t.size and sol._runs(t) is None
+        answers = lookup_answers(sol, t)
+        edges = np.r_[0, BLOCK_POINTS - 1:BLOCK_POINTS + 1, t.size - 2:t.size]
+        scalars = [lookup_answers(sol, v) for v in t[edges].tolist()]
+        assert_same_bits([np.concatenate(v) for v in zip(*scalars)], [v[edges] for v in answers])
+
+    @pytest.mark.parametrize("make", LOOKUP_SOLUTIONS.values(), ids=LOOKUP_SOLUTIONS.keys())
+    def test_array_calls_hold_their_outputs_and_one_block(self, make):
+        # The allowance is a fixed number of block-sized arrays, whatever N.
+        sol = make()
+        t = np.sort(np.random.default_rng(18).uniform(0.0, 20.0, 1_000_000))
+        for query in (t, t[np.random.default_rng(19).permutation(t.size)]):
+            for name in ("x", "y", "__call__", "evaluate", "cycle_index"):
+                tracemalloc.start()
+                try:
+                    out = getattr(sol, name)(query)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                outputs = sum(v.nbytes for v in (out if isinstance(out, tuple) else (out,)))
+                assert peak - outputs < 16 * 8 * BLOCK_POINTS, (name, peak - outputs)
+
+    @pytest.mark.parametrize("make", LOOKUP_SOLUTIONS.values(), ids=LOOKUP_SOLUTIONS.keys())
+    def test_nan_and_infinite_times(self, make):
+        sol = make()
+        calls = (sol.x, sol.y, sol, sol.evaluate, sol.cycle_index)
+        for t in (math.nan, [math.nan], [1.0, math.nan, -1.0], np.array([[2.0], [math.nan]])):
+            for call in calls:
+                with pytest.raises(ValidationError, match="query time must be finite, got nan"):
+                    call(t)
+        for call in calls:
+            with pytest.raises(ValidationError, match="t >= 0 only"):
+                call([1.0, -1.0])
+            if sol.n_cycles is None:
+                with pytest.raises(ValidationError, match="beyond 2\\*\\*53 dosing intervals"):
+                    call(math.inf)
+        if sol.n_cycles is not None:
+            assert sol.x(math.inf) == 0.0 and sol.x([1.0, math.inf])[1] == 0.0
+            assert sol.cycle_index(math.inf) == sol.n_cycles
