@@ -5,7 +5,7 @@ plus IV-bolus and finite-absorption-time variants; per-cycle metrics,
 steady-state bounds and convergence, regimen design against target
 concentration ranges, and nonlinear least-squares parameter estimation.
 Everything analytic is cross-checkable against the independent
-superposition and RK4 oracles in `multidose.oracle`.
+superposition oracle in `multidose.oracle`.
 """
 
 __version__ = "0.1.0"
@@ -21,7 +21,6 @@ from .core import (
     NumericalError,
     PkError,
     PkParams,
-    StepTooLarge,
     ValidationError,
     dose_times,
     validate_params,

@@ -17,6 +17,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import itertools
 import json
 import os
 import sys
@@ -55,14 +56,6 @@ CSV_BLOCK_ROWS = 4096
 #: and 40 ms in one call (in-process medians).
 MC_BLOCK_ROWS = 256
 _E_MIN, _E_MAX = -302, 308  # decimal exponents the CSV writer rounds in arithmetic
-#: One `analyze` cycle, laid out as json.dumps(indent=2, sort_keys=True) writes it.
-_CYCLE_ROW = """    {
-      "auc": %r,
-      "n": %d,
-      "peak_in_cycle": %s,
-      "t_max": %r,
-      "x_max": %r
-    }"""
 
 
 class RegimenFileError(ValidationError):
@@ -449,72 +442,60 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def cmd_analyze(args) -> int:
+    eps = validate_positive("eps", args.eps)
     regfile = load_regimen_file(args.regimen)
+    sol, n_cycles = regfile.solution(), regfile.n_cycles_in_horizon()
+    # A convergent schedule settles into its limiting entry's cycle.
+    dose, interval = regfile.entries[-1][:2]
     if regfile.model == "oral":
-        text = _analyze_oral(regfile, args.eps)
+        keys = ("auc", "n", "peak_in_cycle", "t_max", "x_max")
+        rows = ((auc, n, "true" if peak else "false", t_max, x_max)
+                for n, auc, t_max, x_max, peak in pkmetrics.cycle_rows(sol, n_cycles))
+        summary = steady_state.summarize(regfile.params, dose, interval, eps)
+        payload = {"asymptote_of": {"dose": dose, "interval": interval},
+                   # Every field of the summary, under its own name.
+                   "steady_state": dataclasses.asdict(summary)}
+    elif regfile.model == "bolus":
+        limit = extmodels.bolus_equi_remainder_limit(regfile.ke, dose, interval)
+        payload = {"asymptote_of": {"delta": dose, "interval": interval},
+                   "steady_state": {"remainder_limit": limit}}
+        keys = ("n", "remainder", "start_value")
+        rows = _accessor_rows(n_cycles, lambda n: n, sol.remainder, sol.start_value)
     else:
-        text = _json_dumps(_analyze_bolus(regfile) if regfile.model == "bolus"
-                           else _analyze_fat(regfile))
-    _write(args.out, [text.encode()])
+        payload = {}
+        if regfile.equi:
+            cutoff, end = extmodels.fat_equi_limits(regfile.params, *regfile.entries[0])
+            payload["steady_state"] = {"cutoff_limit": cutoff, "end_limit": end}
+        keys = ("cutoff_value", "end_value", "n")
+        rows = _accessor_rows(n_cycles, sol.cutoff_value, sol.end_value, lambda n: n)
+    payload = {"model": regfile.model, "schema": SCHEMA_VERSION, **payload}
+    _write(args.out, _json_with_cycles(payload, keys, rows))
     return EXIT_OK
 
 
-def _analyze_oral(regfile: RegimenFile, eps: float) -> str:
-    rows = pkmetrics.cycle_rows(regfile.solution(), regfile.n_cycles_in_horizon())
-    # A convergent schedule settles into its limiting entry's cycle.
-    dose, interval = regfile.entries[-1][:2]
-    summary = steady_state.summarize(regfile.params, dose, interval, eps)
-    return _json_with_cycles({
-        "model": "oral",
-        "schema": SCHEMA_VERSION,
-        "asymptote_of": {"dose": dose, "interval": interval},
-        # Every field of the summary, under its own name.
-        "steady_state": dataclasses.asdict(summary),
-    }, rows)
+def _accessor_rows(n_cycles: int, *columns) -> Iterator[tuple]:
+    """Rows (column(n) for each column) of cycles 1..n_cycles, each column
+    called on an index array of pkmetrics.ROWS_PER_PASS cycles at a time."""
+    for lo in range(1, n_cycles + 1, pkmetrics.ROWS_PER_PASS):
+        n = np.arange(lo, min(lo + pkmetrics.ROWS_PER_PASS, n_cycles + 1))
+        yield from zip(*(column(n).tolist() for column in columns))
 
 
-def _json_with_cycles(payload: dict, rows) -> str:
-    """_json_dumps(payload) plus a "cycles" list of `pkmetrics.cycle_rows` rows."""
-    block = ",\n".join(_CYCLE_ROW % (auc, n, "true" if peak else "false", t_max, x_max)
-                       for n, auc, t_max, x_max, peak in rows)
-    # %r writes nan/inf, the encoder NaN/Infinity; no key or finite number holds them.
-    block = block.replace("nan", "NaN").replace("inf", "Infinity")
-    return _json_dumps({**payload, "cycles": []}).replace(
-        '"cycles": []', '"cycles": [\n' + block + "\n  ]", 1)
-
-
-def _analyze_bolus(regfile: RegimenFile) -> dict:
-    sol = regfile.solution()
-    n = np.arange(1, regfile.n_cycles_in_horizon() + 1)
-    cycles = [{"n": k, "start_value": start, "remainder": left} for k, start, left in
-              zip(n.tolist(), sol.start_value(n).tolist(), sol.remainder(n).tolist())]
-    delta, interval = regfile.entries[-1]
-    return {
-        "model": "bolus",
-        "schema": SCHEMA_VERSION,
-        "asymptote_of": {"delta": delta, "interval": interval},
-        "steady_state": {
-            "remainder_limit": extmodels.bolus_equi_remainder_limit(
-                regfile.ke, delta, interval),
-        },
-        "cycles": cycles,
-    }
-
-
-def _analyze_fat(regfile: RegimenFile) -> dict:
-    sol = regfile.solution()
-    n = np.arange(1, regfile.n_cycles_in_horizon() + 1)
-    cycles = [{"n": k, "cutoff_value": cutoff, "end_value": end} for k, cutoff, end in
-              zip(n.tolist(), sol.cutoff_value(n).tolist(), sol.end_value(n).tolist())]
-    payload = {
-        "model": "fat",
-        "schema": SCHEMA_VERSION,
-        "cycles": cycles,
-    }
-    if regfile.equi:
-        cutoff, end = extmodels.fat_equi_limits(regfile.params, *regfile.entries[0])
-        payload["steady_state"] = {"cutoff_limit": cutoff, "end_limit": end}
-    return payload
+def _json_with_cycles(payload: dict, keys: tuple[str, ...], rows) -> Iterator[bytes]:
+    """_json_dumps(payload) plus a "cycles" list with one object of `keys` per
+    row, in blocks of pkmetrics.ROWS_PER_PASS rows. `keys` are sorted, and a
+    row holds their values in that order, each a number or a JSON literal."""
+    head, _, tail = _json_dumps({**payload, "cycles": []}).partition('"cycles": []')
+    # The layout json.dumps(indent=2) gives a list item; str(float) is repr.
+    template = "    {\n" + ",\n".join(f'      "{key}": %s' for key in keys) + "\n    }"
+    yield (head + '"cycles": [').encode()
+    rows, separator = iter(rows), "\n"
+    while block := list(itertools.islice(rows, pkmetrics.ROWS_PER_PASS)):
+        text = separator + ",\n".join(template % row for row in block)
+        # str writes nan/inf, the encoder NaN/Infinity; no key or finite number holds them.
+        yield text.replace("nan", "NaN").replace("inf", "Infinity").encode()
+        separator = ",\n"
+    yield ("\n  ]" + tail).encode()
 
 
 # -- plumbing -----------------------------------------------------------------

@@ -41,10 +41,6 @@ class InsufficientData(ValidationError):
     """Too few data points for the requested estimation."""
 
 
-class StepTooLarge(ValidationError):
-    """Integrator step too coarse for the dosing schedule."""
-
-
 class NumericalError(PkError):
     """A numerical procedure failed to produce a trustworthy result."""
 

@@ -46,8 +46,10 @@ from multidose.extmodels import (
     bolus_multidose,
     fat_multidose,
 )
-from multidose.oracle import OracleConfig, integrate_ode, superpose
+from multidose.oracle import superpose
 from multidose import cli
+
+from rk4 import OracleConfig, integrate_ode
 
 DATA = Path(__file__).parent / "data"
 
@@ -304,7 +306,7 @@ def test_criterion_09_extension_models():
     assert np.all(fat.y(t)[clearance] == 0.0)
 
     # RK4 cross-check over both phases of cycle 2.
-    from multidose.oracle import _rk4_segment
+    from rk4 import _rk4_segment
 
     carry = fat.end_value(1)
     _, xs, _ = _rk4_segment(p, 600.0, carry, 2.0, 1e-3)

@@ -48,7 +48,7 @@ class TestSingleDose:
         assert single_dose(p, 80.0).y(1.0) == pytest.approx(40.0, rel=1e-14)
 
     def test_against_rk4_oracle(self, clarithromycin):
-        from multidose.oracle import OracleConfig, integrate_ode
+        from rk4 import OracleConfig, integrate_ode
 
         curve = single_dose(clarithromycin, 250.0)
         traj = integrate_ode(clarithromycin, Arbitrary([(250.0, 24.0)]), 24.0,
@@ -300,7 +300,7 @@ class TestInvariants:
         assert np.all(sol.x(t) > 0.0)
 
     def test_ode_oracle_ten_cycles(self, canonical):
-        from multidose.oracle import OracleConfig, integrate_ode
+        from rk4 import OracleConfig, integrate_ode
 
         sol = equi_multidose(canonical, 100.0, 6.0)
         traj = integrate_ode(canonical, EquiDose(100.0, 6.0), 60.0,

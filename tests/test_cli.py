@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,6 +18,7 @@ from multidose import cli
 from multidose.cli import (CSV_BLOCK_ROWS, _csv_rows, _json_with_cycles, _monte_carlo,
                            load_regimen_file)
 from multidose.core import ConcentrationSeries, NoConvergence, PkParams
+from multidose.extmodels import bolus_equi_remainder_limit, fat_equi_limits
 from multidose.bateman import single_dose
 from multidose.fit import fit_single_dose, predict
 from multidose.pkmetrics import cycle_metrics
@@ -738,6 +740,32 @@ class TestAnalyzeCommand:
                                    "--eps", "1e-9").stdout)
         assert loose["steady_state"]["n_epsilon"] < tight["steady_state"]["n_epsilon"]
 
+    @pytest.mark.parametrize("name", ["oral_equi", "bolus_mixed", "fat_mixed"])
+    def test_eps_is_checked_for_every_model(self, capsys, tmp_path, name):
+        out = tmp_path / "out.json"
+        code = cli.main(["analyze", str(DATA / f"{name}.json"), "--eps", "-1",
+                         "--out", str(out)])
+        assert code == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: eps must be > 0 and finite, got -1.0\n"
+        assert not out.exists()
+
+    def test_no_steady_state_writes_nothing(self, capsys, tmp_path):
+        path = tmp_path / "slow.json"
+        path.write_text(json.dumps({
+            "schema": 1, "model": "oral",
+            "params": {"ka": 1.0, "ke": 1e-6, "gamma": 1.0, "volume": 1.0},
+            "schedule": {"equi": {"dose": 100.0, "interval": 1.0}},
+            "horizon": 10.0, "sample_step": 1.0}))
+        out = tmp_path / "out.json"
+        argv = ["analyze", str(path), "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert "no steady state within 100000 cycles" in capsys.readouterr().err
+        assert not out.exists()
+        # An existing output is not even opened: it keeps every byte.
+        out.write_bytes(b"earlier output\n")
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert out.read_bytes() == b"earlier output\n"
+
     def test_flip_flop_with_underflowing_gap_increments(self, tmp_path):
         doc = {
             "schema": 1, "model": "oral",
@@ -792,8 +820,9 @@ class TestAnalyzeCommand:
 
 
 class TestAnalyzeRowTemplate:
-    """`analyze` writes its oral cycle rows from one template; the bytes must
-    be those of the stdlib encoder over `cycle_metrics`."""
+    """`analyze` writes the cycle rows of every model from one template; the
+    bytes must be those of the stdlib encoder over `cycle_metrics` (oral) and
+    the solution's per-cycle accessors (bolus, FAT)."""
 
     @staticmethod
     def encoder_output(path: Path, eps: float = 1e-6) -> str:
@@ -834,13 +863,55 @@ class TestAnalyzeRowTemplate:
         if boundary_rows:
             assert '"peak_in_cycle": false' in cp.stdout
 
+    @pytest.mark.parametrize("name", ["bolus_mixed", "fat_mixed", "bolus_equi_100k",
+                                      "fat_equi_100k"])
+    def test_bolus_and_fat_bytes_equal_stdlib_encoder(self, tmp_path, name):
+        regfile = load_regimen_file(str(DATA / f"{name}.json"))
+        sol = regfile.solution()
+        n = np.arange(1, regfile.n_cycles_in_horizon() + 1)
+        if regfile.model == "bolus":
+            delta, interval = regfile.entries[-1]
+            limit = bolus_equi_remainder_limit(regfile.ke, delta, interval)
+            payload = {"asymptote_of": {"delta": delta, "interval": interval},
+                       "steady_state": {"remainder_limit": limit},
+                       "cycles": [{"n": k, "start_value": start, "remainder": left}
+                                  for k, start, left in zip(n.tolist(), sol.start_value(n).tolist(),
+                                                            sol.remainder(n).tolist())]}
+        else:
+            payload = {"cycles": [{"n": k, "cutoff_value": cutoff, "end_value": end}
+                                  for k, cutoff, end in zip(n.tolist(), sol.cutoff_value(n).tolist(),
+                                                            sol.end_value(n).tolist())]}
+            if regfile.equi:
+                cutoff, end = fat_equi_limits(regfile.params, *regfile.entries[0])
+                payload["steady_state"] = {"cutoff_limit": cutoff, "end_limit": end}
+        expected = json.dumps({"model": regfile.model, "schema": 1, **payload},
+                              indent=2, sort_keys=True) + "\n"
+        out = tmp_path / "out.json"
+        assert cli.main(["analyze", str(DATA / f"{name}.json"), "--out", str(out)]) == 0
+        assert out.read_text() == expected
+
+    @pytest.mark.parametrize("name", ["bolus_equi_100k", "fat_equi_100k"])
+    def test_rows_stream_in_bounded_memory(self, tmp_path, name):
+        # 100,000 cycles, an 11 MB document: the writer holds one block of rows.
+        out = tmp_path / "out.json"
+        tracemalloc.start()
+        try:
+            assert cli.main(["analyze", str(DATA / f"{name}.json"), "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
     def test_non_finite_values_keep_encoder_spelling(self):
         rows = [(1, math.nan, math.inf, -math.inf, False), (2, 1.5, 0.1, 1e-300, True)]
         fields = ("n", "auc", "t_max", "x_max", "peak_in_cycle")
         expected = json.dumps({"model": "oral",
                                "cycles": [dict(zip(fields, row)) for row in rows]},
                               indent=2, sort_keys=True) + "\n"
-        text = _json_with_cycles({"model": "oral"}, rows)
+        keys = ("auc", "n", "peak_in_cycle", "t_max", "x_max")
+        sorted_rows = [(auc, n, "true" if peak else "false", t_max, x_max)
+                       for n, auc, t_max, x_max, peak in rows]
+        text = b"".join(_json_with_cycles({"model": "oral"}, keys, sorted_rows)).decode()
         assert text == expected
         assert '"auc": NaN' in text and '"x_max": -Infinity' in text
 

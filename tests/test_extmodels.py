@@ -17,10 +17,9 @@ from multidose.extmodels import (
     fat_equi_limits,
     fat_multidose,
 )
-from multidose.oracle import _rk4_segment
-
 from mpref import (DIGITS, NEAR_EQUAL, PIECE_TAUS, SPREAD, TAUS, mp_bolus_limit,
                    mp_bolus_state, mp_fat_cutoff, mp_fat_limits, mp_piece, piece_bound, rel)
+from rk4 import _rk4_segment
 
 #: Machine epsilon: the spacing of doubles at 1.
 EPS = 2.0 ** -52

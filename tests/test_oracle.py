@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from multidose.core import (Arbitrary, EquiDose, NonPositiveParameter, PkParams, StepTooLarge,
+from multidose.core import (Arbitrary, EquiDose, NonPositiveParameter, PkParams,
                             ValidationError)
 from multidose.bateman import arbitrary_multidose, equi_multidose, single_dose
 from multidose.extmodels import (
@@ -10,13 +10,9 @@ from multidose.extmodels import (
     bolus_multidose,
     fat_multidose,
 )
-from multidose.oracle import (
-    OracleConfig,
-    integrate_impulses,
-    integrate_ode,
-    superpose,
-    superpose_gut,
-)
+from multidose.oracle import superpose, superpose_gut
+
+from rk4 import OracleConfig, StepTooLarge, integrate_impulses, integrate_ode
 
 
 def test_single_dose_matches_closed_form(canonical):
