@@ -73,6 +73,16 @@ def decay_sum(k, tau, n):
     return np.expm1(-k * tau * n) / np.expm1(-k * tau)
 
 
+def _least_time(t: np.ndarray):
+    """The least query time in t (0.0 for none); ValidationError if NaN or < 0."""
+    lo = t.min() if t.size else 0.0
+    if math.isnan(lo):
+        raise ValidationError("query time must be finite, got nan")
+    if lo < 0.0:
+        raise ValidationError("trajectory is defined for t >= 0 only")
+    return lo
+
+
 def _shaped_like(t, values: np.ndarray):
     """`values` as a Python number for a scalar query t, else as an array."""
     return values if np.ndim(t) else values.item()
@@ -142,7 +152,7 @@ class Bateman:
 
 @dataclass(frozen=True)
 class SingleDoseCurve:
-    """Response to one oral dose at t=0: x rises then falls, y decays."""
+    """Response to one oral dose at t=0, for t >= 0: x rises then falls, y decays."""
 
     params: PkParams
     dose: float
@@ -150,11 +160,13 @@ class SingleDoseCurve:
     def x(self, t):
         p = self.params
         s = np.atleast_1d(np.asarray(t, dtype=float))
+        _least_time(s)
         out = absorption_gain(p) * self.dose * (np.exp(-p.ke * s) - np.exp(-p.ka * s))
         return _shaped_like(t, out)
 
     def y(self, t):
         s = np.atleast_1d(np.asarray(t, dtype=float))
+        _least_time(s)
         return _shaped_like(t, self.dose * np.exp(-self.params.ka * s))
 
     def __call__(self, t):
@@ -310,17 +322,18 @@ class PiecewiseSolution:
         """The float time of dose n, opening cycle(s) n (1-based)."""
         return (n - 1) * self.regimen.interval if self._equi else self._starts[n - 1]
 
-    def _runs(self, t: np.ndarray):
-        """(rows, ends) for a flat t, non-decreasing (checked a block at a time),
-        spanning fewer cycles than points: its cycles, t[0]'s to t[-1]'s, and
-        where each run of points but the last ends (as `_cycles` splits); else None."""
+    def _lookup(self, t: np.ndarray):
+        """(rows, ends) for a flat query t, checked by `_least_time`: its cycles, least
+        time's to greatest's, if fewer than its points, and for t sorted (checked a block
+        at a time) where each run of points but the last ends (as `_cycles` splits)."""
+        lo = _least_time(t)
+        if t.size < 2:  # one point: no range to locate
+            return None, None
+        first, last = self._cycles(np.array([lo, t.max()])).tolist()
+        rows = np.arange(first, last + 1) if last - first + 1 < t.size else None
         blocks = (t[a:a + BLOCK_POINTS + 1] for a in range(0, t.size, BLOCK_POINTS))
-        if t.size < 2 or not all((b[1:] >= b[:-1]).all() for b in blocks):
-            return None
-        first, last = self._cycles(t[[0, -1]]).tolist()
-        if last - first + 1 >= t.size:
-            return None
-        rows = np.arange(first, last + 1)
+        if rows is None or not all((b[1:] >= b[:-1]).all() for b in blocks):
+            return rows, None
         return rows, np.searchsorted(t, self._start(rows[1:]), side="left")
 
     def _table(self, rows):
@@ -333,24 +346,14 @@ class PiecewiseSolution:
     def _evaluate(self, t, want: str) -> tuple:
         """The outputs in `want` ('x', 'y', 'c' for the cycle) at t, shaped like t.
 
-        The query's cycles are located once (`_runs` for a sorted t, else the
-        range of its extremes) with their `_table` when fewer than its points.
-        Each block of BLOCK_POINTS points then takes its cycles, s = t - t_start
-        and states into the preallocated outputs: no other per-point array
-        outlives a block. Every path and block runs the same operations on
-        each point.
+        The query's cycles are located once (`_lookup`), with their `_table` when
+        fewer than its points. Each block of BLOCK_POINTS points then takes its
+        cycles, s = t - t_start and states into the preallocated outputs: no other
+        per-point array outlives a block. Every path and block runs the same
+        operations on each point.
         """
         flat = np.asarray(t, dtype=float).reshape(-1)
-        lo, hi = (flat.min(), flat.max()) if flat.size else (0.0, 0.0)
-        if math.isnan(lo):
-            raise ValidationError("query time must be finite, got nan")
-        if lo < 0.0:
-            raise ValidationError("trajectory is defined for t >= 0 only")
-        runs = self._runs(flat)
-        rows, ends = runs or (None, None)
-        if runs is None and flat.size > 1:  # else one point: sparse
-            first, last = self._cycles(np.array([lo, hi])).tolist()
-            rows = np.arange(first, last + 1) if last - first + 1 < flat.size else None
+        rows, ends = self._lookup(flat)
         sparse, states = rows is None, want != "c"
         table = None if sparse or not states else self._table(rows)
         outs = {k: np.empty(flat.size, np.int64 if k == "c" else float) for k in want}

@@ -52,10 +52,6 @@ class TherapeuticTarget:
     def __post_init__(self):
         for name in ("mic", "tc", "lower", "upper"):
             validate_positive(name, getattr(self, name))
-        if not self.tc > self.mic:
-            raise ValidationError(
-                f"tc must exceed mic, got tc={self.tc!r} mic={self.mic!r}"
-            )
         if not (self.mic <= self.lower < self.upper <= self.tc):
             raise ValidationError(
                 "targets must satisfy mic <= lower < upper <= tc, got "
@@ -111,9 +107,6 @@ def design(p: PkParams, target: TherapeuticTarget) -> tuple[float, float]:
     """
     validate_params(p)
     ratio_excess = (target.upper - target.lower) / target.lower
-    if not ratio_excess > 0.0:
-        raise ValidationError("target upper must strictly exceed target lower")
-
     lo, hi = TAU_FLOOR, 1.0
     if _ratio_excess(p, lo) > ratio_excess:
         raise NoConvergence(

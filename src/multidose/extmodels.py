@@ -27,8 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bateman import EXTENDED, Bateman, PiecewiseSolution, _shaped_like, decay_sum
-from .core import (EquiDose, PkParams, validate_cycle, validate_entries, validate_params,
-                   validate_positive)
+from .core import EquiDose, PkParams, validate_cycle, validate_entries, validate_positive
 
 
 @dataclass(frozen=True)
@@ -111,9 +110,6 @@ def fat_equi_limits(p: PkParams, d: float, tau: float,
     """Limiting (cutoff, end-of-cycle) concentrations for constant FAT dosing:
     the cutoff sum q*d*E(offset)*G(n) at n = inf, and its clearance piece
     run to the end of the cycle."""
-    validate_params(p)
-    validate_entries([(d, tau, offset)], ("dose", "interval", "absorption window"),
-                     "FAT regimen")
     sol = FatSolution(p, EquiDose(d, tau, offset))
     return float(sol._pieces(math.inf)[0][1]), float(sol._closing(math.inf)[0])
 

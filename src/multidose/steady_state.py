@@ -162,9 +162,6 @@ def n_epsilon(p: PkParams, d: float, tau: float, eps: float = 1e-6) -> int:
     the exact gaps before its first cycle below eps, found by bisection,
     and the answer starts their trailing run below eps.
     """
-    validate_params(p)
-    validate_positive("dose", d)
-    validate_positive("interval", tau)
     validate_positive("eps", eps)
     if gap_envelope(p, d, tau, N_EPSILON_MAX_CYCLES) >= eps:
         name, rate = ("elimination", "ke") if p.ke <= p.ka else ("absorption", "ka")

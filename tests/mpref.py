@@ -157,6 +157,20 @@ def mp_piece(p, x0, y0, s):
         return x0 * mpmath.exp(-ke * s) + q * y0 * e, y0 * mpmath.exp(-ka * s)
 
 
+def mp_dose_sum(p, doses, starts, t):
+    """x at t of oral doses given at the float times `starts`: each started
+    dose's q*d*E(t - start), summed."""
+    with mpmath.workdps(DIGITS):
+        ka, ke, q = _rates(p)
+        total = mpmath.mpf(0)
+        for d, start in zip(doses, starts):
+            u = mpmath.mpf(t) - mpmath.mpf(start)
+            if u >= 0:
+                e = (mpmath.exp(-ke * u) - mpmath.exp(-ka * u)) / (ka - ke)
+                total += q * mpmath.mpf(d) * e
+        return total
+
+
 def mp_equi_state(p, d, tau, n):
     """(x, y) entering cycle n of d every tau: c1 - c2 and y_start."""
     with mpmath.workdps(DIGITS):

@@ -60,6 +60,20 @@ class TestSingleDose:
         with pytest.raises(ValidationError):
             single_dose(canonical, 0.0)
 
+    @pytest.mark.parametrize("t", [-1.0, [0.5, -1e-300], [[1.0], [-2.0]]],
+                             ids=["scalar", "1-D", "2-D"])
+    def test_negative_and_nan_times_are_rejected(self, canonical, t):
+        # As for a multi-dose trajectory: before the dose x would be negative
+        # and y would exceed the dose.
+        curve = single_dose(canonical, 100.0)
+        nan = np.where(np.asarray(t) < 0.0, math.nan, t)
+        for call in (curve.x, curve.y, curve):
+            with pytest.raises(ValidationError, match="t >= 0 only"):
+                call(t)
+            with pytest.raises(ValidationError, match="query time must be finite, got nan"):
+                call(nan if np.ndim(t) else float(nan))
+        assert np.shape(curve.x(np.abs(t))) == np.shape(t)
+
     def test_flip_flop_label_swap_degeneracy(self):
         # Swapping the rate labels multiplies the curve by ke/ka; scaling
         # gamma by ka/ke restores the identical trajectory.

@@ -201,6 +201,25 @@ class TestSimulate:
             golden = DATA / f"golden_simulate_{name}.csv"
             assert cp.stdout == golden.read_text(), name
 
+    @pytest.mark.parametrize("delta", [1e-7, 1e-8, 2e-9])
+    @pytest.mark.parametrize("name", ["oral_equi", "oral_skip", "fat_mixed"])
+    def test_verify_passes_near_equal_rates(self, tmp_path, name, delta):
+        # Validation accepts ka/ke - 1 down to 1e-9; the oracle sums each dose's
+        # q*d*E(u) >= 0, so it stays exact there.
+        doc = json.loads((DATA / f"{name}.json").read_text())
+        doc["params"]["ka"] = doc["params"]["ke"] * (1.0 + delta)
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(doc))
+        out = str(tmp_path / "out.csv")
+        assert cli.main(["simulate", str(path), "--verify", "--out", out]) == 0
+
+    def test_verify_passes_on_the_committed_near_equal_file(self, tmp_path):
+        # oral_skip.json with ka = ke*(1 + 1e-8).
+        path = DATA / "oral_near_equal.json"
+        assert json.loads(path.read_text())["params"]["ka"] == 0.100000001
+        out = str(tmp_path / "out.csv")
+        assert cli.main(["simulate", str(path), "--verify", "--out", out]) == 0
+
     def test_verify_failure_exits_3_naming_the_scale(self, monkeypatch, capsys, tmp_path):
         evaluate = cli.bateman.PiecewiseSolution.evaluate
 

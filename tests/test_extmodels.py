@@ -433,11 +433,11 @@ class TestLookupPaths:
     def test_sorted_query_equals_shuffled_reshaped_and_scalar(self, make):
         sol = make()
         t = lookup_query(sol)
-        assert sol._runs(t) is not None
+        assert sol._lookup(t)[1] is not None
         dense = lookup_answers(sol, t)
         assert not any(np.isnan(v).any() for v in dense)
         perm = np.random.default_rng(1).permutation(t.size)
-        assert sol._runs(t[perm]) is None
+        assert sol._lookup(t[perm])[1] is None
         assert_same_bits(lookup_answers(sol, t[perm]), [v[perm] for v in dense])
         assert_same_bits(lookup_answers(sol, t[:, None]), dense)
         scalars = [lookup_answers(sol, v) for v in t.tolist()]
@@ -464,7 +464,7 @@ class TestLookupPaths:
         # 1e6 h at 0.75 h spans 1.3M cycles: a grid of them would be 10.7 MB.
         sol = equi_multidose(LOOKUP_PARAMS, 100.0, 0.75)
         t = np.array([0.5, 1e6])
-        assert sol._runs(t) is None
+        assert sol._lookup(t)[1] is None
         tracemalloc.start()
         try:
             answers = lookup_answers(sol, t)
@@ -481,7 +481,7 @@ class TestLookupPaths:
         t = block_query(sol)
         assert t.size == 2 * BLOCK_POINTS + 1 and (np.diff(t) >= 0.0).all()
         assert np.array_equal(sol.cycle_index(t[BLOCK_POINTS - 1:BLOCK_POINTS + 1]), [10, 11])
-        assert sol._runs(t) is not None
+        assert sol._lookup(t)[1] is not None
         dense = lookup_answers(sol, t)
         assert not any(np.isnan(v).any() for v in dense)
         perm = np.random.default_rng(2).permutation(t.size)
@@ -500,7 +500,7 @@ class TestLookupPaths:
         # More cycles than points: each block looks up its points' own states.
         sol = make()
         t = block_query(sol) * 7000.0
-        assert sol.cycle_index(t[-1]) > t.size and sol._runs(t) is None
+        assert sol.cycle_index(t[-1]) > t.size and sol._lookup(t)[1] is None
         answers = lookup_answers(sol, t)
         edges = np.r_[0, BLOCK_POINTS - 1:BLOCK_POINTS + 1, t.size - 2:t.size]
         scalars = [lookup_answers(sol, v) for v in t[edges].tolist()]

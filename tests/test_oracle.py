@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from multidose.extmodels import (
 )
 from multidose.oracle import superpose, superpose_gut
 
+from mpref import NEAR_EQUAL, SPREAD, mp_dose_sum
 from rk4 import OracleConfig, StepTooLarge, integrate_impulses, integrate_ode
 
 
@@ -287,3 +289,18 @@ def test_long_fat_windows_do_not_overflow():
 def test_equi_dose_cap_is_a_cycle_count(canonical, n_doses):
     with pytest.raises(ValidationError, match="cycle number must be"):
         superpose(canonical, EquiDose(100.0, 6.0), n_doses=n_doses)(1.0)
+
+
+@pytest.mark.parametrize("p", NEAR_EQUAL + SPREAD)
+def test_superpose_against_mpmath_at_any_rate_separation(p):
+    # Each dose's x is q*d*E(u) >= 0: no pair of terms cancels, down to
+    # ka/ke - 1 = 2e-9 (a difference of two rates' sums would lose 1/(ka/ke - 1)).
+    rng = np.random.default_rng(40)
+    taus, doses = rng.uniform(0.5, 9.0, 40), rng.choice([100.0, 250.0, 400.0], 40)
+    starts = np.concatenate(([0.0], np.cumsum(taus)[:-1]))
+    t = np.array([0.3, starts[7], starts[7] + 1e-3, 17.3, starts[20] + 2.5,
+                  starts[-1] + 2.0, starts[-1] + 60.0])
+    expected = [mp_dose_sum(p, doses, starts, v) for v in t]
+    got = superpose(p, Arbitrary(zip(doses, taus)))(t)
+    peak = max(abs(v) for v in expected)
+    assert max(abs(mpmath.mpf(g) - e) for g, e in zip(got, expected)) <= 1e-13 * peak
