@@ -158,16 +158,15 @@ class SingleDoseCurve:
     dose: float
 
     def x(self, t):
-        p = self.params
+        """The piece entering at (0, dose), as the multi-dose forms read it."""
         s = np.atleast_1d(np.asarray(t, dtype=float))
         _least_time(s)
-        out = absorption_gain(p) * self.dose * (np.exp(-p.ke * s) - np.exp(-p.ka * s))
-        return _shaped_like(t, out)
+        return _shaped_like(t, Bateman.of(self.params).x(0.0, self.dose, s))
 
     def y(self, t):
         s = np.atleast_1d(np.asarray(t, dtype=float))
         _least_time(s)
-        return _shaped_like(t, self.dose * np.exp(-self.params.ka * s))
+        return _shaped_like(t, Bateman.of(self.params).y(self.dose, s))
 
     def __call__(self, t):
         return self.x(t), self.y(t)
@@ -211,7 +210,7 @@ class PiecewiseSolution:
 
     #: The model, the validate_regimen arguments for its regimens, and the
     #: state just after a dose: an oral dose lands in the gut.
-    model, _regimens = "oral", (Arbitrary, "an oral regimen", False)
+    model, _regimens = "oral", (Arbitrary, "an oral regimen")
     _dose = staticmethod(lambda x, y, amount: (x, y + amount))
 
     def __init__(self, params: PkParams, regimen: Regimen):

@@ -106,18 +106,13 @@ class RegimenFile:
             )
         scale = _HOURS_PER_UNIT[unit]
 
-        ke = _number(_require(params, "ke", "params"), "params.ke") / scale
-        if self.model == "bolus":
-            self.params = None
-            self.ke = ke
-        else:
+        # What the model's solution and oracle take: ke alone for a bolus.
+        self.rates = ke = _number(_require(params, "ke", "params"), "params.ke") / scale
+        if self.model != "bolus":
             ka = _number(_require(params, "ka", "params"), "params.ka") / scale
             gamma = _number(_require(params, "gamma", "params"), "params.gamma")
             volume = _number(params.get("volume", 5000.0), "params.volume")
-            self.params = validate_params(
-                PkParams(ka=ka, ke=ke, gamma=gamma, volume=volume)
-            )
-            self.ke = ke
+            self.rates = validate_params(PkParams(ka=ka, ke=ke, gamma=gamma, volume=volume))
 
         schedule = _require(doc, "schedule")
         if (not isinstance(schedule, dict) or len(schedule) != 1
@@ -173,7 +168,7 @@ class RegimenFile:
                         "bolus": (extmodels.bolus_multidose, extmodels.BolusRegimen),
                         "fat": (extmodels.fat_multidose, extmodels.FatRegimen)}[self.model]
         regimen = EquiDose(*self.entries[0]) if self.equi else table(self.entries)
-        return solve(self.ke if self.model == "bolus" else self.params, regimen)
+        return solve(self.rates, regimen)
 
 
 def load_regimen_file(path: str) -> RegimenFile:
@@ -199,8 +194,7 @@ def cmd_simulate(args) -> int:
     x, y, cycles = sol.evaluate(times)
 
     if args.verify:
-        rates = regfile.ke if regfile.model == "bolus" else regfile.params
-        reference = oracle.superpose(rates, sol.regimen)(times)
+        reference = oracle.superpose(regfile.rates, sol.regimen)(times)
         deviation = float(np.max(np.abs(x - reference), initial=0.0))
         peak = float(np.max(np.abs(reference), initial=0.0))
         if deviation > VERIFY_TOLERANCE * max(1.0, peak):
@@ -335,7 +329,7 @@ def _read_concentration_csv(path: str, time_scale: float) -> ConcentrationSeries
 
 def _fit_payload(result: fitmod.FitResult, time_unit: str) -> dict:
     p = result.params
-    payload = {
+    return {
         "params": {"ka": p.ka, "ke": p.ke, "gamma": p.gamma, "volume": p.volume},
         "stderr": ("singular" if result.stderr is None else
                    {"ka": result.stderr[0], "ke": result.stderr[1],
@@ -347,7 +341,6 @@ def _fit_payload(result: fitmod.FitResult, time_unit: str) -> dict:
         "rate_unit": "1/h",
         "input_time_unit": time_unit,
     }
-    return payload
 
 
 def cmd_fit(args) -> int:
@@ -451,12 +444,12 @@ def cmd_analyze(args) -> int:
         keys = ("auc", "n", "peak_in_cycle", "t_max", "x_max")
         rows = ((auc, n, "true" if peak else "false", t_max, x_max)
                 for n, auc, t_max, x_max, peak in pkmetrics.cycle_rows(sol, n_cycles))
-        summary = steady_state.summarize(regfile.params, dose, interval, eps)
+        summary = steady_state.summarize(regfile.rates, dose, interval, eps)
         payload = {"asymptote_of": {"dose": dose, "interval": interval},
                    # Every field of the summary, under its own name.
                    "steady_state": dataclasses.asdict(summary)}
     elif regfile.model == "bolus":
-        limit = extmodels.bolus_equi_remainder_limit(regfile.ke, dose, interval)
+        limit = extmodels.bolus_equi_remainder_limit(regfile.rates, dose, interval)
         payload = {"asymptote_of": {"delta": dose, "interval": interval},
                    "steady_state": {"remainder_limit": limit}}
         keys = ("n", "remainder", "start_value")
@@ -464,7 +457,7 @@ def cmd_analyze(args) -> int:
     else:
         payload = {}
         if regfile.equi:
-            cutoff, end = extmodels.fat_equi_limits(regfile.params, *regfile.entries[0])
+            cutoff, end = extmodels.fat_equi_limits(regfile.rates, *regfile.entries[0])
             payload["steady_state"] = {"cutoff_limit": cutoff, "end_limit": end}
         keys = ("cutoff_value", "end_value", "n")
         rows = _accessor_rows(n_cycles, sol.cutoff_value, sol.end_value, lambda n: n)

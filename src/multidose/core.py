@@ -153,21 +153,26 @@ class EquiDose:
 
 
 @dataclass(frozen=True)
-class Arbitrary:
+class _Table:
+    """Schedule entries, one value per name in the subclass's `fields` (a third is
+    an absorption window), checked on construction by validate_entries as `kind`."""
+
+    entries: tuple[tuple[float, ...], ...]
+
+    def __init__(self, entries: Iterable[Sequence[float]]):
+        object.__setattr__(self, "entries", validate_entries(entries, self.fields, self.kind))
+
+
+class Arbitrary(_Table):
     """Arbitrary regimen: ordered (dose_n, interval_n) pairs.
 
     Dose n is administered at t_{n-1} = sum of the preceding intervals
     (the first dose at t = 0); interval_n is the time from dose n to
     dose n+1, so entry n spans the cycle [t_{n-1}, t_n]. A skipped
-    intake is encoded by widening the previous entry's interval. The
-    entries are checked on construction by validate_entries.
+    intake is encoded by widening the previous entry's interval.
     """
 
-    entries: tuple[tuple[float, float], ...]
-
-    def __init__(self, entries: Iterable[Sequence[float]]):
-        object.__setattr__(self, "entries", validate_entries(
-            entries, ("dose", "interval"), "arbitrary regimen"))
+    fields, kind = ("dose", "interval"), "arbitrary regimen"
 
 
 Regimen = Union[EquiDose, Arbitrary]
@@ -196,13 +201,13 @@ def validate_entries(entries: Iterable[Sequence[float]], fields: Sequence[str],
     return rows
 
 
-def validate_regimen(r: Regimen, table: type = Arbitrary, kind: str = "an oral regimen",
-                     windowed: bool = False) -> Regimen:
+def validate_regimen(r: Regimen, table: type = Arbitrary,
+                     kind: str = "an oral regimen") -> Regimen:
     """r unchanged when it is a `table` (by default an oral Arbitrary) or an
-    EquiDose with a window exactly when `windowed`, each checked on
-    construction; ValidationError naming `kind` and r otherwise."""
+    EquiDose with a window exactly when the table's entries have one, each
+    checked on construction; ValidationError naming `kind` and r otherwise."""
     equi = isinstance(r, EquiDose)
-    if (r.window is not None) == windowed if equi else isinstance(r, table):
+    if (r.window is not None) == (len(table.fields) > 2) if equi else isinstance(r, table):
         return r
     got = f"EquiDose with window={r.window!r}" if equi else type(r).__name__
     raise ValidationError(f"expected {kind}, got {got}")

@@ -62,8 +62,7 @@ class TherapeuticTarget:
 
 def f_ratio(p: PkParams, tau: float) -> float:
     """Limiting peak/trough ratio; increasing in the interval, range (1, inf)."""
-    validate_params(p)
-    return 1.0 + _ratio_excess(p, validate_positive("interval", tau))
+    return 1.0 + f_ratio_excess(p, tau)
 
 
 def f_ratio_excess(p: PkParams, tau: float) -> float:
@@ -123,7 +122,6 @@ def design(p: PkParams, target: TherapeuticTarget) -> tuple[float, float]:
                 bracket=(lo, hi), ratio=1.0 + ratio_excess,
             )
 
-    tau = 0.5 * (lo + hi)
     for _ in range(MAX_BISECT):
         tau = 0.5 * (lo + hi)
         excess = _ratio_excess(p, tau)

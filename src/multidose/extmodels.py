@@ -21,35 +21,23 @@ whose limits are the sums at n = inf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .bateman import EXTENDED, Bateman, PiecewiseSolution, _shaped_like, decay_sum
-from .core import EquiDose, PkParams, validate_cycle, validate_entries, validate_positive
+from .core import EquiDose, PkParams, _Table, validate_cycle, validate_positive
 
 
-@dataclass(frozen=True)
-class BolusRegimen:
+class BolusRegimen(_Table):
     """Ordered (delta_n, tau_n): concentration added per dose, gap after it."""
 
-    entries: tuple[tuple[float, float], ...]
-
-    def __init__(self, entries: Iterable[Sequence[float]]):
-        object.__setattr__(self, "entries", validate_entries(
-            entries, ("delta", "interval"), "bolus regimen"))
+    fields, kind = ("delta", "interval"), "bolus regimen"
 
 
-@dataclass(frozen=True)
-class FatRegimen:
+class FatRegimen(_Table):
     """Ordered (dose_n, tau_n, s_offset_n); absorption stops s_offset into the cycle."""
 
-    entries: tuple[tuple[float, float, float], ...]
-
-    def __init__(self, entries: Iterable[Sequence[float]]):
-        object.__setattr__(self, "entries", validate_entries(
-            entries, ("dose", "interval", "absorption window"), "FAT regimen"))
+    fields, kind = ("dose", "interval", "absorption window"), "FAT regimen"
 
 
 def _carried_pieces(sol: PiecewiseSolution, n):
@@ -69,7 +57,7 @@ class BolusSolution(PiecewiseSolution):
     EquiDose without a window. At a dose time it returns the post-dose
     value; a finite schedule's final cycle extends indefinitely."""
 
-    model, _regimens = "bolus", (BolusRegimen, "a bolus regimen", False)
+    model, _regimens = "bolus", (BolusRegimen, "a bolus regimen")
     _dose = staticmethod(lambda x, y, delta: (x + delta, y))
     _equi_pieces = _carried_pieces
 
@@ -101,7 +89,7 @@ def bolus_multidose(ke: float, r: BolusRegimen | EquiDose) -> BolusSolution:
 def bolus_equi_remainder_limit(ke: float, delta: float, tau: float) -> float:
     """Limiting pre-dose concentration for constant bolus dosing."""
     validate_positive("ke", ke)
-    validate_entries([(delta, tau)], ("delta", "interval"), "bolus regimen")
+    BolusRegimen([(delta, tau)])
     return float(BolusSolution(ke, EquiDose(delta, tau))._closing(math.inf)[0])
 
 
@@ -124,7 +112,7 @@ class FatSolution(PiecewiseSolution):
     schedule's final interval keep that cycle's last piece.
     """
 
-    model, _regimens = "fat", (FatRegimen, "a FAT regimen", True)
+    model, _regimens = "fat", (FatRegimen, "a FAT regimen")
     # The dose resets the gut, discarding what the last cycle left.
     _dose = staticmethod(lambda x, y, d: (x, d))
     _equi_pieces = _carried_pieces

@@ -45,33 +45,29 @@ class SteadyStateSummary:
     epsilon: float
 
 
-def _decay_complements(ka, ke, tau: float):
-    """(1 - alpha, 1 - beta) from expm1, exact at tiny intervals."""
+def _trough(ka, ke, tau: float):
+    """The limiting trough per unit gamma*d/V, at rates of any floating type:
+    1 - alpha and 1 - beta from expm1, exact at tiny intervals, divided in
+    sequence, as their product underflows where the quotient does not."""
     lib = np if isinstance(ka, np.generic) else math
     za, zb = -lib.expm1(-ka * tau), -lib.expm1(-ke * tau)
     if not (za and zb):
         raise ValidationError(f"interval {tau!r} h is too short to resolve at these rates")
-    return za, zb
-
-
-def _trough(ka, ke, tau: float):
-    """The limiting trough per unit gamma*d/V, at rates of any floating type;
-    divided in sequence, as za*zb underflows where the quotient does not."""
-    za, zb = _decay_complements(ka, ke, tau)
     return ka * decay_difference(ka, ke, tau) / za / zb
 
 
-def _limits(p: PkParams, d: float, tau: float):
-    """EXTENDED (trough, peak) of d every tau (p assumed valid): the peak is
-    that of the piece entering at the limiting state (trough, d/za)."""
+def _limit(p: PkParams, d: float, tau: float):
+    """The EXTENDED forms of p and the state (trough, d/za) entering each
+    cycle of d every tau in the limit (p assumed valid): its peak is the
+    limiting peak, its area over tau the limiting AUC."""
     b = Bateman.of(p, EXTENDED)
     trough = EXTENDED(p.gamma) * d / p.volume * _trough(b.ka, b.ke, tau)
-    return trough, b.peak(trough, d / -np.expm1(-b.ka * tau))[1]
+    return b, trough, d / -np.expm1(-b.ka * tau)
 
 
-def _checked_limits(p: PkParams, d: float, tau: float):
+def _checked_limit(p: PkParams, d: float, tau: float):
     validate_params(p)
-    return _limits(p, validate_positive("dose", d), validate_positive("interval", tau))
+    return _limit(p, validate_positive("dose", d), validate_positive("interval", tau))
 
 
 def trough_shape(p: PkParams, tau: float) -> float:
@@ -81,24 +77,26 @@ def trough_shape(p: PkParams, tau: float) -> float:
 
 def peak_shape(p: PkParams, tau: float) -> float:
     """The limiting peak per unit gamma*d/V (p assumed valid)."""
-    return float(_limits(p, 1.0, tau)[1] * p.volume / p.gamma)
+    b, *state = _limit(p, 1.0, tau)
+    return float(b.peak(*state)[1] * p.volume / p.gamma)
 
 
 def ss_lower(p: PkParams, d: float, tau: float) -> float:
     """Limiting trough: the concentration left just before each dose, the
     limit of the end-of-cycle remainders."""
-    return float(_checked_limits(p, d, tau)[0])
+    return float(_checked_limit(p, d, tau)[1])
 
 
 def ss_upper(p: PkParams, d: float, tau: float) -> float:
     """Limiting peak: the cycle maximum after many doses."""
-    return float(_checked_limits(p, d, tau)[1])
+    b, *state = _checked_limit(p, d, tau)
+    return float(b.peak(*state)[1])
 
 
 def width(p: PkParams, d: float, tau: float) -> float:
     """Peak-to-trough span of the limiting cycle."""
-    lower, upper = _checked_limits(p, d, tau)
-    return float(upper - lower)
+    b, trough, gut = _checked_limit(p, d, tau)
+    return float(b.peak(trough, gut)[1] - trough)
 
 
 def width_limit(p: PkParams, d: float) -> float:
@@ -186,9 +184,8 @@ def auc_equality_check(p: PkParams, d: float, tau: float
     interval; the identity holds to rounding.
     """
     total = auc_single(p, d)
-    lower, _ = _checked_limits(p, d, tau)
-    b = Bateman.of(p, EXTENDED)
-    limiting = float(b.area(lower, d / -np.expm1(-b.ka * tau), tau))
+    b, *state = _checked_limit(p, d, tau)
+    limiting = float(b.area(*state, tau))
     denom = max(abs(total), abs(limiting))
     rel = abs(total - limiting) / denom if denom else 0.0
     return total, limiting, rel

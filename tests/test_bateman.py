@@ -83,6 +83,17 @@ class TestSingleDose:
         assert rel_err(single_dose(q, 100.0).x(t[1:]),
                        single_dose(p, 100.0).x(t[1:])) < 1e-12
 
+    @pytest.mark.parametrize("p", NEAR_EQUAL + SPREAD, ids=repr)
+    def test_against_mpmath_at_any_rate_separation(self, p):
+        # The piece entering at (0, d): the two-exponential difference
+        # e^{-ke t} - e^{-ka t} would lose 1/(ka/ke - 1) of its digits.
+        t = [0.05, 0.5, 5.5, 17.3, 47.9]
+        x, y = single_dose(p, 100.0)(t)
+        for s, xs, ys in zip(t, x.tolist(), y.tolist()):
+            ref_x, ref_y = mp_piece(p, 0, 100, s)
+            assert rel(xs, ref_x) <= piece_bound(p, s), s
+            assert rel(ys, ref_y) <= piece_bound(p, s), s
+
 
 @pytest.mark.parametrize("p", NEAR_EQUAL + SPREAD, ids=repr)
 def test_decay_difference_against_mpmath(p):

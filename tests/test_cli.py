@@ -702,6 +702,16 @@ class TestDesignCommand:
                      "--ss-lower", "200", "--ss-upper", "120")
         assert cp.returncode == 2
 
+    def test_ratio_below_the_bracket_floor_exits_numerical(self):
+        # The peak/trough ratio 1 + 2^-52 lies below f_ratio at the 1e-9 h floor.
+        cp = run_cli("design", "--ka", "100", "--ke", "20", "--gamma", "1", "--volume", "1",
+                     "--mic", "1", "--tc", "2", "--ss-lower", "1",
+                     "--ss-upper", "1.0000000000000002")
+        assert cp.returncode == cli.EXIT_NUMERICAL
+        assert cp.stderr == ("error: target ratio is below the resolvable range at the "
+                             "bracket floor\n")
+        assert cp.stdout == ""
+
     def test_round_trip_against_library(self):
         from multidose.steady_state import ss_lower, ss_upper
 
@@ -854,7 +864,7 @@ class TestAnalyzeRowTemplate:
             "model": "oral", "schema": 1,
             "asymptote_of": {"dose": dose, "interval": interval},
             "steady_state": dataclasses.asdict(
-                summarize(regfile.params, dose, interval, eps)),
+                summarize(regfile.rates, dose, interval, eps)),
             "cycles": cycles,
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -890,7 +900,7 @@ class TestAnalyzeRowTemplate:
         n = np.arange(1, regfile.n_cycles_in_horizon() + 1)
         if regfile.model == "bolus":
             delta, interval = regfile.entries[-1]
-            limit = bolus_equi_remainder_limit(regfile.ke, delta, interval)
+            limit = bolus_equi_remainder_limit(regfile.rates, delta, interval)
             payload = {"asymptote_of": {"delta": delta, "interval": interval},
                        "steady_state": {"remainder_limit": limit},
                        "cycles": [{"n": k, "start_value": start, "remainder": left}
@@ -901,7 +911,7 @@ class TestAnalyzeRowTemplate:
                                   for k, cutoff, end in zip(n.tolist(), sol.cutoff_value(n).tolist(),
                                                             sol.end_value(n).tolist())]}
             if regfile.equi:
-                cutoff, end = fat_equi_limits(regfile.params, *regfile.entries[0])
+                cutoff, end = fat_equi_limits(regfile.rates, *regfile.entries[0])
                 payload["steady_state"] = {"cutoff_limit": cutoff, "end_limit": end}
         expected = json.dumps({"model": regfile.model, "schema": 1, **payload},
                               indent=2, sort_keys=True) + "\n"

@@ -163,6 +163,34 @@ class TestRegimenValidation:
             FatRegimen([(100.0, 4.0)])
 
 
+TABLES = {Arbitrary: [(100.0, 4.0), (50.0, 6.0)], BolusRegimen: [(100.0, 4.0), (50.0, 6.0)],
+          FatRegimen: [(100.0, 4.0, 2.0), (50.0, 6.0, 1.0)]}
+
+
+class TestTableTypes:
+    """The three schedule tables share one base and stay distinct types."""
+
+    @pytest.mark.parametrize("table", [BolusRegimen, FatRegimen], ids=lambda t: t.__name__)
+    def test_oral_solution_rejects_other_tables(self, canonical, table):
+        with pytest.raises(ValidationError,
+                           match=f"^expected an oral regimen, got {table.__name__}$"):
+            arbitrary_multidose(canonical, table(TABLES[table]))
+
+    def test_same_entries_are_not_equal_across_types(self):
+        entries = TABLES[Arbitrary]
+        assert Arbitrary(entries) == Arbitrary(entries)
+        assert Arbitrary(entries) != BolusRegimen(entries)
+        assert BolusRegimen(entries) != Arbitrary(entries)
+
+    @pytest.mark.parametrize("table", list(TABLES), ids=lambda t: t.__name__)
+    def test_repr_names_own_class(self, table):
+        entries = tuple(TABLES[table])
+        assert repr(table(entries)) == f"{table.__name__}(entries={entries!r})"
+
+    def test_no_table_subclasses_another(self):
+        assert not any(issubclass(a, b) for a in TABLES for b in TABLES if a is not b)
+
+
 P = PkParams(0.9, 0.25, 0.05, 10.0)
 FIT_TIMES = [0.5, 1.0, 2.0, 4.0, 8.0, 12.0]
 FIT_VALUES = [single_dose(P, 100.0).x(FIT_TIMES).tolist()]

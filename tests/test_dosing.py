@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from multidose import dosing, pkmetrics, steady_state
-from multidose.core import PkParams, ValidationError
+from multidose.core import NoConvergence, PkParams, ValidationError
 from multidose.dosing import (
     TherapeuticTarget,
     design,
@@ -143,6 +143,24 @@ class TestDesign:
             counts.append((len(steps), len(calls)))
         assert len({n_steps for n_steps, _ in counts}) == 3
         assert {n_calls for _, n_calls in counts} == {3}
+
+
+    def test_ratio_below_the_floor_raises(self):
+        # At (ka + ke)*TAU_FLOOR the ratio already exceeds 1 + 2^-52.
+        target = TherapeuticTarget(1.0, 2.0, 1.0, np.nextafter(1.0, 2.0))
+        with pytest.raises(NoConvergence, match="^target ratio is below the resolvable "
+                           "range at the bracket floor$") as err:
+            design(PkParams(100.0, 20.0, 1.0, 1.0), target)
+        assert err.value.context == {"bracket": (dosing.TAU_FLOOR, 1.0),
+                                     "ratio": target.upper}
+
+    def test_bracket_expansion_failure_raises(self):
+        # Rates of 1e-200/h: 200 doublings of the bracket reach no ratio of 3.
+        target = TherapeuticTarget(1.0, 3.0, 1.0, 3.0)
+        with pytest.raises(NoConvergence, match="^bracket expansion failed to enclose "
+                           "the target ratio$") as err:
+            design(PkParams(1e-200, 2e-200, 1.0, 1.0), target)
+        assert err.value.context == {"bracket": (dosing.TAU_FLOOR, 2.0 ** 201), "ratio": 3.0}
 
 
 class TestFeasibility:

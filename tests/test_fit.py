@@ -12,8 +12,9 @@ from multidose.core import (
     NoConvergence,
     PkParams,
     ValidationError,
+    validate_params,
 )
-from multidose.bateman import single_dose
+from multidose.bateman import absorption_gain, single_dose
 from multidose.fit import curve_jacobian, fit_batch, fit_single_dose, predict
 
 SAMPLE_TIMES = np.array([0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.5, 8.0,
@@ -246,9 +247,10 @@ def per_row_guess(t, c, d, v):
              if positive.sum() >= 2 else np.nan)
     ke = -slope if slope < 0.0 else 1.0 / max(t[-1], 1e-6)
     ka = 5.0 * ke
-    ref = PkParams(ka=ka, ke=ke, gamma=1.0, volume=v)
+    ref = validate_params(PkParams(ka=ka, ke=ke, gamma=1.0, volume=v))
     t_peak = math.log(ka / ke) / (ka - ke)
-    unit_peak = single_dose(ref, d).x(t_peak)
+    # The two-exponential form itself, as `_initial_guess` evaluates it.
+    unit_peak = absorption_gain(ref) * d * (np.exp(-ke * t_peak) - np.exp(-ka * t_peak))
     gamma = max(c.max(), 1e-12) / unit_peak if unit_peak > 0 else 1.0
     return np.log(np.array([ka, ke, gamma]))
 
