@@ -41,11 +41,6 @@ EXTENDED = np.longdouble
 BLOCK_POINTS = 16_384
 
 
-def absorption_gain(p: PkParams) -> float:
-    """ka*gamma / (V*(ka - ke)), reading only those attributes of `p`."""
-    return p.ka * p.gamma / (p.volume * (p.ka - p.ke))
-
-
 def _lib(*values):
     """numpy for any numpy value, else math: numpy's exp and log differ from libm."""
     return np if any(isinstance(v, (np.ndarray, np.generic)) for v in values) else math
@@ -58,6 +53,24 @@ def _difference(slow_decay, gap: float, t, lib):
     e *= slow_decay
     e /= -gap
     return e
+
+
+def _decay_differences(ka, ke, t):
+    """E(t) as `decay_difference` gives it, -dE/d(slower rate) and -dE/d(faster
+    rate) for arrays: e^{-kt}'s second divided differences, t^2 e^{-min(ka, ke) t}
+    times phi2 and phi1 - phi2 of z = -|ka - ke|*t, phi1 = (e^z - 1)/z, phi2 =
+    (phi1 - 1)/z, or sum_{k<9} z^k/(k + 2)! where |z| < 0.1 and the forms cancel."""
+    slow, gap = np.exp(-np.minimum(ka, ke) * t), np.abs(ka - ke)
+    z = -gap * t
+    series = z > -0.1
+    w = np.where(series, -1.0, z)
+    phi1 = np.expm1(w) / w
+    phi2, rest = (phi1 - 1.0) / w, (np.exp(w) - phi1) / w
+    if series.any():
+        phi2[series] = np.polyval([1 / math.factorial(k) for k in range(10, 1, -1)], z[series])
+        rest[series] = 1.0 - (1.0 - z[series]) * phi2[series]
+    scale = t * (t * slow)
+    return _difference(slow, gap, t, np), scale * phi2, scale * rest
 
 
 def decay_difference(ka: float, ke: float, t):
@@ -181,7 +194,7 @@ def single_dose(p: PkParams, d: float) -> SingleDoseCurve:
 @dataclass(frozen=True)
 class CycleCoefficients:
     """The piece opening cycle n, from the state (x_start, y_start) just after
-    its dose. c2 = absorption_gain*y_start and c1 = x_start + c2 are derived:
+    its dose. c2 = q*y_start/(ka - ke) and c1 = x_start + c2 are derived:
     x = c1*e^{-ke(t - t_start)} - c2*e^{-ka(t - t_start)}. alpha, beta are
     e^{-ka tau}, e^{-ke tau}; tau is the interval (FAT: the window)."""
 

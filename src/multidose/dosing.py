@@ -70,7 +70,8 @@ def f_ratio_excess(p: PkParams, tau: float) -> float:
 
     Its relative error peaks at about 1.8e-6 just above the series
     threshold (ka + ke)*tau = 1e-4, where the quotient of the shapes
-    cancels; README "Numerical accuracy" has the measurements.
+    cancels; README "Numerical accuracy" has the measurements. Past float
+    range (a subnormal or zero trough) it is inf, without a warning.
     """
     validate_params(p)
     return _ratio_excess(p, validate_positive("interval", tau))
@@ -80,12 +81,9 @@ def _ratio_excess(p: PkParams, tau: float) -> float:
     """f_ratio_excess for a valid p and tau > 0, unchecked."""
     if (p.ka + p.ke) * tau < _SERIES_THRESHOLD:
         return p.ka * p.ke * tau * tau / 8.0
-    trough = steady_state.trough_shape(p, tau)
-    if trough == 0.0:
-        # The trough underflows once the slow exponential does; the
-        # ratio has genuinely outgrown float range by then.
-        return math.inf
-    return steady_state.peak_shape(p, tau) / trough - 1.0
+    trough = float(steady_state.trough_shape(p, tau))
+    # Python floats: a quotient past float range is inf, with no numpy warning.
+    return float(steady_state.peak_shape(p, tau)) / trough - 1.0 if trough else math.inf
 
 
 def _dose_for_trough(p: PkParams, target_lower: float, tau: float) -> float:

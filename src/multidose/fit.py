@@ -31,7 +31,7 @@ from .core import (
     validate_positive,
     validate_times,
 )
-from .bateman import absorption_gain, single_dose
+from .bateman import _decay_differences, single_dose
 
 MAX_ITERATIONS = 500
 SSE_RTOL = 1e-10
@@ -65,24 +65,17 @@ class FitResult:
 _DIAG = (slice(None), range(3), range(3))
 
 
-def _curve_and_jacobian(p, t: np.ndarray, d: float
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Curve values and d x(t)/d(ka, ke, gamma) in the original scale:
-    shapes (m,) and (m, 3) for scalar rates in p, (R, m) and (R, m, 3)
-    for (R, 1) columns of R parameter vectors."""
-    amp = absorption_gain(p) * d
-    ee = np.exp(-p.ke * t)
-    ea = np.exp(-p.ka * t)
-    x = amp * (ee - ea)
-    dx_dka = -p.ke / (p.ka * (p.ka - p.ke)) * x + amp * t * ea
-    dx_dke = x / (p.ka - p.ke) - amp * t * ee
-    dx_dgamma = x / p.gamma
-    return x, np.stack((dx_dka, dx_dke, dx_dgamma), axis=-1)
-
-
-def curve_jacobian(p: PkParams, t: np.ndarray, d: float) -> np.ndarray:
-    """Analytic d x(t)/d(ka, ke, gamma) in the original parameter scale."""
-    return _curve_and_jacobian(p, t, d)[1]
+def _curve_and_jacobian(p, t: np.ndarray, d: float) -> tuple[np.ndarray, np.ndarray]:
+    """Curve values and d x(t)/d(ka, ke, gamma) in the original scale, (m,) and
+    (m, 3) for scalar rates, (R, m) and (R, m, 3) for (R, 1) rate columns: x is
+    q*d*E as in `single_dose`, the rate columns E's second differences, and dx/dka
+    reads e^{-ka t} where ka is faster, as x/ka + q*d*dE/dka cancels there."""
+    c = p.gamma * d / p.volume
+    e, slow, fast = _decay_differences(p.ka, p.ke, t)
+    x = p.ka * p.gamma / p.volume * d * e
+    dx_dka = c * np.where(p.ka > p.ke, t * np.exp(-p.ka * t) - p.ke * fast, e - p.ka * slow)
+    dx_dke = -c * p.ka * np.where(p.ka > p.ke, slow, fast)
+    return x, np.stack((dx_dka, dx_dke, x / p.gamma), axis=-1)
 
 
 def _model_and_jacobian(theta: np.ndarray, t: np.ndarray, d: float,
@@ -135,11 +128,9 @@ def _initial_guess(t: np.ndarray, c: np.ndarray, d: float,
     ka = 5.0 * ke
     for i in np.flatnonzero(~((0.0 < ka) & (ka < math.inf))):
         validate_params(PkParams(ka=ka[i], ke=ke[i], gamma=1.0, volume=v))
-    t_peak = np.array([math.log(a / e) / (a - e) for a, e in zip(ka.tolist(), ke.tolist())])
-    ref = PkParams(ka=ka, ke=ke, gamma=1.0, volume=v)
-    unit_peak = absorption_gain(ref) * d * (np.exp(-ke * t_peak) - np.exp(-ka * t_peak))
-    gamma = np.divide(np.maximum(c.max(axis=1), 1e-12), unit_peak,
-                      out=np.ones(len(c)), where=unit_peak > 0)
+    # ka = 5*ke: the unit curve peaks at log(5)/(4*ke), at (d/V)*5^(-1/4).
+    unit_peak = d / v * 5.0 ** -0.25
+    gamma = np.maximum(c.max(axis=1), 1e-12) / unit_peak if unit_peak > 0 else np.ones(len(c))
     return np.log(np.stack((ka, ke, gamma), axis=1))
 
 
@@ -227,7 +218,7 @@ def fit_batch(times, values, d: float, v: float, init: PkParams | None = None
             # No step accepted in 40 trials: these rows stop where they are.
             running[rows] = False
         rates = np.exp(theta)
-        stderr = _standard_errors(rates, v, t, d, sse, len(t))
+        stderr = _standard_errors(jac / rates[:, None, :], sse)
 
     tss = ((c - c.mean(axis=1)[:, None]) ** 2).sum(axis=1).tolist()
     results: list[FitResult | NoConvergence] = []
@@ -258,16 +249,14 @@ def fit_batch(times, values, d: float, v: float, init: PkParams | None = None
     return results
 
 
-def _standard_errors(rates: np.ndarray, v: float, t: np.ndarray, d: float,
-                     sse: np.ndarray, m: int) -> list[tuple[float, float, float] | None]:
-    """sqrt(diag(sigma^2 (J'J)^-1)) for each row of rates (R, 3), or None
-    where J'J is not finite, too ill-conditioned or not positive."""
-    jac = _curve_and_jacobian(PkParams(*rates.T[:, :, None], v), t, d)[1]
+def _standard_errors(jac: np.ndarray, sse: np.ndarray) -> list[tuple[float, float, float] | None]:
+    """sqrt(diag(sigma^2 (J'J)^-1)) for each row's Jacobian jac (R, m, 3), or
+    None where J'J is not finite, too ill-conditioned or not positive."""
     jtj = jac.transpose(0, 2, 1) @ jac
     ok = np.all(np.isfinite(jtj), axis=(1, 2))
     ok[ok] = ~(np.linalg.cond(jtj[ok]) > COVARIANCE_CONDITION_LIMIT)
     diag = np.full((len(jtj), 3), np.nan)
-    sigma2 = sse[ok] / max(m - 3, 1)
+    sigma2 = sse[ok] / max(jac.shape[1] - 3, 1)
     diag[ok] = (sigma2[:, None, None] * np.linalg.inv(jtj[ok]))[_DIAG]
     ok &= ~np.any(diag < 0.0, axis=1)
     diag[~ok] = np.nan

@@ -49,6 +49,11 @@ def short_bound(p, tau):
     return piece_bound(p, tau) + 2.0 ** -60 / (max(p.ka, p.ke) * tau)
 
 
+def absorption_gain(p):
+    """ka*gamma / (V*(ka - ke)) in float64: the textbook curve's gain."""
+    return p.ka * p.gamma / (p.volume * (p.ka - p.ke))
+
+
 def rel(value, reference):
     """|value - reference| / |reference|, absolute below 1e-300 (underflow)."""
     return float(abs(mpmath.mpf(value) - reference) / max(abs(reference), mpmath.mpf(1e-300)))
@@ -69,6 +74,20 @@ def mp_decay_difference(ka, ke, t):
     with mpmath.workdps(DIGITS):
         ka, ke, t = _mp(ka, ke, t)
         return (mpmath.exp(-ke * t) - mpmath.exp(-ka * t)) / (ka - ke)
+
+
+def mp_curve_jacobian(p, d, t):
+    """The single-dose x = ka*gamma*d*E(t)/V and its derivatives in ka, ke and
+    gamma, E = (e^{-ke t} - e^{-ka t})/(ka - ke)."""
+    with mpmath.workdps(DIGITS):
+        ka, ke, t = _mp(p.ka, p.ke, t)
+        c = mpmath.mpf(p.gamma) * mpmath.mpf(d) / mpmath.mpf(p.volume)
+        ea, eb = mpmath.exp(-ka * t), mpmath.exp(-ke * t)
+        e = (eb - ea) / (ka - ke)
+        x = c * ka * e
+        dx_dka = c * (e + ka * (t * ea - e) / (ka - ke))
+        dx_dke = c * ka * (e - t * eb) / (ka - ke)
+        return x, dx_dka, dx_dke, x / mpmath.mpf(p.gamma)
 
 
 def mp_bounds(p, d, tau):

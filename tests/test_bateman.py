@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from multidose.core import Arbitrary, EquiDose, PkParams, ValidationError, dose_times
 from multidose.bateman import (
-    absorption_gain,
     arbitrary_multidose,
     decay_difference,
     equi_multidose,
@@ -18,7 +17,7 @@ from multidose.oracle import superpose
 from multidose.pkmetrics import cycle_metrics
 
 from conftest import rel_err
-from mpref import (NEAR_EQUAL, PIECE_TAUS, SCHEDULE, SHORT_TAUS, SPREAD, TAUS,
+from mpref import (NEAR_EQUAL, PIECE_TAUS, SCHEDULE, SHORT_TAUS, SPREAD, TAUS, absorption_gain,
                    mp_decay_difference, mp_equi_coefficients, mp_equi_state, mp_piece,
                    mp_table_states, piece_bound, rel, short_bound)
 

@@ -64,6 +64,29 @@ class TestFRatio:
         with pytest.raises(ValidationError):
             f_ratio(canonical, 0.0)
 
+    # The trough there is subnormal (2.4e-309 and 4.6e-315), not 0.
+    SUBNORMAL_TROUGH = (262.91, 22.98, 0.43, 0.22)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    @pytest.mark.parametrize("tau", [30.928, 31.5])
+    def test_ratio_past_float_range_is_inf(self, kind, tau):
+        p = PkParams(*map(kind, self.SUBNORMAL_TROUGH))
+        assert 0.0 < steady_state.trough_shape(p, tau) < np.finfo(float).tiny
+        assert f_ratio_excess(p, tau) == np.inf
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    def test_design_bracket_reaching_a_subnormal_trough(self, kind):
+        # A ratio of 1e300 expands the bracket to 32 h, where the trough is
+        # subnormal, and bisects through 31 h, where it is too.
+        p = PkParams(*map(kind, self.SUBNORMAL_TROUGH))
+        assert 0.0 < steady_state.trough_shape(p, 32.0) < np.finfo(float).tiny
+        d, tau = design(p, TherapeuticTarget(1.0, 1e300, 1.0, 1e300))
+        assert (d, tau) == design(PkParams(*self.SUBNORMAL_TROUGH),
+                                  TherapeuticTarget(1.0, 1e300, 1.0, 1e300))
+        assert 16.0 < tau < 32.0
+
 
 class TestDesign:
     def test_self_inversion_round_trip(self, canonical):

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import simpson
 
 from multidose.core import Arbitrary, PkError, PkParams, ValidationError
-from multidose.bateman import absorption_gain, arbitrary_multidose, equi_multidose
+from multidose.bateman import arbitrary_multidose, equi_multidose
 from multidose.dosing import f_ratio, f_ratio_excess
 from multidose.extmodels import BolusRegimen, FatRegimen, bolus_multidose, fat_multidose
 from multidose.pkmetrics import auc_single, cycle_metrics, peak
@@ -21,8 +21,8 @@ from multidose.steady_state import (
     width_limit,
 )
 
-from mpref import (NEAR_EQUAL, PIECE_TAUS, SCHEDULE, SPREAD, TAUS, mp_bounds, mp_equi_gap,
-                   mp_gap, mp_table_states, mp_width_limit, piece_bound, rel)
+from mpref import (NEAR_EQUAL, PIECE_TAUS, SCHEDULE, SPREAD, TAUS, absorption_gain, mp_bounds,
+                   mp_equi_gap, mp_gap, mp_table_states, mp_width_limit, piece_bound, rel)
 
 PARAM_SETS = [
     PkParams(1.0, 0.1, 1.0, 1.0),
