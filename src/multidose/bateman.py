@@ -148,7 +148,7 @@ class Bateman:
         to [0, tau] (0 if x never turns): for states of any sign, the one
         interior extremum candidate. At s = 0, x is x0 exactly.
         """
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             s = (self.log_ratio - np.log1p(np.divide(self.delta * x0, self.q * y0))) / self.delta
         s = np.where(s > 0.0, np.minimum(s, tau), 0.0)
         return s[()], np.where(s > 0.0, self.x(x0, y0, s), x0)[()]

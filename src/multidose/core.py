@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .extmodels import BolusRegimen, FatRegimen
 
 #: Relative separation below which the two rate constants are treated as
 #: equal and rejected (the closed forms divide by ka - ke).
@@ -213,21 +216,19 @@ def validate_regimen(r: Regimen, table: type = Arbitrary,
     raise ValidationError(f"expected {kind}, got {got}")
 
 
-def dose_times(r: Regimen, n_max: int | None = None) -> np.ndarray:
-    """Cumulative dose-time grid [t_0=0, t_1, ..., t_{n_max}].
-
-    t_{n-1} is when dose n is administered; t_n closes cycle n. For an
-    EquiDose regimen t_n = n * interval and n_max is required; for an
-    Arbitrary regimen n_max defaults to the number of entries and may
-    not exceed it.
-    """
+def dose_times(r: EquiDose | Arbitrary | BolusRegimen | FatRegimen,
+               n_max: int | None = None) -> np.ndarray:
+    """Cumulative dose-time grid [t_0=0, t_1, ..., t_{n_max}]: dose n is given at
+    t_{n-1}, and t_n closes cycle n. An EquiDose has t_n = n * interval and needs
+    n_max; an Arbitrary, BolusRegimen or FatRegimen table's n_max defaults to its
+    number of entries, which it may not exceed."""
     if isinstance(r, EquiDose):
         if n_max is None:
             raise ValidationError("n_max is required for an equi-dose regimen")
         return np.arange(validate_cycle(n_max) + 1, dtype=float) * r.interval
     last = len(r.entries)
     n_max = validate_cycle(last if n_max is None else n_max, last=last)
-    intervals = np.array([tau for _, tau in r.entries[:n_max]], dtype=float)
+    intervals = np.array([e[1] for e in r.entries[:n_max]], dtype=float)
     return np.concatenate(([0.0], np.cumsum(intervals)))
 
 

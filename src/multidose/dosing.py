@@ -104,6 +104,8 @@ def design(p: PkParams, target: TherapeuticTarget) -> tuple[float, float]:
     """
     validate_params(p)
     ratio_excess = (target.upper - target.lower) / target.lower
+    if ratio_excess == math.inf:
+        raise NoConvergence("target ratio is beyond float range", ratio=math.inf)
     lo, hi = TAU_FLOOR, 1.0
     if _ratio_excess(p, lo) > ratio_excess:
         raise NoConvergence(

@@ -125,30 +125,27 @@ def gap_envelope(p: PkParams, d: float, tau: float, n):
 
 
 def periodicity_gap(sol: PiecewiseSolution, n):
-    """Exact sup over cycle n of |x_n(t) - x_{n-1}(t - tau)|.
+    """Exact sup over cycle n of |x_n(t) - x_{n-1}(t - tau)|, n an int or an array.
 
     Cycles are compared at equal post-dose offsets over cycle n's span, so
-    the gap is the piece entering at the state increment (n = 1: at the
-    state itself). For d every tau that increment is the first dose carried
-    over (n-1)tau: the gap is q*d*E over cycle n, largest at the single-dose
-    peak time clipped into it, and n may be an array. Bolus and FAT
-    solutions are rejected: their cycles are not one oral piece.
+    the gap is the sup of the piece entering at the state increment (n = 1:
+    at the state itself): the largest of its two ends and its turning point.
+    For d every tau that increment is the first dose carried over (n-1)tau;
+    a table's is the difference of its EXTENDED states, rounded once. Bolus
+    and FAT solutions are rejected: their cycles are not one oral piece.
     """
     validate_oral(sol)
-    validate_cycle(n)
-    b = sol.bateman
+    m, b = np.asarray(validate_cycle(n, last=sol.n_cycles)), sol.bateman
     if isinstance(sol.regimen, EquiDose):
         d, tau = sol.regimen.dose, sol.regimen.interval
-        t = np.clip(b.peak(0.0, d)[0], (np.asarray(n) - 1) * tau, np.asarray(n) * tau)
-        gaps = b.x(0.0, d, np.asarray(t, dtype=float))
-        return gaps if np.ndim(n) else float(gaps)
-    cur = sol.coefficients(n)
-    dx, dy = cur.x_start, cur.y_start
-    if n > 1:
-        prev = sol.coefficients(n - 1)
-        dx, dy = dx - prev.x_start, dy - prev.y_start
-    # Candidates: both ends and the one turning point, clipped into the cycle.
-    return float(max(abs(dx), abs(b.x(dx, dy, cur.tau)), abs(b.peak(dx, dy, cur.tau)[1])))
+        dx, dy = b.x(0.0, d, (m - 1) * tau), b.y(d, (m - 1) * tau)
+    else:
+        (x0, y0, spans), (px, py, _) = sol._pieces(m), sol._pieces(np.maximum(m - 1, 1))
+        later, tau = m[..., None] > 1, spans[..., 0]
+        dx, dy = ((v - np.where(later, w, 0.0))[..., 0].astype(float)
+                  for v, w in ((x0, px), (y0, py)))
+    gaps = np.maximum(np.maximum(abs(dx), abs(b.x(dx, dy, tau))), abs(b.peak(dx, dy, tau)[1]))
+    return gaps if np.ndim(n) else float(gaps)
 
 
 def n_epsilon(p: PkParams, d: float, tau: float, eps: float = 1e-6) -> int:

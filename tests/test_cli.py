@@ -712,6 +712,14 @@ class TestDesignCommand:
                              "bracket floor\n")
         assert cp.stdout == ""
 
+    def test_ratio_beyond_float_range_exits_numerical(self):
+        cp = run_cli("design", "--ka", "262.91", "--ke", "22.98", "--gamma", "0.43",
+                     "--volume", "0.22", "--mic", "1e-30", "--tc", "1e290",
+                     "--ss-lower", "1e-30", "--ss-upper", "1e290")
+        assert cp.returncode == cli.EXIT_NUMERICAL
+        assert cp.stderr == "error: target ratio is beyond float range\n"
+        assert cp.stdout == ""
+
     def test_round_trip_against_library(self):
         from multidose.steady_state import ss_lower, ss_upper
 

@@ -185,6 +185,27 @@ class TestDesign:
             design(PkParams(1e-200, 2e-200, 1.0, 1.0), target)
         assert err.value.context == {"bracket": (dosing.TAU_FLOOR, 2.0 ** 201), "ratio": 3.0}
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("p,lower,upper", [
+        (PkParams(262.91, 22.98, 0.43, 0.22), 1e-30, 1e290),
+        (PARAM_SETS[0], 1e-300, 1e10),
+        (PARAM_SETS[0], 1e-10, 1e300),
+    ])
+    def test_ratio_beyond_float_range_raises(self, p, lower, upper):
+        # (upper - lower)/lower overflows: no interval's ratio compares with it.
+        with pytest.raises(NoConvergence, match="^target ratio is beyond float range$") as err:
+            design(p, TherapeuticTarget(lower, upper, lower, upper))
+        assert err.value.context == {"ratio": np.inf}
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_largest_finite_ratio_designs(self):
+        d, tau = design(PARAM_SETS[0], TherapeuticTarget(1e-10, 1.7e298, 1e-10, 1.7e298))
+        assert tau == pytest.approx(7100.88, abs=0.01)
+        assert ss_lower(PARAM_SETS[0], d, tau) == pytest.approx(1e-10, rel=1e-8)
+        # The same ratio from a trough of 1 needs a dose past float range.
+        with pytest.raises(NoConvergence, match="^no finite dose reaches the trough at 7100.88"):
+            design(PARAM_SETS[0], TherapeuticTarget(1.0, 1.7e308, 1.0, 1.7e308))
+
 
 class TestFeasibility:
     def test_design_output_is_feasible_for_own_target(self, canonical):

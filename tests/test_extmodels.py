@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from multidose.core import Arbitrary, EquiDose, PkParams, ValidationError
+from multidose.core import Arbitrary, EquiDose, PkParams, ValidationError, dose_times
 from multidose import bateman
 from multidose.bateman import BLOCK_POINTS, arbitrary_multidose, equi_multidose
 from multidose.extmodels import (
@@ -379,6 +379,17 @@ LOOKUP_SOLUTIONS = {
     "fat-table": lambda: fat_multidose(FAT_PARAMS, FatRegimen(
         [(600.0, 5.0, 2.0), (400.0, 0.7, 0.7), (700.0, 6.1, 1.5), (90.0, 1.1, 0.3)] * 8)),
 }
+
+#: The lookup solutions with a table of entries.
+TABLE_SOLUTIONS = {k: v for k, v in LOOKUP_SOLUTIONS.items() if not k.startswith("equi")}
+
+
+@pytest.mark.parametrize("make", TABLE_SOLUTIONS.values(), ids=TABLE_SOLUTIONS.keys())
+def test_dose_times_of_every_table(make):
+    sol = make()
+    times = dose_times(sol.regimen)
+    assert times.size == sol.n_cycles + 1
+    assert np.array_equal(times[:-1], sol._start(np.arange(1, sol.n_cycles + 1)))
 
 
 def lookup_query(sol) -> np.ndarray:

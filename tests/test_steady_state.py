@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -21,8 +22,9 @@ from multidose.steady_state import (
     width_limit,
 )
 
-from mpref import (NEAR_EQUAL, PIECE_TAUS, SCHEDULE, SPREAD, TAUS, absorption_gain, mp_bounds,
-                   mp_equi_gap, mp_gap, mp_table_states, mp_width_limit, piece_bound, rel)
+from mpref import (DIGITS, NEAR_EQUAL, PIECE_TAUS, SCHEDULE, SPREAD, TAUS, absorption_gain,
+                   mp_bounds, mp_equi_gap, mp_gap, mp_table_states, mp_width_limit, piece_bound,
+                   rel)
 
 PARAM_SETS = [
     PkParams(1.0, 0.1, 1.0, 1.0),
@@ -35,6 +37,11 @@ PARAM_SETS = [
 UNDERFLOW = (PkParams(0.00403841574832288, 0.41772963543151187,
                       0.5603865033489327, 151.95165233930004),
              622.8616103053552, 4.479712767430023, 3.0640370820196855e-10)
+
+#: Separated, near-equal and flip-flop rates for the table gap tests.
+TABLE_RATES = [PARAM_SETS[0], PkParams(0.3 * (1.0 + 1e-8), 0.3, 1.7, 300.0), PARAM_SETS[2]]
+#: A 60-entry schedule mixing doses and intervals.
+MIXED_TABLE = [(d, 3.0 * k) for d, k in SCHEDULE] * 12
 
 #: Intervals whose products underflow, vanish against 1 or overflow.
 EXTREME_TAUS = [5e-324, 1e-320, 1e-300, 1e300, 1.7e308]
@@ -310,6 +317,37 @@ class TestPeriodicityGap:
                 increment = (states[k][0] - states[k - 1][0], states[k][1] - states[k - 1][1])
                 reference = mp_gap(p, *increment, span)
                 assert rel(periodicity_gap(sol, k), reference) <= piece_bound(p, span), (tau, k)
+
+    @pytest.mark.parametrize("p", TABLE_RATES, ids=["separated", "near-equal", "flipflop"])
+    def test_table_array_of_cycles_matches_scalar_calls(self, p):
+        sol = arbitrary_multidose(p, Arbitrary(MIXED_TABLE))
+        n = np.arange(1, 61)
+        scalars = np.array([periodicity_gap(sol, k) for k in n.tolist()])
+        for cycles in (n, n[::-1], n.reshape(6, 10)):
+            gaps = periodicity_gap(sol, cycles)
+            assert gaps.shape == cycles.shape
+            assert np.array_equal(gaps.view(np.int64), scalars[cycles - 1].view(np.int64))
+        with pytest.raises(ValidationError, match="cycle 61 exceeds the 60 cycles"):
+            periodicity_gap(sol, np.array([2, 61, 3]))
+
+    @pytest.mark.parametrize("p", NEAR_EQUAL + SPREAD, ids=repr)
+    def test_repeating_table_against_mpmath(self, p):
+        # Each increment is the difference of two EXTENDED states, whose
+        # rounding (2^-64 relative) grows against the gap as the increments
+        # shrink toward steady state. The relative bound piece_bound +
+        # k*2^-64*max(|x_n|, |x_{n-1}|)/gap is checked times the gap, as
+        # increments below the 60 digits of the states give a gap of 0:
+        # k = 4 is the least integer for which every cycle holds.
+        for tau in (0.5, 6.0, 30.0):
+            entries = [(100.0, tau)] * 60
+            states = mp_table_states(p, entries)
+            gaps = periodicity_gap(arbitrary_multidose(p, Arbitrary(entries)), np.arange(2, 61))
+            for n, gap in enumerate(gaps.tolist(), start=2):
+                (x, y), (px, py) = states[n - 1], states[n - 2]
+                with mpmath.workdps(DIGITS):
+                    reference = mp_gap(p, x - px, y - py, tau)
+                    error = abs(gap - reference) - piece_bound(p, tau) * reference
+                    assert error <= 4 * 2.0 ** -64 * max(abs(x), abs(px)), (tau, n)
 
     def test_underflowing_increment(self):
         p, d, tau, _ = UNDERFLOW
