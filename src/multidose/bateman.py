@@ -191,22 +191,17 @@ def single_dose(p: PkParams, d: float) -> SingleDoseCurve:
     return SingleDoseCurve(p, validate_positive("dose", d))
 
 
-@dataclass(frozen=True)
-class CycleCoefficients:
-    """The piece opening cycle n, from the state (x_start, y_start) just after
-    its dose. c2 = q*y_start/(ka - ke) and c1 = x_start + c2 are derived:
-    x = c1*e^{-ke(t - t_start)} - c2*e^{-ka(t - t_start)}. alpha, beta are
-    e^{-ka tau}, e^{-ke tau}; tau is the interval (FAT: the window)."""
-
-    n: int
-    c1: float
-    c2: float
-    x_start: float
-    y_start: float
-    t_start: float
-    tau: float
-    alpha: float
-    beta: float
+def _equi_state(b: Bateman, d, tau, n):
+    """EXTENDED (x0, y0) entering cycle n of d every tau, for b's forms and tau
+    in EXTENDED; n an int, an index array or inf (the limiting state). The
+    dose carried by sum_{k<n} M^k, summed from the faster decay f as
+    x0 = q*d*(E(tau)*G_slow(n-1) - f*E((n-1)tau))/(1 - f), G = decay_sum:
+    it cancels only while f^(n-1) ~ 1, at short intervals.
+    """
+    m, fast = n - 1, max(b.ka, b.ke)
+    carried = (decay_difference(b.ka, b.ke, tau) * decay_sum(b.slow, tau, m)
+               - np.exp(-fast * tau) * decay_difference(b.ka, b.ke, tau * m))
+    return b.q * d * carried / -np.expm1(-fast * tau), d * decay_sum(b.ka, tau, n)
 
 
 class PiecewiseSolution:
@@ -265,17 +260,9 @@ class PiecewiseSolution:
                                 for v in (x0, y0))
 
     def _equi_pieces(self, n):
-        """EXTENDED (x0, y0) entering cycle n of d every tau (see _pieces): the
-        dose carried by sum_{k<n} M^k, summed from the faster decay f as
-        x0 = q*d*(E(tau)*G_slow(n-1) - f*E((n-1)tau))/(1 - f), G = decay_sum:
-        it cancels only while f^(n-1) ~ 1, at short intervals.
-        """
-        b, d, tau = self._exact, self.regimen.dose, EXTENDED(self.regimen.interval)
-        m, fast = n - 1, max(b.ka, b.ke)
-        carried = (decay_difference(b.ka, b.ke, tau) * decay_sum(b.slow, tau, m)
-                   - np.exp(-fast * tau) * decay_difference(b.ka, b.ke, tau * m))
-        return (np.asarray(b.q * d * carried / -np.expm1(-fast * tau))[..., None],
-                np.asarray(d * decay_sum(b.ka, tau, n))[..., None])
+        """EXTENDED (x0, y0) entering cycle n of d every tau (see _pieces)."""
+        x0, y0 = _equi_state(self._exact, self.regimen.dose, EXTENDED(self.regimen.interval), n)
+        return np.asarray(x0)[..., None], np.asarray(y0)[..., None]
 
     def _pieces(self, n):
         """EXTENDED (x0, y0) entering each piece of cycle(s) n, an int or an
@@ -284,21 +271,6 @@ class PiecewiseSolution:
         if self._equi:
             return (*self._equi_pieces(n), self._spans[0])
         return self._x0e[n - 1], self._y0e[n - 1], self._spans[n - 1]
-
-    def _states(self, first: int, last: int):
-        """EXTENDED (x0, y0, t_start, tau) of the pieces opening cycles first..last."""
-        x0, y0, spans = self._pieces(np.arange(first, last + 1))
-        t_start = (np.arange(first - 1, last) * EXTENDED(self.regimen.interval) if self._equi
-                   else self._starts[first - 1:last])
-        return x0[:, 0], y0[:, 0], t_start, spans[..., 0]
-
-    def coefficients(self, n: int) -> CycleCoefficients:
-        """The piece opening cycle n (1-based)."""
-        validate_cycle(n, last=self.n_cycles)
-        x0, y0, t_start, tau = (np.ravel(v)[0] for v in self._states(n, n))
-        b, c2 = self.bateman, self._exact.q / self._exact.delta * y0
-        return CycleCoefficients(n, *(float(v) for v in (x0 + c2, c2, x0, y0, t_start, tau)),
-                                 math.exp(-b.ka * tau), math.exp(-b.ke * tau))
 
     def remainders(self, n):
         """(x, y) just before dose n+1, closing cycle n; (0, 0) for n = 0.

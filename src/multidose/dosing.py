@@ -1,18 +1,20 @@
 """Regimen design: invert the steady-state bounds into a (dose, interval).
 
-The peak/trough ratio of the limiting cycle is the quotient of the two
-gain-free shapes in `steady_state`: it depends on the interval alone,
-is strictly increasing in it, and sweeps (1, inf); the dose then scales
-the trough linearly. Designing a regimen therefore reduces to a
-one-dimensional bracketed root find on the ratio followed by a linear
-solve for the dose. The ratio map is invariant under swapping the two
-rate constants, so flip-flop parameter vectors need no special casing.
+The peak/trough ratio of the limiting cycle (of a 1 mg dose, read from
+`steady_state`) depends on the interval alone, is strictly increasing
+in it, and sweeps (1, inf); the dose then scales the trough linearly.
+Designing a regimen therefore reduces to a one-dimensional bracketed
+root find on the ratio followed by a linear solve for the dose. The
+ratio map is invariant under swapping the rate constants, so flip-flop
+parameter vectors need no special casing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import (NoConvergence, PkParams, ValidationError, validate_params,
                    validate_positive)
@@ -68,10 +70,10 @@ def f_ratio(p: PkParams, tau: float) -> float:
 def f_ratio_excess(p: PkParams, tau: float) -> float:
     """f_ratio(p, tau) - 1, computed without forming f_ratio at short intervals.
 
-    Its relative error peaks at about 1.8e-6 just above the series
-    threshold (ka + ke)*tau = 1e-4, where the quotient of the shapes
-    cancels; README "Numerical accuracy" has the measurements. Past float
-    range (a subnormal or zero trough) it is inf, without a warning.
+    Its relative error peaks at about 6e-9 just above the series threshold
+    (ka + ke)*tau = 1e-4, where peak and trough cancel in the difference
+    formed in EXTENDED; README "Numerical accuracy" has the measurements.
+    Past float range (a tiny or zero trough) it is inf, without a warning.
     """
     validate_params(p)
     return _ratio_excess(p, validate_positive("interval", tau))
@@ -81,15 +83,18 @@ def _ratio_excess(p: PkParams, tau: float) -> float:
     """f_ratio_excess for a valid p and tau > 0, unchecked."""
     if (p.ka + p.ke) * tau < _SERIES_THRESHOLD:
         return p.ka * p.ke * tau * tau / 8.0
-    trough = float(steady_state.trough_shape(p, tau))
-    # Python floats: a quotient past float range is inf, with no numpy warning.
-    return float(steady_state.peak_shape(p, tau)) / trough - 1.0 if trough else math.inf
+    b, trough, gut = steady_state._limit(p, 1.0, tau)
+    # Formed in EXTENDED and rounded once: past its range (a zero trough) inf.
+    with np.errstate(over="ignore"):
+        return float((b.peak(trough, gut)[1] - trough) / trough) if trough else math.inf
 
 
 def _dose_for_trough(p: PkParams, target_lower: float, tau: float) -> float:
-    shape = steady_state.trough_shape(p, tau)
-    d = target_lower * p.volume / p.gamma / shape if shape else math.inf
-    if not 0.0 < d < math.inf:
+    """The dose whose limiting trough at tau is target_lower, rounded once;
+    NoConvergence where it is past float range or subnormal (its digits lost)."""
+    with np.errstate(divide="ignore", over="ignore"):
+        d = float(target_lower / steady_state._limit(p, 1.0, tau)[1])
+    if not np.finfo(float).tiny <= d < math.inf:
         raise NoConvergence(f"no finite dose reaches the trough at {tau!r} h", tau=tau)
     return d
 

@@ -14,6 +14,8 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import PkParams, validate_cycle, validate_params, validate_positive
 from .bateman import EXTENDED, Bateman, PiecewiseSolution, equi_multidose, validate_oral
 
@@ -80,8 +82,11 @@ def cycle_rows(sol: PiecewiseSolution, last: int,
 
 def _rows(sol: PiecewiseSolution, first: int, stop: int) -> Iterator[tuple]:
     """cycle_rows of cycles first..stop-1, from one array pass."""
-    b = sol._exact
-    x0, y0, t_start, tau = sol._states(first, stop - 1)
+    b, rows = sol._exact, np.arange(first, stop)
+    x0, y0, tau = (v[..., 0] for v in sol._pieces(rows))
+    # A constant interval's dose times in EXTENDED: t_max rounds once from them.
+    t_start = ((rows - 1) * EXTENDED(sol.regimen.interval) if sol._equi
+               else sol._starts[first - 1:stop - 1])
     s, x_max = b.peak(x0, y0, tau)
     return zip(range(first, stop), *(column.astype(float).tolist() for column in (
         b.area(x0, y0, tau), t_start + s, x_max)), ((0.0 < s) & (s < tau)).tolist())

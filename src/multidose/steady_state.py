@@ -8,9 +8,10 @@ with an envelope, and, in one array pass bounded by the envelope, the
 first cycle index whose gap stays below epsilon.
 
 The bounds are the trough and the peak of the piece entering the
-limiting state, in EXTENDED precision; `dosing` inverts the quotient of
-their gain-free shapes to design regimens. For an arbitrary schedule whose
-entries converge, callers pass the limiting (dose, interval) explicitly.
+limiting state, cycle n's closed-form state at n = inf in EXTENDED
+precision, as the bolus and FAT limits are; `dosing` inverts their
+quotient to design regimens. For an arbitrary schedule whose entries
+converge, callers pass the limiting (dose, interval) explicitly.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import numpy as np
 
 from .core import (EquiDose, PkParams, ValidationError, validate_cycle, validate_params,
                    validate_positive)
-from .bateman import (EXTENDED, Bateman, PiecewiseSolution, decay_difference,
-                      equi_multidose, validate_oral)
+from .bateman import (EXTENDED, Bateman, PiecewiseSolution, _equi_state, equi_multidose,
+                      validate_oral)
 from .pkmetrics import auc_single
 
 #: Cycles n_epsilon may scan before it reports that no steady state is near.
@@ -45,24 +46,12 @@ class SteadyStateSummary:
     epsilon: float
 
 
-def _trough(ka, ke, tau: float):
-    """The limiting trough per unit gamma*d/V, at rates of any floating type:
-    1 - alpha and 1 - beta from expm1, exact at tiny intervals, divided in
-    sequence, as their product underflows where the quotient does not."""
-    lib = np if isinstance(ka, np.generic) else math
-    za, zb = -lib.expm1(-ka * tau), -lib.expm1(-ke * tau)
-    if not (za and zb):
-        raise ValidationError(f"interval {tau!r} h is too short to resolve at these rates")
-    return ka * decay_difference(ka, ke, tau) / za / zb
-
-
 def _limit(p: PkParams, d: float, tau: float):
-    """The EXTENDED forms of p and the state (trough, d/za) entering each
-    cycle of d every tau in the limit (p assumed valid): its peak is the
-    limiting peak, its area over tau the limiting AUC."""
+    """The EXTENDED forms of p and the state (trough, gut) entering cycle n
+    of d every tau at n = inf (p assumed valid): its peak is the limiting
+    peak, its area over tau the limiting AUC."""
     b = Bateman.of(p, EXTENDED)
-    trough = EXTENDED(p.gamma) * d / p.volume * _trough(b.ka, b.ke, tau)
-    return b, trough, d / -np.expm1(-b.ka * tau)
+    return (b, *_equi_state(b, d, EXTENDED(tau), math.inf))
 
 
 def _checked_limit(p: PkParams, d: float, tau: float):
@@ -70,31 +59,20 @@ def _checked_limit(p: PkParams, d: float, tau: float):
     return _limit(p, validate_positive("dose", d), validate_positive("interval", tau))
 
 
-def trough_shape(p: PkParams, tau: float) -> float:
-    """The limiting trough per unit gamma*d/V (p assumed valid)."""
-    return _trough(p.ka, p.ke, tau)
-
-
-def peak_shape(p: PkParams, tau: float) -> float:
-    """The limiting peak per unit gamma*d/V (p assumed valid)."""
-    b, *state = _limit(p, 1.0, tau)
-    return float(b.peak(*state)[1] * p.volume / p.gamma)
-
-
 def ss_lower(p: PkParams, d: float, tau: float) -> float:
     """Limiting trough: the concentration left just before each dose, the
-    limit of the end-of-cycle remainders."""
+    limit of the end-of-cycle remainders; inf past float range."""
     return float(_checked_limit(p, d, tau)[1])
 
 
 def ss_upper(p: PkParams, d: float, tau: float) -> float:
-    """Limiting peak: the cycle maximum after many doses."""
+    """Limiting peak: the cycle maximum after many doses; inf past float range."""
     b, *state = _checked_limit(p, d, tau)
     return float(b.peak(*state)[1])
 
 
 def width(p: PkParams, d: float, tau: float) -> float:
-    """Peak-to-trough span of the limiting cycle."""
+    """Peak-to-trough span of the limiting cycle; inf past float range."""
     b, trough, gut = _checked_limit(p, d, tau)
     return float(b.peak(trough, gut)[1] - trough)
 

@@ -143,16 +143,6 @@ def mp_fat_cutoff(p, d, tau, window, n):
         return g * (mpmath.exp(-ke * w) - mpmath.exp(-ka * w)) * (1 - beta ** n) / (1 - beta)
 
 
-def mp_equi_coefficients(p, d, tau, n):
-    """c1, c2 and y_start of cycle n of d every tau: geometric sums."""
-    with mpmath.workdps(DIGITS):
-        ka, ke, g = _gain(p, d)
-        t = mpmath.mpf(tau)
-        alpha, beta = mpmath.exp(-ka * t), mpmath.exp(-ke * t)
-        geo_a, geo_b = (1 - alpha ** n) / (1 - alpha), (1 - beta ** n) / (1 - beta)
-        return g * geo_b, g * geo_a, mpmath.mpf(d) * geo_a
-
-
 def mp_auc_cycle(p, d, tau, n):
     """Area under cycle n of d every tau."""
     with mpmath.workdps(DIGITS):
@@ -191,10 +181,14 @@ def mp_dose_sum(p, doses, starts, t):
 
 
 def mp_equi_state(p, d, tau, n):
-    """(x, y) entering cycle n of d every tau: c1 - c2 and y_start."""
+    """(x, y) entering cycle n of d every tau: geometric sums of the doses'
+    e^{-ke t} and e^{-ka t} terms."""
     with mpmath.workdps(DIGITS):
-        c1, c2, y0 = mp_equi_coefficients(p, d, tau, n)
-        return c1 - c2, y0
+        ka, ke, g = _gain(p, d)
+        t = mpmath.mpf(tau)
+        alpha, beta = mpmath.exp(-ka * t), mpmath.exp(-ke * t)
+        geo_a, geo_b = (1 - alpha ** n) / (1 - alpha), (1 - beta ** n) / (1 - beta)
+        return g * geo_b - g * geo_a, mpmath.mpf(d) * geo_a
 
 
 def mp_table_states(p, entries):

@@ -18,7 +18,7 @@ from multidose.pkmetrics import cycle_metrics
 
 from conftest import rel_err
 from mpref import (NEAR_EQUAL, PIECE_TAUS, SCHEDULE, SHORT_TAUS, SPREAD, TAUS, absorption_gain,
-                   mp_decay_difference, mp_equi_coefficients, mp_equi_state, mp_piece,
+                   mp_decay_difference, mp_equi_state, mp_piece,
                    mp_table_states, piece_bound, rel, short_bound)
 
 
@@ -106,13 +106,12 @@ def test_decay_difference_against_mpmath(p):
 
 
 class TestEquiMultidose:
-    def test_first_cycle_coefficients_equal_single_dose(self, canonical):
+    def test_first_cycle_is_the_single_dose(self, canonical):
         sol = equi_multidose(canonical, 100.0, 6.0)
-        c = sol.coefficients(1)
-        g = absorption_gain(canonical) * 100.0
-        assert c.c1 == pytest.approx(g, rel=1e-15)
-        assert c.c2 == pytest.approx(g, rel=1e-15)
-        assert c.y_start == 100.0
+        x0, y0, _ = sol._pieces(1)
+        assert (x0.tolist(), y0.tolist()) == ([0.0], [100.0])
+        t = np.linspace(0.0, 6.0, 601)[:-1]
+        assert np.array_equal(sol.x(t), single_dose(canonical, 100.0).x(t))
 
     def test_huge_interval_reduces_to_single_dose(self, canonical):
         sol = equi_multidose(canonical, 100.0, 1e6)
@@ -127,12 +126,14 @@ class TestEquiMultidose:
         assert sol.x(10.0) == pytest.approx(113.31538315428725, rel=1e-13)
 
     @pytest.mark.parametrize("p", NEAR_EQUAL + SPREAD, ids=repr)
-    def test_coefficients_against_mpmath(self, p):
+    def test_cycle_state_against_mpmath(self, p):
+        # x0 adds the transient's cancellation, 2^-60/(max(ka, ke)*tau),
+        # the known short-interval gap.
         for tau in TAUS:
-            c = equi_multidose(p, 100.0, tau).coefficients(10)
-            for value, reference in zip((c.c1, c.c2, c.y_start),
-                                        mp_equi_coefficients(p, 100.0, tau, 10)):
-                assert abs(value - reference) <= 2e-15 * abs(reference), tau
+            x0, y0, _ = equi_multidose(p, 100.0, tau)._pieces(10)
+            ref_x, ref_y = mp_equi_state(p, 100.0, tau, 10)
+            assert rel(float(x0[0]), ref_x) <= 2e-15 + 2.0 ** -60 / (max(p.ka, p.ke) * tau), tau
+            assert rel(float(y0[0]), ref_y) <= 2e-15, tau
 
     @pytest.mark.parametrize("tau", [1e-12, 1e-17, 1e-30, 1e-300])
     def test_tiny_interval_stays_finite(self, canonical, tau):
@@ -306,13 +307,14 @@ class TestInvariants:
         reg = Arbitrary(entries)
         sol = arbitrary_multidose(p, reg)
         for n in range(1, len(entries)):
-            c_cur = sol.coefficients(n)
-            c_nxt = sol.coefficients(n + 1)
-            x_left = (c_cur.c1 * c_cur.beta - c_cur.c2 * c_cur.alpha)
-            x_right = c_nxt.c1 - c_nxt.c2
+            # Cycle n's piece in the classic two-exponential form, run over
+            # its interval, meets the recursion's state entering cycle n + 1.
+            x0, y0, span = (float(v[0]) for v in sol._pieces(n))
+            x_right, y_right = (float(v[0]) for v in sol._pieces(n + 1)[:2])
+            alpha, beta = math.exp(-p.ka * span), math.exp(-p.ke * span)
+            x_left = x0 * beta + absorption_gain(p) * y0 * (beta - alpha)
             assert abs(x_left - x_right) <= 1e-12 * max(1.0, abs(x_right))
-            y_left = c_cur.y_start * c_cur.alpha
-            y_right = c_nxt.y_start
+            y_left = y0 * alpha
             assert y_right - y_left == pytest.approx(entries[n][0], rel=1e-12)
 
     @settings(max_examples=30, deadline=None)

@@ -696,6 +696,15 @@ class TestDesignCommand:
         cp = run_cli(*DESIGN, "--tau-grid", tau)
         assert cp.returncode in (0, 2, 3) and "Traceback" not in cp.stderr, cp.stderr
 
+    @pytest.mark.parametrize("tau", ["5e-324", "1e-310"])
+    def test_tau_grid_without_a_finite_dose_exits_numerical(self, tau):
+        # The limiting trough of 1 mg is past float range there, so the
+        # dose for the target trough would be subnormal.
+        cp = run_cli(*DESIGN, "--tau-grid", tau)
+        assert cp.returncode == cli.EXIT_NUMERICAL
+        assert cp.stderr == f"error: no finite dose reaches the trough at {tau} h\n"
+        assert cp.stdout == ""
+
     def test_invalid_targets_exit_validation(self):
         cp = run_cli("design", "--ka", "1.0", "--ke", "0.1", "--gamma", "1.0",
                      "--volume", "1.0", "--mic", "100", "--tc", "250",

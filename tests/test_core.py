@@ -17,7 +17,7 @@ from multidose.core import (
     validate_params,
     validate_regimen,
 )
-from multidose.bateman import arbitrary_multidose, equi_multidose, single_dose
+from multidose.bateman import PiecewiseSolution, arbitrary_multidose, equi_multidose, single_dose
 from multidose.dosing import f_ratio, f_ratio_excess
 from multidose.extmodels import (
     BolusRegimen,
@@ -27,11 +27,12 @@ from multidose.extmodels import (
     fat_equi_limits,
 )
 from multidose.fit import fit_batch
-from multidose.pkmetrics import auc_cycle, auc_single, peak
+from multidose.pkmetrics import auc_cycle, auc_single, cycle_metrics, peak
 from multidose.steady_state import (
     auc_equality_check,
     gap_envelope,
     n_epsilon,
+    periodicity_gap,
     ss_lower,
     ss_upper,
     summarize,
@@ -268,13 +269,15 @@ class TestOneRule:
     @pytest.mark.parametrize("regimen", [EquiDose(100.0, 6.0),
                                          Arbitrary([(100.0, 6.0)] * 3)],
                              ids=["equi", "arbitrary"])
-    @pytest.mark.parametrize("method", ["coefficients", "remainders"])
+    @pytest.mark.parametrize("method", [PiecewiseSolution.remainders, periodicity_gap,
+                                        cycle_metrics],
+                             ids=["remainders", "periodicity_gap", "cycle_metrics"])
     def test_solution_cycle_numbers_are_integers(self, regimen, method):
         sol = arbitrary_multidose(P, regimen)
-        getattr(sol, method)(np.int64(2))
+        method(sol, np.int64(2))
         for bad in (1.5, 2.0):
             with pytest.raises(ValidationError, match="cycle number must be an integer"):
-                getattr(sol, method)(bad)
+                method(sol, bad)
 
     @pytest.mark.parametrize("func", [f for f, c in SCALAR_CHECKS.items() if c[3]])
     def test_cycle_numbers_start_at_one(self, func):

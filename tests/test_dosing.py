@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,6 +12,8 @@ from multidose.dosing import (
     feasible_set_check,
 )
 from multidose.steady_state import ss_lower, ss_upper
+
+from mpref import DIGITS, mp_bounds, rel
 
 PARAM_SETS = [
     PkParams(1.0, 0.1, 1.0, 1.0),
@@ -64,7 +67,7 @@ class TestFRatio:
         with pytest.raises(ValidationError):
             f_ratio(canonical, 0.0)
 
-    # The trough there is subnormal (2.4e-309 and 4.6e-315), not 0.
+    # The trough of a 1 mg dose there is subnormal (4.6e-309 and 9.1e-315), not 0.
     SUBNORMAL_TROUGH = (262.91, 22.98, 0.43, 0.22)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -72,7 +75,7 @@ class TestFRatio:
     @pytest.mark.parametrize("tau", [30.928, 31.5])
     def test_ratio_past_float_range_is_inf(self, kind, tau):
         p = PkParams(*map(kind, self.SUBNORMAL_TROUGH))
-        assert 0.0 < steady_state.trough_shape(p, tau) < np.finfo(float).tiny
+        assert 0.0 < ss_lower(p, 1.0, tau) < np.finfo(float).tiny
         assert f_ratio_excess(p, tau) == np.inf
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -81,11 +84,35 @@ class TestFRatio:
         # A ratio of 1e300 expands the bracket to 32 h, where the trough is
         # subnormal, and bisects through 31 h, where it is too.
         p = PkParams(*map(kind, self.SUBNORMAL_TROUGH))
-        assert 0.0 < steady_state.trough_shape(p, 32.0) < np.finfo(float).tiny
+        assert 0.0 < ss_lower(p, 1.0, 32.0) < np.finfo(float).tiny
         d, tau = design(p, TherapeuticTarget(1.0, 1e300, 1.0, 1e300))
         assert (d, tau) == design(PkParams(*self.SUBNORMAL_TROUGH),
                                   TherapeuticTarget(1.0, 1e300, 1.0, 1e300))
         assert 16.0 < tau < 32.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    def test_dose_past_a_subnormal_bracket_against_mpmath(self, kind):
+        # The design above ends where the 1 mg trough is 1.5e-300. The dose
+        # is the target trough over it, formed in extended precision and
+        # rounded once: the double nearest its 60-digit value.
+        p = PkParams(*map(kind, self.SUBNORMAL_TROUGH))
+        d, tau = design(p, TherapeuticTarget(1.0, 1e300, 1.0, 1e300))
+        with mpmath.workdps(DIGITS):
+            assert d == float(1 / mp_bounds(p, 1.0, tau)[0])
+        assert type(d) is float
+
+    @pytest.mark.parametrize("p", [PkParams(1.0, 0.1, 1.0, 1.0), PkParams(0.1, 1.0, 1.0, 1.0),
+                                   PkParams(0.9, 0.002, 1.0, 1.0)],
+                             ids=["normal", "flipflop", "ka/ke=450"])
+    def test_excess_against_mpmath_above_the_series_threshold(self, p):
+        # Peak and trough cancel in the excess; formed in extended precision
+        # and rounded once it is within 1e-8 (largest seen 6.0e-9).
+        for scaled in (1.0001e-4, 2e-4, 1e-3, 1e-2):
+            tau = scaled / (p.ka + p.ke)
+            with mpmath.workdps(DIGITS):
+                lower, upper = mp_bounds(p, 1.0, tau)
+                assert rel(f_ratio_excess(p, tau), (upper - lower) / lower) <= 1e-8, scaled
 
 
 class TestDesign:

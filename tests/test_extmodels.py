@@ -17,8 +17,9 @@ from multidose.extmodels import (
     fat_equi_limits,
     fat_multidose,
 )
-from mpref import (DIGITS, NEAR_EQUAL, PIECE_TAUS, SPREAD, TAUS, mp_bolus_limit,
-                   mp_bolus_state, mp_fat_cutoff, mp_fat_limits, mp_piece, piece_bound, rel)
+from mpref import (DIGITS, NEAR_EQUAL, PIECE_TAUS, SPREAD, TAUS, absorption_gain,
+                   mp_bolus_limit, mp_bolus_state, mp_fat_cutoff, mp_fat_limits, mp_piece,
+                   piece_bound, rel)
 from rk4 import _rk4_segment
 
 #: Machine epsilon: the spacing of doubles at 1.
@@ -129,14 +130,15 @@ class TestFat:
         sol = fat_multidose(FAT_PARAMS, FatRegimen(entries))
         p = FAT_PARAMS
         for n in range(1, 7):
-            c = sol.coefficients(n)
-            left = (c.c1 * math.exp(-p.ke * 2.0)
-                    - c.c2 * math.exp(-p.ka * 2.0))
+            # The assimilation piece in the classic form c1*e^{-ke s} - c2*e^{-ka s}.
+            x0, y0 = (float(v[0]) for v in sol._pieces(n)[:2])
+            c2 = absorption_gain(p) * y0
+            left = ((x0 + c2) * math.exp(-p.ke * 2.0)
+                    - c2 * math.exp(-p.ka * 2.0))
             assert abs(left - sol.cutoff_value(n)) <= 1e-12
             if n < 6:
                 end = sol.cutoff_value(n) * math.exp(-p.ke * 3.0)
-                nxt = sol.coefficients(n + 1)
-                start_next = nxt.c1 - nxt.c2
+                start_next = float(sol._pieces(n + 1)[0][0])
                 assert abs(end - start_next) <= 1e-12
 
     def test_gut_empty_through_clearance_phase(self):
@@ -165,8 +167,9 @@ class TestFat:
         sol = fat_multidose(FAT_PARAMS, FatRegimen([(600.0, 5.0, 2.0)] * 3))
         p = FAT_PARAMS
         n = 2
-        c = sol.coefficients(n)
-        c1, c2, c3 = c.c1, c.c2, sol.cutoff_value(n)
+        x0, y0 = (float(v[0]) for v in sol._pieces(n)[:2])
+        c2 = absorption_gain(p) * y0
+        c1, c3 = x0 + c2, sol.cutoff_value(n)
         left = -p.ke * c1 * math.exp(-p.ke * 2.0) + p.ka * c2 * math.exp(-p.ka * 2.0)
         right = -p.ke * c3
         assert left - right == pytest.approx(

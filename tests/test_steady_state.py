@@ -51,14 +51,13 @@ def scan_reference(p, d, tau, eps):
     """n_epsilon by the cycle-by-cycle scan: each equi gap on a
     10,000-point grid plus its interior extremum (skipped where ke*dc1
     underflows to 0), until the envelope drops below eps."""
-    sol = equi_multidose(p, d, tau)
     g = absorption_gain(p) * d
+    alpha, beta = math.exp(-p.ka * tau), math.exp(-p.ke * tau)
     s = np.linspace(0.0, tau, 10_000)
     e_ke, e_ka = np.exp(-p.ke * s), np.exp(-p.ka * s)
     n, candidate = 2, None
     while gap_envelope(p, d, tau, n) >= eps:
-        c = sol.coefficients(n)
-        dc1, dc2 = g * c.beta ** (n - 1), g * c.alpha ** (n - 1)
+        dc1, dc2 = g * beta ** (n - 1), g * alpha ** (n - 1)
         gap = float(np.abs(dc1 * e_ke - dc2 * e_ka).max())
         num, den = p.ka * dc2, p.ke * dc1
         if den != 0.0 and num / den > 0.0:
@@ -280,21 +279,24 @@ class TestPeriodicityGap:
             sol = arbitrary_multidose(p, Arbitrary([
                 (100.0, 6.0), (50.0, 2.0), (200.0, 12.0), (80.0, 1.0),
                 (120.0, 8.0), (30.0, 5.0)]))
-        # Later equi gaps are too small against their coefficients to be
+        # Later equi gaps are too small against their states to be
         # differenced from them to 1e-12.
         for n in range(1, 4 if equi else 7):
-            cur = sol.coefficients(n)
-            dc1, dc2 = cur.c1, cur.c2
+            x0, y0, spans = sol._pieces(n)
             if n > 1:
-                prev = sol.coefficients(n - 1)
-                dc1, dc2 = dc1 - prev.c1, dc2 - prev.c2
+                px, py, _ = sol._pieces(n - 1)
+                x0, y0 = x0 - px, y0 - py
+            dx, dy, tau = (float(np.ravel(v)[0]) for v in (x0, y0, spans))
+            # The increment's piece in the classic form dc1*e^{-ke s} - dc2*e^{-ka s}.
+            dc2 = absorption_gain(p) * dy
+            dc1 = dx + dc2
 
             def diff(s):
                 return np.abs(dc1 * np.exp(-p.ke * s) - dc2 * np.exp(-p.ka * s))
 
             # A 100,001-point grid, refined once between the neighbours of
             # its maximum so that an interior peak is resolved too.
-            s = np.linspace(0.0, cur.tau, 100_001)
+            s = np.linspace(0.0, tau, 100_001)
             i = int(np.argmax(diff(s)))
             fine = np.linspace(s[max(i - 1, 0)], s[min(i + 1, s.size - 1)], 100_001)
             grid = max(diff(s).max(), diff(fine).max())
@@ -353,9 +355,9 @@ class TestPeriodicityGap:
         p, d, tau, _ = UNDERFLOW
         sol = equi_multidose(p, d, tau)
         g = absorption_gain(p) * d
+        alpha = math.exp(-p.ka * tau)
         for n in range(390, 405):
             # The ke-term is subnormal, so the gap is the ka-term at s = 0.
-            alpha = sol.coefficients(n).alpha
             assert periodicity_gap(sol, n) == pytest.approx(
                 abs(g) * alpha ** (n - 1), rel=1e-12)
 
