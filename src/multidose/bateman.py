@@ -280,10 +280,10 @@ class PiecewiseSolution:
         closing = self._closing(np.maximum(n, 1))
         return tuple(_shaped_like(n, np.where(n > 0, v, 0.0).astype(float)) for v in closing)
 
-    def _closing(self, n):
-        """EXTENDED (x, y) closing cycle(s) n >= 1 (inf: an equi-dose limit):
-        the last piece run over its span, as the recursion runs it."""
-        x0, y0, span = (v[..., -1] for v in self._pieces(n))
+    def _closing(self, n, pieces=None):
+        """EXTENDED (x, y) closing cycle(s) n >= 1 (inf: an equi-dose limit): the last
+        piece run over its span, as the recursion runs it (`pieces`: `_pieces(n)`)."""
+        x0, y0, span = (v[..., -1] for v in pieces or self._pieces(n))
         return self._exact.x(x0, y0, span), self._exact.y(y0, span)
 
     def _cycles(self, t: np.ndarray) -> np.ndarray:

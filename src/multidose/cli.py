@@ -48,8 +48,9 @@ VERIFY_TOLERANCE = 1e-8
 
 _HOURS_PER_UNIT = {"h": 1.0, "day": 24.0}
 
-#: Rows formatted and written per `simulate` block, with 0.9 MB of arrays: 8,192
-#: were 7% faster but 0.5 MB higher in RSS, 1,024 or 109k 25-40% slower.
+#: Rows formatted per `_csv_rows` call of `simulate`: 0.66 MB of arrays, plus the
+#: 256 KB `words` buffer kept for the run. 8,192 were 7% faster but 0.5 MB higher
+#: in RSS, 1,024 or 109k 25-40% slower.
 CSV_BLOCK_ROWS = 4096
 #: Monte Carlo replicates drawn and fitted per `fit_batch` call. For 1,000
 #: replicates of 12 points: a 0.75 MB traced peak and 49 ms, against 2.72 MB
@@ -149,12 +150,15 @@ class RegimenFile:
             )
         return dose, interval, offset
 
-    def sample_times(self) -> np.ndarray:
-        """The simulate grid k*sample_step through the horizon."""
-        if self.horizon <= 0.0:
-            return np.array([])
-        count = int(np.floor(self.horizon / self.sample_step + 1e-9))
-        return np.arange(count + 1, dtype=float) * self.sample_step
+    def sample_rows(self) -> range:
+        """The row indices k of the simulate grid k*sample_step through the horizon."""
+        count = np.floor(self.horizon / self.sample_step + 1e-9) + 1 if self.horizon > 0.0 else 0
+        return range(int(count))
+
+    def sample_times(self, rows: range | None = None) -> np.ndarray:
+        """The simulate grid's times k*sample_step for `rows` (default: every row)."""
+        rows = self.sample_rows() if rows is None else rows
+        return np.arange(rows.start, rows.stop, dtype=float) * self.sample_step
 
     def n_cycles_in_horizon(self) -> int:
         if self.equi:
@@ -189,40 +193,54 @@ def load_regimen_file(path: str) -> RegimenFile:
 
 def cmd_simulate(args) -> int:
     regfile = load_regimen_file(args.regimen)
-    times = regfile.sample_times()
     sol = regfile.solution()
-    x, y, cycles = sol.evaluate(times)
-
+    rows, size = regfile.sample_rows(), bateman.BLOCK_POINTS
+    # The grid a block of BLOCK_POINTS rows at a time: about 2 MB traced, whatever
+    # the horizon (the oracle's per-dose arrays of an equi schedule aside).
+    blocks = lambda: (regfile.sample_times(rows[a:a + size]) for a in range(0, len(rows), size))
+    # Every check runs before --out is opened: the last row's cycle (exact only
+    # below 2**53 intervals), then under --verify the oracle over every block.
+    sol.cycle_index(regfile.sample_times(rows[-1:]))
     if args.verify:
-        reference = oracle.superpose(regfile.rates, sol.regimen)(times)
-        deviation = float(np.max(np.abs(x - reference), initial=0.0))
-        peak = float(np.max(np.abs(reference), initial=0.0))
+        superposed, deviation, peak = oracle.superpose(regfile.rates, sol.regimen), 0.0, 0.0
+        for times in blocks():
+            reference = superposed(times)
+            # np.maximum, as one max over the grid would, keeps a NaN.
+            deviation = np.maximum(deviation, np.max(np.abs(sol.evaluate(times)[0] - reference),
+                                                     initial=0.0))
+            peak = np.maximum(peak, np.max(np.abs(reference), initial=0.0))
         if deviation > VERIFY_TOLERANCE * max(1.0, peak):
-            print(
-                f"verification failed: closed form deviates from the superposition "
-                f"oracle by {deviation:.3e} (> {VERIFY_TOLERANCE:g} x max(1, peak {peak:.6g}))",
-                file=sys.stderr,
-            )
+            print(f"verification failed: closed form deviates from the superposition oracle by "
+                  f"{deviation:.3e} (> {VERIFY_TOLERANCE:g} x max(1, peak {peak:.6g}))",
+                  file=sys.stderr)
             return EXIT_NUMERICAL
 
-    _write(args.out, _csv_blocks(times, x, y, cycles))
+    _write(args.out, _csv_blocks(sol, blocks()))
     return EXIT_OK
 
 
-def _csv_blocks(times, x, y, cycles) -> Iterator[bytes]:
-    """The simulate CSV: its header, then CSV_BLOCK_ROWS rows per piece."""
+def _csv_blocks(sol, blocks: Iterable[np.ndarray]) -> Iterator[bytes]:
+    """The simulate CSV: its header, then each block of times' rows, formatted
+    CSV_BLOCK_ROWS at a time into one buffer."""
     yield b"t_hours,x_conc,y_mg,cycle\n"
-    for start in range(0, times.size, CSV_BLOCK_ROWS):
-        rows = slice(start, start + CSV_BLOCK_ROWS)
-        yield _csv_rows(times[rows], x[rows], y[rows], cycles[rows])
+    # glibc unmaps a freed array of 128 KB and up, so each block's would fault in anew;
+    # freeing one of 1 MB raises that threshold: 3,300 faults at 109,501 rows, now 440.
+    np.empty(1 << 20, np.uint8)
+    words = np.empty((CSV_BLOCK_ROWS, 8), "<u8")
+    for times in blocks:
+        x, y, cycles = sol.evaluate(times)
+        for start in range(0, times.size, CSV_BLOCK_ROWS):
+            rows = slice(start, start + CSV_BLOCK_ROWS)
+            yield _csv_rows(times[rows], x[rows], y[rows], cycles[rows], words)
+        del x, y, cycles  # before the next block's are made
 
 
-def _csv_rows(times, x, y, cycles) -> bytes:
-    """b"%.6g,%.6g,%.6g,%d\\n" % row for each row, built as eight NUL-padded
-    little-endian words a row, two per column. Python formats the rows with a
-    value near a tie, not finite or under 1e-302, or a cycle not in [0, 1e9)."""
+def _csv_rows(times, x, y, cycles, words=None) -> bytes:
+    """b"%.6g,%.6g,%.6g,%d\\n" % row for each row, built as eight NUL-padded little-
+    endian words a row (in `words`, if given), two per column. Python formats the rows
+    with a value near a tie, not finite or under 1e-302, or a cycle not in [0, 1e9)."""
     tab = _csv_tables()
-    words = np.empty((len(times), 8), "<u8")
+    words = np.empty((len(times), 8), "<u8") if words is None else words[:len(times)]
     c = np.asarray(cycles, np.int64)
     ok = (c >= 0) & (c < 10 ** 9)
     for k, column in enumerate((times, x, y)):
@@ -453,25 +471,27 @@ def cmd_analyze(args) -> int:
         payload = {"asymptote_of": {"delta": dose, "interval": interval},
                    "steady_state": {"remainder_limit": limit}}
         keys = ("n", "remainder", "start_value")
-        rows = _accessor_rows(n_cycles, lambda n: n, sol.remainder, sol.start_value)
+        rows = ((n, end, start) for n, start, end in _cycle_states(sol, n_cycles))
     else:
         payload = {}
         if regfile.equi:
             cutoff, end = extmodels.fat_equi_limits(regfile.rates, *regfile.entries[0])
             payload["steady_state"] = {"cutoff_limit": cutoff, "end_limit": end}
         keys = ("cutoff_value", "end_value", "n")
-        rows = _accessor_rows(n_cycles, sol.cutoff_value, sol.end_value, lambda n: n)
+        rows = ((cutoff, end, n) for n, _, cutoff, end in _cycle_states(sol, n_cycles))
     payload = {"model": regfile.model, "schema": SCHEMA_VERSION, **payload}
     _write(args.out, _json_with_cycles(payload, keys, rows))
     return EXIT_OK
 
 
-def _accessor_rows(n_cycles: int, *columns) -> Iterator[tuple]:
-    """Rows (column(n) for each column) of cycles 1..n_cycles, each column
-    called on an index array of pkmetrics.ROWS_PER_PASS cycles at a time."""
+def _cycle_states(sol, n_cycles: int) -> Iterator[tuple]:
+    """(n, x entering each piece of cycle n, x closing it) for cycles 1..n_cycles,
+    each block of pkmetrics.ROWS_PER_PASS cycles' states read once (`_pieces`)."""
     for lo in range(1, n_cycles + 1, pkmetrics.ROWS_PER_PASS):
         n = np.arange(lo, min(lo + pkmetrics.ROWS_PER_PASS, n_cycles + 1))
-        yield from zip(*(column(n).tolist() for column in columns))
+        pieces = sol._pieces(n)
+        closing = sol._closing(n, pieces)[0].astype(float)
+        yield from zip(n.tolist(), *pieces[0].astype(float).T.tolist(), closing.tolist())
 
 
 def _json_with_cycles(payload: dict, keys: tuple[str, ...], rows) -> Iterator[bytes]:

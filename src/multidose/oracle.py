@@ -30,8 +30,8 @@ def superpose(p, r, n_doses: int | None = None):
     interval), or an EquiDose) takes the elimination rate ke instead, as
     bolus_multidose does. Returns a vectorized callable t -> x(t). For an
     equi-dose regimen `n_doses` caps how many doses contribute (default:
-    enough for each call's largest time, so the dose groups, and a value's
-    last bit, may change with the batch).
+    enough for each call's largest time, so the dose groups and a value's last
+    bit may change with the batch, as in `simulate --verify`'s per-block calls).
     """
     if not isinstance(p, PkParams):
         # IV bolus: each delta enters plasma directly and decays at ke = p.

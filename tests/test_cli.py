@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -19,7 +20,7 @@ from multidose.cli import (CSV_BLOCK_ROWS, _csv_rows, _json_with_cycles, _monte_
                            load_regimen_file)
 from multidose.core import ConcentrationSeries, NoConvergence, PkParams
 from multidose.extmodels import bolus_equi_remainder_limit, fat_equi_limits
-from multidose.bateman import single_dose
+from multidose.bateman import BLOCK_POINTS, single_dose
 from multidose.fit import fit_single_dose, predict
 from multidose.pkmetrics import cycle_metrics
 from multidose.steady_state import summarize
@@ -348,6 +349,67 @@ class TestSimulate:
         cp = run_cli("simulate", str(path))
         assert cp.returncode == 0, cp.stderr
         assert len(cp.stdout.splitlines()) == 12
+
+    @pytest.mark.parametrize("verify", [[], ["--verify"]], ids=["plain", "verify"])
+    def test_cycles_past_2_53_intervals_exit_2_before_output(self, capsys, tmp_path, verify):
+        # The grid's early blocks lie within 2**53 intervals of 1e-12 h, its
+        # last rows past them: the error comes before --out is opened.
+        path = tmp_path / "regimen.json"
+        path.write_text(json.dumps({
+            "schema": 1, "model": "oral",
+            "params": {"ka": 1.0, "ke": 0.1, "gamma": 1.0, "volume": 1.0},
+            "schedule": {"equi": {"dose": 100.0, "interval": 1e-12}},
+            "horizon": 1e4, "sample_step": 0.01}))
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"earlier output\n")
+        code = cli.main(["simulate", str(path), *verify, "--out", str(out)])
+        assert code == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == (
+            "error: t=10000 lies beyond 2**53 dosing intervals of 1e-12 h; "
+            "cycle numbers are no longer exact there\n")
+        assert out.read_bytes() == b"earlier output\n"
+
+    @pytest.mark.parametrize("verify", [[], ["--verify"]], ids=["plain", "verify"])
+    def test_blocks_give_the_bytes_of_the_whole_grid(self, tmp_path, verify):
+        # 2*BLOCK_POINTS + 1 rows of a table regimen: two full blocks and one row.
+        rng = np.random.default_rng(3)
+        entries = [{"dose": d, "interval": t} for d, t in
+                   zip(rng.uniform(50.0, 150.0, 400).tolist(), rng.uniform(4.0, 8.0, 400).tolist())]
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({
+            "schema": 1, "model": "oral",
+            "params": {"ka": 1.0, "ke": 0.1, "gamma": 1.0, "volume": 1.0},
+            "schedule": {"arbitrary": entries},
+            "horizon": 2 * BLOCK_POINTS / 16.0, "sample_step": 1.0 / 16.0}))
+        regfile = load_regimen_file(str(path))
+        times = regfile.sample_times()
+        assert times.size == 2 * BLOCK_POINTS + 1
+        expected = _csv_rows(times, *regfile.solution().evaluate(times))
+        out = tmp_path / "out.csv"
+        assert cli.main(["simulate", str(path), *verify, "--out", str(out)]) == 0
+        assert out.read_bytes() == b"t_hours,x_conc,y_mg,cycle\n" + expected
+
+    @pytest.mark.parametrize("schedule,horizon,step,verify", [
+        ({"equi": {"dose": 250.0, "interval": 12.0}}, 8760.0, 0.00876, []),
+        ({"equi": {"dose": 250.0, "interval": 12.0}}, 8760.0, 0.00876, ["--verify"]),
+        ({"arbitrary": [{"dose": 100.0 + i % 7 * 20.0, "interval": 3.0 + i % 5 * 0.5}
+                        for i in range(1000)]}, 4000.0, 0.05, ["--verify"]),
+    ], ids=["equi-1e6", "equi-1e6-verify", "table-1000-verify"])
+    def test_memory_is_one_block_whatever_the_horizon(self, tmp_path, schedule, horizon,
+                                                      step, verify):
+        # The grid's own arrays at 1e6 rows would be 32 MB, the oracle's more.
+        path = tmp_path / "regimen.json"
+        path.write_text(json.dumps({
+            "schema": 1, "model": "oral",
+            "params": {"ka": 0.748, "ke": 0.2031, "gamma": 19.1933, "volume": 5000.0},
+            "schedule": schedule, "horizon": horizon, "sample_step": step}))
+        tracemalloc.start()
+        try:
+            assert cli.main(["simulate", str(path), *verify, "--out", os.devnull]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
 
     def test_fat_model_simulation(self, tmp_path):
         doc = {
