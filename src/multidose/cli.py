@@ -48,9 +48,8 @@ VERIFY_TOLERANCE = 1e-8
 
 _HOURS_PER_UNIT = {"h": 1.0, "day": 24.0}
 
-#: Rows formatted per `_csv_rows` call of `simulate`: 0.66 MB of arrays, plus the
-#: 256 KB `words` buffer kept for the run. 8,192 were 7% faster but 0.5 MB higher
-#: in RSS, 1,024 or 109k 25-40% slower.
+#: Rows per `_csv_rows` call of `simulate`: 0.66 MB of arrays, and 256 KB of `words` kept
+#: for the run. 8,192 were 7% faster but 0.5 MB higher in RSS, 1,024 or 109k 25-40% slower.
 CSV_BLOCK_ROWS = 4096
 #: Monte Carlo replicates drawn and fitted per `fit_batch` call. For 1,000
 #: replicates of 12 points: a 0.75 MB traced peak and 49 ms, against 2.72 MB
@@ -195,9 +194,12 @@ def cmd_simulate(args) -> int:
     regfile = load_regimen_file(args.regimen)
     sol = regfile.solution()
     rows, size = regfile.sample_rows(), bateman.BLOCK_POINTS
-    # The grid a block of BLOCK_POINTS rows at a time: about 2 MB traced, whatever
-    # the horizon (the oracle's per-dose arrays of an equi schedule aside).
+    # One block of the grid at a time, so memory does not grow with the horizon.
     blocks = lambda: (regfile.sample_times(rows[a:a + size]) for a in range(0, len(rows), size))
+    if len(rows) > size:
+        # glibc unmaps a freed array of 128 KB and up, and trims the heap, so each block's
+        # arrays would fault in anew; freeing one of 1 MB raises both thresholds.
+        np.empty(1 << 20, np.uint8)
     # Every check runs before --out is opened: the last row's cycle (exact only
     # below 2**53 intervals), then under --verify the oracle over every block.
     sol.cycle_index(regfile.sample_times(rows[-1:]))
@@ -223,9 +225,6 @@ def _csv_blocks(sol, blocks: Iterable[np.ndarray]) -> Iterator[bytes]:
     """The simulate CSV: its header, then each block of times' rows, formatted
     CSV_BLOCK_ROWS at a time into one buffer."""
     yield b"t_hours,x_conc,y_mg,cycle\n"
-    # glibc unmaps a freed array of 128 KB and up, so each block's would fault in anew;
-    # freeing one of 1 MB raises that threshold: 3,300 faults at 109,501 rows, now 440.
-    np.empty(1 << 20, np.uint8)
     words = np.empty((CSV_BLOCK_ROWS, 8), "<u8")
     for times in blocks:
         x, y, cycles = sol.evaluate(times)
