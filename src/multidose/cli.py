@@ -69,14 +69,18 @@ def _require(doc: dict, key: str, path: str = ""):
     return doc[key]
 
 
-def _number(value, where: str, zero_ok: bool = False) -> float:
-    """`value` as a float held to `validate_positive` under its JSON path
-    `where` (0 passes too if `zero_ok`); RegimenFileError if not a number."""
+def _number(value, where: str, zero_ok: bool = False, unit: str | None = None) -> float:
+    """`value` as a float held to `validate_positive` under its JSON path `where` (0 passes
+    too if `zero_ok`), a time in `unit` in hours; RegimenFileError if not a number or inf."""
     try:
         number = float(value)
     except (TypeError, ValueError):
         raise RegimenFileError(f"{where}: expected a number, got {value!r}") from None
-    return number if zero_ok and number == 0.0 else validate_positive(where, number)
+    number = number if zero_ok and number == 0.0 else validate_positive(where, number)
+    hours = number * _HOURS_PER_UNIT[unit] if unit else number
+    if hours == np.inf:
+        raise RegimenFileError(f"{where}: {number!r} {unit} is past float range in hours")
+    return hours
 
 
 class RegimenFile:
@@ -123,25 +127,25 @@ class RegimenFile:
         # A schedule is a list of entries; `equi` repeats its one entry.
         self.equi = "equi" in schedule
         if self.equi:
-            self.entries = [self._entry(schedule["equi"], "schedule.equi", scale)]
+            self.entries = [self._entry(schedule["equi"], "schedule.equi", unit)]
         else:
             block = schedule["arbitrary"]
             if not isinstance(block, list) or not block:
                 raise RegimenFileError("schedule.arbitrary: expected a non-empty array")
-            self.entries = [self._entry(item, f"schedule.arbitrary[{i}]", scale)
+            self.entries = [self._entry(item, f"schedule.arbitrary[{i}]", unit)
                             for i, item in enumerate(block)]
-        self.horizon = _number(_require(doc, "horizon"), "horizon", zero_ok=True) * scale
-        self.sample_step = _number(_require(doc, "sample_step"), "sample_step") * scale
+        self.horizon = _number(_require(doc, "horizon"), "horizon", zero_ok=True, unit=unit)
+        self.sample_step = _number(_require(doc, "sample_step"), "sample_step", unit=unit)
 
-    def _entry(self, item, where: str, scale: float) -> tuple:
+    def _entry(self, item, where: str, unit: str) -> tuple:
         """(dose, interval) in hours, plus the absorption window for FAT."""
         if not isinstance(item, dict):
             raise RegimenFileError(f"{where}: expected an object")
         dose = _number(_require(item, "dose", where), f"{where}.dose")
-        interval = _number(_require(item, "interval", where), f"{where}.interval") * scale
+        interval = _number(_require(item, "interval", where), f"{where}.interval", unit=unit)
         if self.model != "fat":
             return dose, interval
-        offset = _number(_require(item, "fat_offset", where), f"{where}.fat_offset") * scale
+        offset = _number(_require(item, "fat_offset", where), f"{where}.fat_offset", unit=unit)
         if offset > interval:
             raise RegimenFileError(
                 f"{where}.fat_offset: absorption window {offset:g} exceeds the "
@@ -152,6 +156,8 @@ class RegimenFile:
     def sample_rows(self) -> range:
         """The row indices k of the simulate grid k*sample_step through the horizon."""
         count = np.floor(self.horizon / self.sample_step + 1e-9) + 1 if self.horizon > 0.0 else 0
+        if not count < sys.maxsize:
+            raise RegimenFileError(f"horizon/sample_step: {count:g} rows exceed {sys.maxsize}")
         return range(int(count))
 
     def sample_times(self, rows: range | None = None) -> np.ndarray:
@@ -160,9 +166,12 @@ class RegimenFile:
         return np.arange(rows.start, rows.stop, dtype=float) * self.sample_step
 
     def n_cycles_in_horizon(self) -> int:
-        if self.equi:
-            return max(1, int(np.floor(self.horizon / self.entries[0][1] + 1e-12)))
-        return len(self.entries)
+        if not self.equi:
+            return len(self.entries)
+        count = np.floor(self.horizon / self.entries[0][1] + 1e-12)
+        if not count < sys.maxsize:
+            raise RegimenFileError(f"horizon/interval: {count:g} cycles exceed {sys.maxsize}")
+        return max(1, int(count))
 
     def solution(self) -> bateman.PiecewiseSolution:
         """The closed-form solution of the file's model: an equi schedule is

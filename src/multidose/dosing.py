@@ -1,17 +1,17 @@
 """Regimen design: invert the steady-state bounds into a (dose, interval).
 
-The peak/trough ratio of the limiting cycle (of a 1 mg dose, read from
-`steady_state`) depends on the interval alone, is strictly increasing
-in it, and sweeps (1, inf); the dose then scales the trough linearly.
-Designing a regimen therefore reduces to a one-dimensional bracketed
-root find on the ratio followed by a linear solve for the dose. The
-ratio map is invariant under swapping the rate constants, so flip-flop
-parameter vectors need no special casing.
+The excess peak/trough - 1 of the limiting cycle (`steady_state`)
+depends on the interval alone, is strictly increasing in it and sweeps
+(0, inf); the dose then scales the trough linearly. A design is thus a
+bisection of the interval to adjacent doubles, then a linear solve for
+the dose. The excess is invariant under swapping the rate constants, so
+flip-flop parameter vectors need no special casing.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,18 +20,8 @@ from .core import (NoConvergence, PkParams, ValidationError, validate_params,
                    validate_positive)
 from . import steady_state
 
-#: Bracketing floor for the interval root find (hours).
+#: Lower end of the interval search (hours); the upper is the largest double.
 TAU_FLOOR = 1e-9
-
-#: Relative tolerance on the achieved ratio at the root.
-RATIO_RTOL = 1e-12
-
-#: Maximum bisection iterations (the bracket shrinks by 2^-200).
-MAX_BISECT = 200
-
-#: Below (ka + ke) * tau = 1e-4 the ratio excess uses its quadratic
-#: leading term; direct evaluation would drown in cancellation there.
-_SERIES_THRESHOLD = 1e-4
 
 #: Relative mismatch allowed when verifying the designed regimen.
 DESIGN_VERIFY_RTOL = 1e-8
@@ -76,17 +66,7 @@ def f_ratio_excess(p: PkParams, tau: float) -> float:
     Past float range (a tiny or zero trough) it is inf, without a warning.
     """
     validate_params(p)
-    return _ratio_excess(p, validate_positive("interval", tau))
-
-
-def _ratio_excess(p: PkParams, tau: float) -> float:
-    """f_ratio_excess for a valid p and tau > 0, unchecked."""
-    if (p.ka + p.ke) * tau < _SERIES_THRESHOLD:
-        return p.ka * p.ke * tau * tau / 8.0
-    b, trough, gut = steady_state._limit(p, 1.0, tau)
-    # Formed in EXTENDED and rounded once: past its range (a zero trough) inf.
-    with np.errstate(over="ignore"):
-        return float((b.peak(trough, gut)[1] - trough) / trough) if trough else math.inf
+    return float(steady_state._excess(p, validate_positive("interval", tau)))
 
 
 def _dose_for_trough(p: PkParams, target_lower: float, tau: float) -> float:
@@ -102,57 +82,40 @@ def _dose_for_trough(p: PkParams, target_lower: float, tau: float) -> float:
 def design(p: PkParams, target: TherapeuticTarget) -> tuple[float, float]:
     """Unique (dose, interval) whose steady-state bounds hit the target.
 
-    Solves f(tau) = upper/lower by expanding-bracket bisection (the
-    ratio map is strictly increasing), then the dose from the trough
-    equation, and verifies both achieved bounds to 1e-8 relative. p is
-    validated once here; the root find evaluates the unchecked ratio.
+    The excess is increasing in the interval, so in the ordered bit patterns
+    of positive doubles: bisecting those over [TAU_FLOOR, largest double]
+    ends on adjacent doubles, and the one whose EXTENDED excess is nearer
+    upper/lower - 1 is the interval. The dose solves the trough equation;
+    both achieved bounds are verified to 1e-8 relative. p is validated
+    once; the bisection reads the unchecked excess, carried at both ends.
     """
     validate_params(p)
-    ratio_excess = (target.upper - target.lower) / target.lower
-    if ratio_excess == math.inf:
+    ratio_excess = (steady_state.EXTENDED(target.upper) - target.lower) / target.lower
+    if not ratio_excess <= sys.float_info.max:
         raise NoConvergence("target ratio is beyond float range", ratio=math.inf)
-    lo, hi = TAU_FLOOR, 1.0
-    if _ratio_excess(p, lo) > ratio_excess:
+    as_tau = lambda bits: float(np.int64(bits).view(np.float64))
+    excess = lambda bits: steady_state._excess(p, as_tau(bits))
+    lo, hi = (int(np.float64(tau).view(np.int64)) for tau in (TAU_FLOOR, sys.float_info.max))
+    e_lo, e_hi = excess(lo), excess(hi)
+    if e_lo > ratio_excess:
         raise NoConvergence(
             "target ratio is below the resolvable range at the bracket floor",
-            bracket=(lo, hi), ratio=1.0 + ratio_excess,
+            bracket=(TAU_FLOOR, sys.float_info.max), ratio=target.upper / target.lower,
         )
-    expansions = 0
-    while _ratio_excess(p, hi) < ratio_excess:
-        hi *= 2.0
-        expansions += 1
-        if expansions > 200:
-            raise NoConvergence(
-                "bracket expansion failed to enclose the target ratio",
-                bracket=(lo, hi), ratio=1.0 + ratio_excess,
-            )
-
-    for _ in range(MAX_BISECT):
-        tau = 0.5 * (lo + hi)
-        excess = _ratio_excess(p, tau)
-        if abs(excess - ratio_excess) <= RATIO_RTOL * (1.0 + ratio_excess):
-            break
-        if excess < ratio_excess:
-            lo = tau
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (e_mid := excess(mid)) < ratio_excess:
+            lo, e_lo = mid, e_mid
         else:
-            hi = tau
-    else:
-        raise NoConvergence(
-            "bisection did not reach the ratio tolerance",
-            bracket=(lo, hi), achieved_ratio=1.0 + _ratio_excess(p, tau),
-            ratio=1.0 + ratio_excess,
-        )
+            hi, e_hi = mid, e_mid
+    tau = as_tau(lo if ratio_excess - e_lo < e_hi - ratio_excess else hi)
 
     d = _dose_for_trough(p, target.lower, tau)
-    achieved_lower = steady_state.ss_lower(p, d, tau)
-    achieved_upper = steady_state.ss_upper(p, d, tau)
-    if (abs(achieved_lower - target.lower) > DESIGN_VERIFY_RTOL * target.lower
-            or abs(achieved_upper - target.upper) > DESIGN_VERIFY_RTOL * target.upper):
-        raise NoConvergence(
-            "designed regimen failed verification against its targets",
-            d=d, tau=tau, achieved=(achieved_lower, achieved_upper),
-            target=(target.lower, target.upper),
-        )
+    bounds = target.lower, target.upper
+    achieved = steady_state.ss_lower(p, d, tau), steady_state.ss_upper(p, d, tau)
+    if any(abs(a - b) > DESIGN_VERIFY_RTOL * b for a, b in zip(achieved, bounds)):
+        raise NoConvergence("designed regimen failed verification against its targets",
+                            d=d, tau=tau, achieved=achieved, target=bounds)
     return d, tau
 
 

@@ -31,6 +31,10 @@ from .pkmetrics import auc_single
 #: Cycles n_epsilon may scan before it reports that no steady state is near.
 N_EPSILON_MAX_CYCLES = 100_000
 
+#: Below (ka + ke) * tau = 1e-4 the excess uses its quadratic leading term;
+#: direct evaluation would drown in cancellation there.
+_SERIES_THRESHOLD = 1e-4
+
 
 @dataclass(frozen=True)
 class SteadyStateSummary:
@@ -54,6 +58,17 @@ def _limit(p: PkParams, d: float, tau: float):
     return (b, *_equi_state(b, d, EXTENDED(tau), math.inf))
 
 
+def _excess(p: PkParams, tau: float, d: float = 1.0):
+    """(peak - trough)/trough of the limiting cycle of d every tau (p valid, d and
+    tau > 0) in EXTENDED: ka*ke*tau**2/8 below the series threshold, inf for a
+    zero trough. Strictly increasing in tau; `dosing` inverts it, width scales it."""
+    with np.errstate(over="ignore"):
+        if (p.ka + p.ke) * tau < _SERIES_THRESHOLD:
+            return p.ka * p.ke * tau * tau / 8.0
+        b, trough, gut = _limit(p, d, tau)
+        return (b.peak(trough, gut)[1] - trough) / trough if trough else math.inf
+
+
 def _checked_limit(p: PkParams, d: float, tau: float):
     validate_params(p)
     return _limit(p, validate_positive("dose", d), validate_positive("interval", tau))
@@ -72,8 +87,11 @@ def ss_upper(p: PkParams, d: float, tau: float) -> float:
 
 
 def width(p: PkParams, d: float, tau: float) -> float:
-    """Peak-to-trough span of the limiting cycle; inf past float range."""
+    """Peak-to-trough span of the limiting cycle, the trough times the excess
+    rounded once (peak - trough where the trough is 0 or inf); inf past float range."""
     b, trough, gut = _checked_limit(p, d, tau)
+    if 0.0 < trough < math.inf:
+        return float(trough * _excess(p, tau, d))
     return float(b.peak(trough, gut)[1] - trough)
 
 

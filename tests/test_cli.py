@@ -570,6 +570,23 @@ class TestSchemaErrors:
         assert cp.returncode == 2
         assert "horizon must be > 0 and finite, got -1.0" in cp.stderr
 
+    @pytest.mark.parametrize("command,horizon,step,unit,interval,message", [
+        ("simulate", 1e300, 1e-10, "h", 6.0, "horizon/sample_step: inf rows exceed "),
+        ("simulate", 1e300, 1.0, "h", 6.0, "horizon/sample_step: 1e+300 rows exceed "),
+        ("simulate", 1e308, 1.0, "day", 6.0, "horizon: 1e+308 day is past float range"),
+        ("analyze", 1e308, 1.0, "day", 6.0, "horizon: 1e+308 day is past float range"),
+        ("analyze", 48.0, 0.5, "h", 5e-324, "horizon/interval: inf cycles exceed "),
+    ])
+    def test_hours_and_counts_past_range_exit_2(self, tmp_path, capsys, command, horizon,
+                                                 step, unit, interval, message):
+        doc = json.loads((DATA / "oral_equi.json").read_text())
+        doc["params"]["time_unit"] = unit
+        doc["schedule"]["equi"]["interval"] = interval
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({**doc, "horizon": horizon, "sample_step": step}))
+        assert cli.main([command, str(path), "--out", os.devnull]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     def test_fat_offset_beyond_interval_names_entry(self, tmp_path):
         equi = {"equi": {"dose": 600.0, "interval": 5.0, "fat_offset": 6.0}}
         arbitrary = {"arbitrary": [

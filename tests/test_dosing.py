@@ -1,3 +1,5 @@
+import sys
+
 import mpmath
 import numpy as np
 import pytest
@@ -81,8 +83,8 @@ class TestFRatio:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("kind", [float, np.float64])
     def test_design_bracket_reaching_a_subnormal_trough(self, kind):
-        # A ratio of 1e300 expands the bracket to 32 h, where the trough is
-        # subnormal, and bisects through 31 h, where it is too.
+        # A ratio of 1e300 is reached near 30 h; the bisection passes 31 h,
+        # where the trough is subnormal, as it is at 32 h.
         p = PkParams(*map(kind, self.SUBNORMAL_TROUGH))
         assert 0.0 < ss_lower(p, 1.0, 32.0) < np.finfo(float).tiny
         d, tau = design(p, TherapeuticTarget(1.0, 1e300, 1.0, 1e300))
@@ -173,27 +175,25 @@ class TestDesign:
         assert d > 0.0 and tau > 0.0
 
     def test_params_validated_a_fixed_number_of_times(self, canonical, monkeypatch):
-        # design checks p once and bisects on the unchecked ratio, so the
-        # number of validate_params calls does not grow with its steps.
+        # design checks p once and bisects on the unchecked excess, so the
+        # number of validate_params calls does not grow with its steps, and
+        # the steps are the two bracket ends plus at most 63 halvings.
         calls, steps = [], []
         for module in (dosing, pkmetrics, steady_state):
             real = module.validate_params
             monkeypatch.setattr(module, "validate_params",
                                 lambda p, real=real: calls.append(p) or real(p))
-        ratio = dosing._ratio_excess
-        monkeypatch.setattr(dosing, "_ratio_excess",
-                            lambda p, tau: steps.append(tau) or ratio(p, tau))
-        counts = []
+        excess = steady_state._excess
+        monkeypatch.setattr(steady_state, "_excess",
+                            lambda p, tau: steps.append(tau) or excess(p, tau))
         for tau0 in (6.0, 30.0, 300.0):
             target = target_from_regimen(canonical, 100.0, tau0)
             calls.clear()
             steps.clear()
             d, tau = design(canonical, target)
             assert tau == pytest.approx(tau0, rel=1e-6)
-            counts.append((len(steps), len(calls)))
-        assert len({n_steps for n_steps, _ in counts}) == 3
-        assert {n_calls for _, n_calls in counts} == {3}
-
+            assert len(calls) == 3
+            assert len(steps) <= 66
 
     def test_ratio_below_the_floor_raises(self):
         # At (ka + ke)*TAU_FLOOR the ratio already exceeds 1 + 2^-52.
@@ -201,16 +201,17 @@ class TestDesign:
         with pytest.raises(NoConvergence, match="^target ratio is below the resolvable "
                            "range at the bracket floor$") as err:
             design(PkParams(100.0, 20.0, 1.0, 1.0), target)
-        assert err.value.context == {"bracket": (dosing.TAU_FLOOR, 1.0),
+        assert err.value.context == {"bracket": (dosing.TAU_FLOOR, sys.float_info.max),
                                      "ratio": target.upper}
 
-    def test_bracket_expansion_failure_raises(self):
-        # Rates of 1e-200/h: 200 doublings of the bracket reach no ratio of 3.
+    def test_rates_scaled_by_1e_minus_200(self):
+        # The excess depends on k*tau alone, so rates 1e200 times smaller
+        # give an interval 1e200 times longer and the same trough and dose.
         target = TherapeuticTarget(1.0, 3.0, 1.0, 3.0)
-        with pytest.raises(NoConvergence, match="^bracket expansion failed to enclose "
-                           "the target ratio$") as err:
-            design(PkParams(1e-200, 2e-200, 1.0, 1.0), target)
-        assert err.value.context == {"bracket": (dosing.TAU_FLOOR, 2.0 ** 201), "ratio": 3.0}
+        d, tau = design(PkParams(1e-200, 2e-200, 1.0, 1.0), target)
+        d0, tau0 = design(PkParams(1.0, 2.0, 1.0, 1.0), target)
+        assert abs(tau - 1e200 * tau0) <= 2 * np.spacing(tau)
+        assert abs(d - d0) <= np.spacing(d0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("p,lower,upper", [
@@ -232,6 +233,49 @@ class TestDesign:
         # The same ratio from a trough of 1 needs a dose past float range.
         with pytest.raises(NoConvergence, match="^no finite dose reaches the trough at 7100.88"):
             design(PARAM_SETS[0], TherapeuticTarget(1.0, 1.7e308, 1.0, 1.7e308))
+
+
+#: (p, lower, upper) for design against the 60-digit root: the golden
+#: `design` run, a flip-flop pair, slow elimination, and target ratios
+#: 1 + 1e-6 and 1 + 1e-10, the second below the series threshold.
+ROOT_CASES = {
+    "golden": (PkParams(1.0, 0.1, 1.0, 1.0), 120.0, 200.0),
+    "flipflop": (PkParams(0.4, 1.6, 2.0, 250.0), 0.3, 0.9),
+    "flipflop-swapped": (PkParams(1.6, 0.4, 2.0, 250.0), 0.3, 0.9),
+    "slow-elimination": (PkParams(2.0, 0.05, 0.9, 30.0), 1.0, 1.5),
+    "ratio-1+1e-6": (PkParams(1.0, 0.1, 1.0, 1.0), 100.0, 100.0001),
+    "ratio-1+1e-10": (PkParams(1.0, 0.1, 1.0, 1.0), 100.0, 100.00000001),
+}
+
+
+def excess_error(p, tau, excess):
+    """The relative error of steady_state._excess: below its threshold the
+    one-term series' next term, ((ka + ke)*tau)^2 times at most 1/72 (taken
+    as 1/64); above it 2^-60*(1 + 1/excess), peak - trough cancelling in
+    extended precision."""
+    scaled = (p.ka + p.ke) * tau
+    if scaled < steady_state._SERIES_THRESHOLD:
+        return scaled ** 2 / 64.0
+    return 2.0 ** -60 * (1.0 + 1.0 / excess)
+
+
+class TestDesignAgainstMpmath:
+    @pytest.mark.parametrize("case", ROOT_CASES)
+    def test_interval_is_the_nearest_double_to_the_root(self, case):
+        # The excess's error over its slope d(log excess)/d(log tau) bounds
+        # the root's; under half an ulp the interval is the nearest double.
+        p, lower, upper = ROOT_CASES[case]
+        d, tau = design(p, TherapeuticTarget(lower, upper, lower, upper))
+        ulp = np.spacing(tau)
+        with mpmath.workdps(DIGITS):
+            excess = lambda t: (lambda lo, up: up / lo - 1)(*mp_bounds(p, 1.0, t))
+            target = mpmath.mpf(upper) / lower - 1
+            root = mpmath.findroot(lambda t: excess(t) - target, mpmath.mpf(tau))
+            h = root * mpmath.mpf(10) ** -20
+            slope = root * (excess(root + h) - excess(root - h)) / (2 * h * target)
+            off = float(abs(tau - root)) / ulp
+            bound = excess_error(p, float(root), float(target)) / float(slope) * tau / ulp
+        assert off <= (0.5 if bound < 0.5 else bound + 1.0), bound
 
 
 class TestFeasibility:

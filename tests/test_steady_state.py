@@ -196,6 +196,13 @@ class TestWidth:
         values = [width(p, 100.0, t) for t in taus]
         assert all(b > a for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("tau", [1e-9, 1e-6])
+    def test_short_interval_against_mpmath(self, canonical, tau):
+        # The trough times the excess: no peak - trough left to cancel.
+        with mpmath.workdps(DIGITS):
+            lower, upper = mp_bounds(canonical, 100.0, tau)
+            assert rel(width(canonical, 100.0, tau), upper - lower) <= 1e-14
+
     def test_long_interval_limit(self, canonical):
         assert width(canonical, 100.0, 1e6) == pytest.approx(
             width_limit(canonical, 100.0), rel=1e-6)
