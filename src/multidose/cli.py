@@ -217,7 +217,7 @@ def cmd_simulate(args) -> int:
         for times in blocks():
             reference = superposed(times)
             # np.maximum, as one max over the grid would, keeps a NaN.
-            deviation = np.maximum(deviation, np.max(np.abs(sol.evaluate(times)[0] - reference),
+            deviation = np.maximum(deviation, np.max(np.abs(sol.x(times) - reference),
                                                      initial=0.0))
             peak = np.maximum(peak, np.max(np.abs(reference), initial=0.0))
         if deviation > VERIFY_TOLERANCE * max(1.0, peak):
@@ -433,7 +433,8 @@ def cmd_design(args) -> int:
     if args.tau_grid:
         grid = _parse_grid(args.tau_grid)
         tau_r = min(grid, key=lambda g: abs(g - tau_star))
-        d_r = dosing._dose_for_trough(p, target.lower, tau_r)
+        forms = bateman.Bateman.of(p, bateman.EXTENDED)
+        d_r = dosing._dose_for_trough(forms, target.lower, tau_r)
         payload["rounded"] = {"tau": tau_r, "d": d_r,
                               **_achieved(p, d_r, tau_r, target)}
     _write(args.out, [_json_dumps(payload).encode()])

@@ -65,15 +65,15 @@ def f_ratio_excess(p: PkParams, tau: float) -> float:
     formed in EXTENDED; README "Numerical accuracy" has the measurements.
     Past float range (a tiny or zero trough) it is inf, without a warning.
     """
-    validate_params(p)
-    return float(steady_state._excess(p, validate_positive("interval", tau)))
+    b = steady_state.Bateman.of(validate_params(p), steady_state.EXTENDED)
+    return float(steady_state._excess(b, validate_positive("interval", tau)))
 
 
-def _dose_for_trough(p: PkParams, target_lower: float, tau: float) -> float:
-    """The dose whose limiting trough at tau is target_lower, rounded once;
-    NoConvergence where it is past float range or subnormal (its digits lost)."""
+def _dose_for_trough(b: steady_state.Bateman, target_lower: float, tau: float) -> float:
+    """The dose whose limiting trough under b (as in `steady_state._limit`) at tau is
+    target_lower, rounded once; NoConvergence past float range or subnormal."""
     with np.errstate(divide="ignore", over="ignore"):
-        d = float(target_lower / steady_state._limit(p, 1.0, tau)[1])
+        d = float(target_lower / steady_state._limit(b, 1.0, tau)[0])
     if not np.finfo(float).tiny <= d < math.inf:
         raise NoConvergence(f"no finite dose reaches the trough at {tau!r} h", tau=tau)
     return d
@@ -86,15 +86,15 @@ def design(p: PkParams, target: TherapeuticTarget) -> tuple[float, float]:
     of positive doubles: bisecting those over [TAU_FLOOR, largest double]
     ends on adjacent doubles, and the one whose EXTENDED excess is nearer
     upper/lower - 1 is the interval. The dose solves the trough equation;
-    both achieved bounds are verified to 1e-8 relative. p is validated
-    once; the bisection reads the unchecked excess, carried at both ends.
+    both achieved bounds are verified to 1e-8 relative. p is validated and its
+    forms built once; the bisection reads their excess, carried at both ends.
     """
-    validate_params(p)
+    b = steady_state.Bateman.of(validate_params(p), steady_state.EXTENDED)
     ratio_excess = (steady_state.EXTENDED(target.upper) - target.lower) / target.lower
     if not ratio_excess <= sys.float_info.max:
         raise NoConvergence("target ratio is beyond float range", ratio=math.inf)
     as_tau = lambda bits: float(np.int64(bits).view(np.float64))
-    excess = lambda bits: steady_state._excess(p, as_tau(bits))
+    excess = lambda bits: steady_state._excess(b, as_tau(bits))
     lo, hi = (int(np.float64(tau).view(np.int64)) for tau in (TAU_FLOOR, sys.float_info.max))
     e_lo, e_hi = excess(lo), excess(hi)
     if e_lo > ratio_excess:
@@ -110,7 +110,7 @@ def design(p: PkParams, target: TherapeuticTarget) -> tuple[float, float]:
             hi, e_hi = mid, e_mid
     tau = as_tau(lo if ratio_excess - e_lo < e_hi - ratio_excess else hi)
 
-    d = _dose_for_trough(p, target.lower, tau)
+    d = _dose_for_trough(b, target.lower, tau)
     bounds = target.lower, target.upper
     achieved = steady_state.ss_lower(p, d, tau), steady_state.ss_upper(p, d, tau)
     if any(abs(a - b) > DESIGN_VERIFY_RTOL * b for a, b in zip(achieved, bounds)):
@@ -121,6 +121,6 @@ def design(p: PkParams, target: TherapeuticTarget) -> tuple[float, float]:
 
 def feasible_set_check(p: PkParams, d: float, tau: float,
                        target: TherapeuticTarget) -> bool:
-    """Whether the regimen's asymptotic range stays within [mic, tc]."""
-    return (steady_state.ss_lower(p, d, tau) >= target.mic
-            and steady_state.ss_upper(p, d, tau) <= target.tc)
+    """Whether the regimen's asymptotic range lies in [mic, tc] to DESIGN_VERIFY_RTOL."""
+    return (steady_state.ss_lower(p, d, tau) >= target.mic * (1.0 - DESIGN_VERIFY_RTOL)
+            and steady_state.ss_upper(p, d, tau) <= target.tc * (1.0 + DESIGN_VERIFY_RTOL))

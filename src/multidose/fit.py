@@ -35,7 +35,6 @@ from .bateman import _decay_differences, single_dose
 
 MAX_ITERATIONS = 500
 SSE_RTOL = 1e-10
-GRADIENT_ATOL = 1e-8
 
 #: Condition number of J'J beyond which the covariance is reported singular.
 COVARIANCE_CONDITION_LIMIT = 1e12
@@ -130,7 +129,8 @@ def _initial_guess(t: np.ndarray, c: np.ndarray, d: float,
         validate_params(PkParams(ka=ka[i], ke=ke[i], gamma=1.0, volume=v))
     # ka = 5*ke: the unit curve peaks at log(5)/(4*ke), at (d/V)*5^(-1/4).
     unit_peak = d / v * 5.0 ** -0.25
-    gamma = np.maximum(c.max(axis=1), 1e-12) / unit_peak if unit_peak > 0 else np.ones(len(c))
+    peak = c.max(axis=1) / unit_peak if unit_peak > 0 else np.zeros(len(c))
+    gamma = np.where(peak > 0.0, peak, 1.0)
     return np.log(np.stack((ka, ke, gamma), axis=1))
 
 
@@ -192,11 +192,8 @@ def fit_batch(times, values, d: float, v: float, init: PkParams | None = None
             jac_k = jac[rows]
             jtj = jac_k.transpose(0, 2, 1) @ jac_k
             jtr = jac_k.transpose(0, 2, 1) @ residual[rows, :, None]
-            flat = np.sqrt(_sum_squares(-2.0 * jtr[..., 0])) < GRADIENT_ATOL
-            running[rows[flat]] = False
-            rows, jtj, jtr = rows[~flat], jtj[~flat], jtr[~flat]
             scale = np.zeros_like(jtj)
-            scale[_DIAG] = np.maximum(jtj[_DIAG], 1e-30)
+            scale[_DIAG] = np.where(jtj[_DIAG] == 0.0, 1.0, jtj[_DIAG])
             for _ in range(40):
                 if not rows.size:
                     break
@@ -208,7 +205,7 @@ def fit_batch(times, values, d: float, v: float, init: PkParams | None = None
                 lam[rows[~ok]] *= 10.0
                 won = rows[ok]
                 gain = sse[won] - trial_sse[ok]
-                running[won[gain <= SSE_RTOL * np.maximum(sse[won], 1e-300)]] = False
+                running[won[gain <= SSE_RTOL * sse[won]]] = False
                 theta[won], sse[won] = trial[ok], trial_sse[ok]
                 residual[won], jac[won] = trial_residual[ok], trial_jac[ok]
                 lam[won] = np.maximum(lam[won] * 0.3, 1e-12)

@@ -50,28 +50,27 @@ class SteadyStateSummary:
     epsilon: float
 
 
-def _limit(p: PkParams, d: float, tau: float):
-    """The EXTENDED forms of p and the state (trough, gut) entering cycle n
-    of d every tau at n = inf (p assumed valid): its peak is the limiting
-    peak, its area over tau the limiting AUC."""
-    b = Bateman.of(p, EXTENDED)
-    return (b, *_equi_state(b, d, EXTENDED(tau), math.inf))
+def _limit(b: Bateman, d: float, tau: float):
+    """The state (trough, gut) entering cycle n = inf of d every tau under b, a valid
+    p's Bateman.of(p, EXTENDED): its peak is the limiting peak, its area the limiting AUC."""
+    return _equi_state(b, d, EXTENDED(tau), math.inf)
 
 
-def _excess(p: PkParams, tau: float, d: float = 1.0):
-    """(peak - trough)/trough of the limiting cycle of d every tau (p valid, d and
-    tau > 0) in EXTENDED: ka*ke*tau**2/8 below the series threshold, inf for a
-    zero trough. Strictly increasing in tau; `dosing` inverts it, width scales it."""
+def _excess(b: Bateman, tau: float, d: float = 1.0):
+    """(peak - trough)/trough of the limiting cycle of d every tau (b as in `_limit`,
+    d and tau > 0) in EXTENDED: ka*ke*tau**2/8 below the series threshold, inf for
+    a zero trough. Strictly increasing in tau; `dosing` inverts it, width scales it."""
+    ka, ke = float(b.ka), float(b.ke)
     with np.errstate(over="ignore"):
-        if (p.ka + p.ke) * tau < _SERIES_THRESHOLD:
-            return p.ka * p.ke * tau * tau / 8.0
-        b, trough, gut = _limit(p, d, tau)
+        if (ka + ke) * tau < _SERIES_THRESHOLD:
+            return ka * ke * tau * tau / 8.0
+        trough, gut = _limit(b, d, tau)
         return (b.peak(trough, gut)[1] - trough) / trough if trough else math.inf
 
 
 def _checked_limit(p: PkParams, d: float, tau: float):
-    validate_params(p)
-    return _limit(p, validate_positive("dose", d), validate_positive("interval", tau))
+    b = Bateman.of(validate_params(p), EXTENDED)
+    return (b, *_limit(b, validate_positive("dose", d), validate_positive("interval", tau)))
 
 
 def ss_lower(p: PkParams, d: float, tau: float) -> float:
@@ -91,7 +90,7 @@ def width(p: PkParams, d: float, tau: float) -> float:
     rounded once (peak - trough where the trough is 0 or inf); inf past float range."""
     b, trough, gut = _checked_limit(p, d, tau)
     if 0.0 < trough < math.inf:
-        return float(trough * _excess(p, tau, d))
+        return float(trough * _excess(b, tau, d))
     return float(b.peak(trough, gut)[1] - trough)
 
 

@@ -222,13 +222,10 @@ class TestSimulate:
         assert cli.main(["simulate", str(path), "--verify", "--out", out]) == 0
 
     def test_verify_failure_exits_3_naming_the_scale(self, monkeypatch, capsys, tmp_path):
-        evaluate = cli.bateman.PiecewiseSolution.evaluate
-
-        def perturbed(sol, t):
-            x, y, cycles = evaluate(sol, t)
-            return x * (1.0 + 1e-7), y, cycles
-
-        monkeypatch.setattr(cli.bateman.PiecewiseSolution, "evaluate", perturbed)
+        x = cli.bateman.PiecewiseSolution.x
+        # The concentrations the verify pass compares, 1e-7 off.
+        monkeypatch.setattr(cli.bateman.PiecewiseSolution, "x",
+                            lambda sol, t: x(sol, t) * (1.0 + 1e-7))
         out = tmp_path / "out.csv"
         code = cli.main(["simulate", str(DATA / "oral_equi.json"), "--verify",
                          "--out", str(out)])
@@ -769,7 +766,64 @@ class TestRejectedFlags:
         assert "Traceback" not in cp.stderr and flag in cp.stderr
 
 
+def _regimen(**fields):
+    """oral_equi.json with top-level `fields` replaced, as JSON text."""
+    return json.dumps({**json.loads((DATA / "oral_equi.json").read_text()), **fields})
+
+
+_SERIES = "t,c\n0.5,1.0\n1,2.0\n2,1.5\n4,0.8\n8,0.2\n"
+
+
+class TestInputRejections:
+    # Inputs the CLI's readers of regimen files, CSV series and --tau-grid reject:
+    # exit 2, naming the field, row or option. "{path}" is the input's path.
+    @pytest.mark.parametrize("kind,text,message", [
+        ("regimen", json.dumps([1, 2]), "top level: expected a JSON object"),
+        ("regimen", _regimen(model="iv"),
+         "model: expected 'oral', 'bolus', or 'fat', got 'iv'"),
+        ("regimen", _regimen(params=[1.0, 0.1]), "params: expected an object"),
+        ("regimen", _regimen(params={"ka": 1, "ke": 0.1, "gamma": 1, "time_unit": "min"}),
+         "params.time_unit: expected 'h' or 'day', got 'min'"),
+        ("regimen", _regimen(schedule={"equi": {"dose": 1, "interval": 1}, "arbitrary": []}),
+         "schedule: expected an object with exactly one of 'equi' or 'arbitrary'"),
+        ("regimen", _regimen(schedule={"arbitrary": []}),
+         "schedule.arbitrary: expected a non-empty array"),
+        ("regimen", _regimen(schedule={"arbitrary": [{"dose": 1, "interval": 1}, 5]}),
+         "schedule.arbitrary[1]: expected an object"),
+        ("csv", None, "{path}: No such file or directory"),
+        ("csv", "", "{path}: empty file"),
+        # Blank rows are skipped, but keep their place in the row count.
+        ("csv", "t,c\n\n0.5,1.0\n , \n1,2.0,3\n", "{path}: row 5: expected 2 fields, got 3"),
+        ("csv", _SERIES.replace("2,1.5", "2,-1.5"),
+         "{path}: concentration at index 2 must be finite and >= 0, got -1.5"),
+        ("csv", _SERIES.replace("4,0.8", "1,0.8"),
+         "{path}: times must be strictly increasing; index 3 has 1.0 after 2.0"),
+        ("tau-grid", "2,x", "--tau-grid: could not parse '2,x'"),
+    ], ids=["top-level", "model", "params", "time-unit", "schedule", "empty-arbitrary",
+            "entry", "csv-missing", "csv-empty", "csv-fields", "csv-value", "csv-times",
+            "tau-grid"])
+    def test_exit_2_naming_the_input(self, tmp_path, capsys, kind, text, message):
+        path = tmp_path / ("regimen.json" if kind == "regimen" else "series.csv")
+        if text is not None and kind != "tau-grid":
+            path.write_text(text)
+        argv = {"regimen": ["simulate", str(path), "--out", os.devnull],
+                "csv": ["fit", str(path), "--dose", "250", "--time-unit", "h"],
+                "tau-grid": [*DESIGN, "--tau-grid", text]}[kind]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: {message.format(path=path)}\n")
+
+
 class TestDesignCommand:
+    def test_target_at_the_clinical_bounds_is_feasible(self):
+        # lower = mic and upper = tc: the achieved trough rounds to
+        # 119.99999999999999, within the accuracy design verifies to.
+        cp = run_cli("design", "--ka", "1", "--ke", "0.1", "--gamma", "1", "--volume", "1",
+                     "--mic", "120", "--tc", "200", "--ss-lower", "120", "--ss-upper", "200")
+        assert cp.returncode == 0, cp.stderr
+        payload = json.loads(cp.stdout)
+        assert payload["achieved"]["ss_lower"] < payload["mic"]
+        assert payload["feasible"] is True
+
     @pytest.mark.parametrize("tau", ["5e-324", "1e-320", "1e-300", "1e300", "1.7e308"])
     def test_extreme_tau_grid_ends_in_an_exit_code(self, tau):
         cp = run_cli(*DESIGN, "--tau-grid", tau)
