@@ -17,7 +17,6 @@ import argparse
 import csv
 import dataclasses
 import functools
-import itertools
 import json
 import os
 import sys
@@ -469,8 +468,8 @@ def cmd_analyze(args) -> int:
     dose, interval = regfile.entries[-1][:2]
     if regfile.model == "oral":
         keys = ("auc", "n", "peak_in_cycle", "t_max", "x_max")
-        rows = ((auc, n, "true" if peak else "false", t_max, x_max)
-                for n, auc, t_max, x_max, peak in pkmetrics.cycle_rows(sol, n_cycles))
+        blocks = ((auc, n, ["true" if p else "false" for p in peak], t_max, x_max)
+                  for n, auc, t_max, x_max, peak in pkmetrics.cycle_columns(sol, n_cycles))
         summary = steady_state.summarize(regfile.rates, dose, interval, eps)
         payload = {"asymptote_of": {"dose": dose, "interval": interval},
                    # Every field of the summary, under its own name.
@@ -480,42 +479,47 @@ def cmd_analyze(args) -> int:
         payload = {"asymptote_of": {"delta": dose, "interval": interval},
                    "steady_state": {"remainder_limit": limit}}
         keys = ("n", "remainder", "start_value")
-        rows = ((n, end, start) for n, start, end in _cycle_states(sol, n_cycles))
+        blocks = ((n, end, start) for n, start, end in _cycle_states(sol, n_cycles))
     else:
         payload = {}
         if regfile.equi:
             cutoff, end = extmodels.fat_equi_limits(regfile.rates, *regfile.entries[0])
             payload["steady_state"] = {"cutoff_limit": cutoff, "end_limit": end}
         keys = ("cutoff_value", "end_value", "n")
-        rows = ((cutoff, end, n) for n, _, cutoff, end in _cycle_states(sol, n_cycles))
+        blocks = ((cutoff, end, n) for n, _, cutoff, end in _cycle_states(sol, n_cycles))
     payload = {"model": regfile.model, "schema": SCHEMA_VERSION, **payload}
-    _write(args.out, _json_with_cycles(payload, keys, rows))
+    _write(args.out, _json_with_cycles(payload, keys, blocks))
     return EXIT_OK
 
 
-def _cycle_states(sol, n_cycles: int) -> Iterator[tuple]:
-    """(n, x entering each piece of cycle n, x closing it) for cycles 1..n_cycles,
-    each block of pkmetrics.ROWS_PER_PASS cycles' states read once (`_pieces`)."""
+def _cycle_states(sol, n_cycles: int) -> Iterator[list]:
+    """[n, x entering each piece of cycle n, x closing it] as lists, for each
+    block of pkmetrics.ROWS_PER_PASS cycles of 1..n_cycles, read once (`_pieces`)."""
     for lo in range(1, n_cycles + 1, pkmetrics.ROWS_PER_PASS):
         n = np.arange(lo, min(lo + pkmetrics.ROWS_PER_PASS, n_cycles + 1))
         pieces = sol._pieces(n)
         closing = sol._closing(n, pieces)[0].astype(float)
-        yield from zip(n.tolist(), *pieces[0].astype(float).T.tolist(), closing.tolist())
+        yield [n.tolist(), *pieces[0].astype(float).T.tolist(), closing.tolist()]
 
 
-def _json_with_cycles(payload: dict, keys: tuple[str, ...], rows) -> Iterator[bytes]:
+def _json_with_cycles(payload: dict, keys: tuple[str, ...], blocks) -> Iterator[bytes]:
     """_json_dumps(payload) plus a "cycles" list with one object of `keys` per
-    row, in blocks of pkmetrics.ROWS_PER_PASS rows. `keys` are sorted, and a
-    row holds their values in that order, each a number or a JSON literal."""
+    row. `keys` are sorted, and each block is a tuple of their columns in that
+    order, each value a number or a JSON literal; one `%` formats a block."""
     head, _, tail = _json_dumps({**payload, "cycles": []}).partition('"cycles": []')
     # The layout json.dumps(indent=2) gives a list item; str(float) is repr.
     template = "    {\n" + ",\n".join(f'      "{key}": %s' for key in keys) + "\n    }"
     yield (head + '"cycles": [').encode()
-    rows, separator = iter(rows), "\n"
-    while block := list(itertools.islice(rows, pkmetrics.ROWS_PER_PASS)):
-        text = separator + ",\n".join(template % row for row in block)
+    separator = "\n"
+    for columns in blocks:
+        values = [None] * (len(keys) * len(columns[0]))
+        for k, column in enumerate(columns):
+            values[k::len(keys)] = column
+        text = separator + ",\n".join([template] * len(columns[0])) % tuple(values)
         # str writes nan/inf, the encoder NaN/Infinity; no key or finite number holds them.
-        yield text.replace("nan", "NaN").replace("inf", "Infinity").encode()
+        if "nan" in text or "inf" in text:
+            text = text.replace("nan", "NaN").replace("inf", "Infinity")
+        yield text.encode()
         separator = ",\n"
     yield ("\n  ]" + tail).encode()
 

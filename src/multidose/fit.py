@@ -247,11 +247,13 @@ def fit_batch(times, values, d: float, v: float, init: PkParams | None = None
 
 
 def _standard_errors(jac: np.ndarray, sse: np.ndarray) -> list[tuple[float, float, float] | None]:
-    """sqrt(diag(sigma^2 (J'J)^-1)) for each row's Jacobian jac (R, m, 3), or
-    None where J'J is not finite, too ill-conditioned or not positive."""
+    """sqrt(diag(sigma^2 (J'J)^-1)) for each row's Jacobian jac (R, m, 3), or None where
+    J'J is not finite, too ill-conditioned at unit diagonal (no unit changes it) or not positive."""
     jtj = jac.transpose(0, 2, 1) @ jac
-    ok = np.all(np.isfinite(jtj), axis=(1, 2))
-    ok[ok] = ~(np.linalg.cond(jtj[ok]) > COVARIANCE_CONDITION_LIMIT)
+    norms = np.sqrt(np.diagonal(jtj, axis1=1, axis2=2))
+    ok = np.all(np.isfinite(jtj), axis=(1, 2)) & np.all(norms > 0.0, axis=1)
+    unit = jtj[ok] / norms[ok, :, None] / norms[ok, None, :]
+    ok[ok] = ~(np.linalg.cond(unit) > COVARIANCE_CONDITION_LIMIT)
     diag = np.full((len(jtj), 3), np.nan)
     sigma2 = sse[ok] / max(jac.shape[1] - 3, 1)
     diag[ok] = (sigma2[:, None, None] * np.linalg.inv(jtj[ok]))[_DIAG]

@@ -22,7 +22,7 @@ from multidose.core import ConcentrationSeries, NoConvergence, PkParams
 from multidose.extmodels import bolus_equi_remainder_limit, fat_equi_limits
 from multidose.bateman import BLOCK_POINTS, single_dose
 from multidose.fit import fit_single_dose, predict
-from multidose.pkmetrics import cycle_metrics
+from multidose.pkmetrics import ROWS_PER_PASS, cycle_metrics
 from multidose.steady_state import summarize
 
 from mpref import (DIGITS, mp_area, mp_bounds, mp_equi_state, mp_peak, mp_piece,
@@ -1008,16 +1008,30 @@ class TestAnalyzeRowTemplate:
         regfile = load_regimen_file(str(path))
         sol = regfile.solution()
         dose, interval = regfile.entries[-1][:2]
-        cycles = [dataclasses.asdict(cycle_metrics(sol, n))
-                  for n in range(1, regfile.n_cycles_in_horizon() + 1)]
-        payload = {
-            "model": "oral", "schema": 1,
-            "asymptote_of": {"dose": dose, "interval": interval},
-            "steady_state": dataclasses.asdict(
-                summarize(regfile.rates, dose, interval, eps)),
-            "cycles": cycles,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        n = np.arange(1, regfile.n_cycles_in_horizon() + 1)
+        if regfile.model == "oral":
+            payload = {
+                "asymptote_of": {"dose": dose, "interval": interval},
+                "steady_state": dataclasses.asdict(
+                    summarize(regfile.rates, dose, interval, eps)),
+                "cycles": [dataclasses.asdict(cycle_metrics(sol, k)) for k in n.tolist()],
+            }
+        elif regfile.model == "bolus":
+            limit = bolus_equi_remainder_limit(regfile.rates, dose, interval)
+            payload = {"asymptote_of": {"delta": dose, "interval": interval},
+                       "steady_state": {"remainder_limit": limit},
+                       "cycles": [{"n": k, "start_value": start, "remainder": left}
+                                  for k, start, left in zip(n.tolist(), sol.start_value(n).tolist(),
+                                                            sol.remainder(n).tolist())]}
+        else:
+            payload = {"cycles": [{"n": k, "cutoff_value": cutoff, "end_value": end}
+                                  for k, cutoff, end in zip(n.tolist(), sol.cutoff_value(n).tolist(),
+                                                            sol.end_value(n).tolist())]}
+            if regfile.equi:
+                cutoff, end = fat_equi_limits(regfile.rates, *regfile.entries[0])
+                payload["steady_state"] = {"cutoff_limit": cutoff, "end_limit": end}
+        return json.dumps({"model": regfile.model, "schema": 1, **payload},
+                          indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("params,schedule,horizon,boundary_rows", [
         # Slow clearance: 2,500 cycles of the equi branch.
@@ -1045,54 +1059,62 @@ class TestAnalyzeRowTemplate:
     @pytest.mark.parametrize("name", ["bolus_mixed", "fat_mixed", "bolus_equi_100k",
                                       "fat_equi_100k"])
     def test_bolus_and_fat_bytes_equal_stdlib_encoder(self, tmp_path, name):
-        regfile = load_regimen_file(str(DATA / f"{name}.json"))
-        sol = regfile.solution()
-        n = np.arange(1, regfile.n_cycles_in_horizon() + 1)
-        if regfile.model == "bolus":
-            delta, interval = regfile.entries[-1]
-            limit = bolus_equi_remainder_limit(regfile.rates, delta, interval)
-            payload = {"asymptote_of": {"delta": delta, "interval": interval},
-                       "steady_state": {"remainder_limit": limit},
-                       "cycles": [{"n": k, "start_value": start, "remainder": left}
-                                  for k, start, left in zip(n.tolist(), sol.start_value(n).tolist(),
-                                                            sol.remainder(n).tolist())]}
-        else:
-            payload = {"cycles": [{"n": k, "cutoff_value": cutoff, "end_value": end}
-                                  for k, cutoff, end in zip(n.tolist(), sol.cutoff_value(n).tolist(),
-                                                            sol.end_value(n).tolist())]}
-            if regfile.equi:
-                cutoff, end = fat_equi_limits(regfile.rates, *regfile.entries[0])
-                payload["steady_state"] = {"cutoff_limit": cutoff, "end_limit": end}
-        expected = json.dumps({"model": regfile.model, "schema": 1, **payload},
-                              indent=2, sort_keys=True) + "\n"
         out = tmp_path / "out.json"
         assert cli.main(["analyze", str(DATA / f"{name}.json"), "--out", str(out)]) == 0
-        assert out.read_text() == expected
+        assert out.read_text() == self.encoder_output(DATA / f"{name}.json")
 
-    @pytest.mark.parametrize("name", ["bolus_equi_100k", "fat_equi_100k"])
+    @pytest.mark.parametrize("name", ["oral_equi", "bolus_equi_100k", "fat_equi_100k"])
+    def test_pass_boundaries(self, tmp_path, name):
+        # Cycle counts on each side of one pass of ROWS_PER_PASS cycles, and past two.
+        doc = json.loads((DATA / f"{name}.json").read_text())
+        interval = doc["schedule"]["equi"]["interval"]
+        for count in (ROWS_PER_PASS - 1, ROWS_PER_PASS, ROWS_PER_PASS + 1,
+                      2 * ROWS_PER_PASS + 1):
+            path, out = tmp_path / f"{count}.json", tmp_path / f"{count}.out"
+            path.write_text(json.dumps({**doc, "horizon": count * interval}))
+            assert load_regimen_file(str(path)).n_cycles_in_horizon() == count
+            assert cli.main(["analyze", str(path), "--out", str(out)]) == 0
+            assert out.read_text() == self.encoder_output(path), count
+
+    @pytest.mark.parametrize("name", ["oral_slow_100k", "bolus_equi_100k", "fat_equi_100k"])
     def test_rows_stream_in_bounded_memory(self, tmp_path, name):
-        # 100,000 cycles, an 11 MB document: the writer holds one block of rows.
+        # 100,000 cycles, an 11-16 MB document: the writer holds one pass of
+        # cycles, 0.55-0.91 MB traced (2.6-3.5 MB with 4,096-cycle row passes).
+        path, eps = DATA / f"{name}.json", []
+        if name == "oral_slow_100k":
+            path, eps = tmp_path / "regimen.json", ["--eps", "1e-9"]
+            path.write_text(json.dumps({
+                "schema": 1, "model": "oral",
+                "params": {"ka": 0.8, "ke": 0.002, "gamma": 1.0, "volume": 1000.0},
+                "schedule": {"equi": {"dose": 100.0, "interval": 1.0}},
+                "horizon": 100000.0, "sample_step": 1.0}))
         out = tmp_path / "out.json"
         tracemalloc.start()
         try:
-            assert cli.main(["analyze", str(DATA / f"{name}.json"), "--out", str(out)]) == 0
+            assert cli.main(["analyze", str(path), *eps, "--out", str(out)]) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8e6
+        assert peak < 2e6
 
     def test_non_finite_values_keep_encoder_spelling(self):
-        rows = [(1, math.nan, math.inf, -math.inf, False), (2, 1.5, 0.1, 1e-300, True)]
+        rows = [(1, math.nan, math.inf, -math.inf, False), (2, 1.5, 0.1, 1e-300, True),
+                (3, 2.5, 0.2, math.inf, True)]
         fields = ("n", "auc", "t_max", "x_max", "peak_in_cycle")
         expected = json.dumps({"model": "oral",
                                "cycles": [dict(zip(fields, row)) for row in rows]},
                               indent=2, sort_keys=True) + "\n"
         keys = ("auc", "n", "peak_in_cycle", "t_max", "x_max")
-        sorted_rows = [(auc, n, "true" if peak else "false", t_max, x_max)
-                       for n, auc, t_max, x_max, peak in rows]
-        text = b"".join(_json_with_cycles({"model": "oral"}, keys, sorted_rows)).decode()
-        assert text == expected
-        assert '"auc": NaN' in text and '"x_max": -Infinity' in text
+        # One block, and blocks where non-finite values fall in one and not the next.
+        for sizes in ((3,), (1, 2), (2, 1), (1, 1, 1)):
+            blocks, start = [], 0
+            for size in sizes:
+                n, auc, t_max, x_max, peak = map(list, zip(*rows[start:start + size]))
+                blocks.append((auc, n, ["true" if p else "false" for p in peak], t_max, x_max))
+                start += size
+            text = b"".join(_json_with_cycles({"model": "oral"}, keys, blocks)).decode()
+            assert text == expected, sizes
+            assert '"auc": NaN' in text and '"x_max": -Infinity' in text
 
 
 def test_help_exits_zero():
