@@ -211,13 +211,15 @@ def cmd_simulate(args) -> int:
     # Every check runs before --out is opened: the last row's cycle (exact only
     # below 2**53 intervals), then under --verify the oracle over every block.
     sol.cycle_index(regfile.sample_times(rows[-1:]))
+    kept = None  # a one-block grid's (times, x, y, cycle), evaluated once for both passes
     if args.verify:
         superposed, deviation, peak = oracle.superpose(regfile.rates, sol.regimen), 0.0, 0.0
         for times in blocks():
             reference = superposed(times)
+            kept = [(times, *sol.evaluate(times))] if len(rows) <= size else None
             # np.maximum, as one max over the grid would, keeps a NaN.
-            deviation = np.maximum(deviation, np.max(np.abs(sol.x(times) - reference),
-                                                     initial=0.0))
+            x = kept[0][1] if kept else sol.x(times)
+            deviation = np.maximum(deviation, np.max(np.abs(x - reference), initial=0.0))
             peak = np.maximum(peak, np.max(np.abs(reference), initial=0.0))
         if deviation > VERIFY_TOLERANCE * max(1.0, peak):
             print(f"verification failed: closed form deviates from the superposition oracle by "
@@ -225,21 +227,20 @@ def cmd_simulate(args) -> int:
                   file=sys.stderr)
             return EXIT_NUMERICAL
 
-    _write(args.out, _csv_blocks(sol, blocks()))
+    _write(args.out, _csv_blocks(kept or ((times, *sol.evaluate(times)) for times in blocks())))
     return EXIT_OK
 
 
-def _csv_blocks(sol, blocks: Iterable[np.ndarray]) -> Iterator[bytes]:
-    """The simulate CSV: its header, then each block of times' rows, formatted
-    CSV_BLOCK_ROWS at a time into one buffer."""
+def _csv_blocks(blocks: Iterable[tuple]) -> Iterator[bytes]:
+    """The simulate CSV: its header, then each block's (times, x, y, cycle) rows,
+    formatted CSV_BLOCK_ROWS at a time into one buffer."""
     yield b"t_hours,x_conc,y_mg,cycle\n"
     words = np.empty((CSV_BLOCK_ROWS, 8), "<u8")
-    for times in blocks:
-        x, y, cycles = sol.evaluate(times)
+    for times, x, y, cycles in blocks:
         for start in range(0, times.size, CSV_BLOCK_ROWS):
             rows = slice(start, start + CSV_BLOCK_ROWS)
             yield _csv_rows(times[rows], x[rows], y[rows], cycles[rows], words)
-        del x, y, cycles  # before the next block's are made
+        del times, x, y, cycles  # before the next block's are made
 
 
 def _csv_rows(times, x, y, cycles, words=None) -> bytes:
@@ -442,9 +443,9 @@ def cmd_design(args) -> int:
 
 def _achieved(p: PkParams, d: float, tau: float, target) -> dict:
     """A regimen's steady-state bounds, and whether they lie in [mic, tc]."""
-    return {"achieved": {"ss_lower": steady_state.ss_lower(p, d, tau),
-                         "ss_upper": steady_state.ss_upper(p, d, tau)},
-            "feasible": dosing.feasible_set_check(p, d, tau, target)}
+    lower, upper = steady_state._bounds(p, d, tau)
+    return {"achieved": {"ss_lower": lower, "ss_upper": upper},
+            "feasible": target.admits(lower, upper)}
 
 
 def _parse_grid(text: str) -> list[float]:

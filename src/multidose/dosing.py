@@ -51,6 +51,11 @@ class TherapeuticTarget:
                 f"upper={self.upper!r} tc={self.tc!r}"
             )
 
+    def admits(self, ss_lower: float, ss_upper: float) -> bool:
+        """Whether [ss_lower, ss_upper] lies in [mic, tc] to DESIGN_VERIFY_RTOL."""
+        return (ss_lower >= self.mic * (1.0 - DESIGN_VERIFY_RTOL)
+                and ss_upper <= self.tc * (1.0 + DESIGN_VERIFY_RTOL))
+
 
 def f_ratio(p: PkParams, tau: float) -> float:
     """Limiting peak/trough ratio; increasing in the interval, range (1, inf)."""
@@ -112,7 +117,7 @@ def design(p: PkParams, target: TherapeuticTarget) -> tuple[float, float]:
 
     d = _dose_for_trough(b, target.lower, tau)
     bounds = target.lower, target.upper
-    achieved = steady_state.ss_lower(p, d, tau), steady_state.ss_upper(p, d, tau)
+    achieved = steady_state._bounds(p, d, tau)
     if any(abs(a - b) > DESIGN_VERIFY_RTOL * b for a, b in zip(achieved, bounds)):
         raise NoConvergence("designed regimen failed verification against its targets",
                             d=d, tau=tau, achieved=achieved, target=bounds)
@@ -122,5 +127,4 @@ def design(p: PkParams, target: TherapeuticTarget) -> tuple[float, float]:
 def feasible_set_check(p: PkParams, d: float, tau: float,
                        target: TherapeuticTarget) -> bool:
     """Whether the regimen's asymptotic range lies in [mic, tc] to DESIGN_VERIFY_RTOL."""
-    return (steady_state.ss_lower(p, d, tau) >= target.mic * (1.0 - DESIGN_VERIFY_RTOL)
-            and steady_state.ss_upper(p, d, tau) <= target.tc * (1.0 + DESIGN_VERIFY_RTOL))
+    return target.admits(*steady_state._bounds(p, d, tau))

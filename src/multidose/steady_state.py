@@ -81,8 +81,13 @@ def ss_lower(p: PkParams, d: float, tau: float) -> float:
 
 def ss_upper(p: PkParams, d: float, tau: float) -> float:
     """Limiting peak: the cycle maximum after many doses; inf past float range."""
-    b, *state = _checked_limit(p, d, tau)
-    return float(b.peak(*state)[1])
+    return _bounds(p, d, tau)[1]
+
+
+def _bounds(p: PkParams, d: float, tau: float) -> tuple[float, float]:
+    """(ss_lower, ss_upper), both read from one limiting state."""
+    b, trough, gut = _checked_limit(p, d, tau)
+    return float(trough), float(b.peak(trough, gut)[1])
 
 
 def width(p: PkParams, d: float, tau: float) -> float:

@@ -222,10 +222,10 @@ class TestSimulate:
         assert cli.main(["simulate", str(path), "--verify", "--out", out]) == 0
 
     def test_verify_failure_exits_3_naming_the_scale(self, monkeypatch, capsys, tmp_path):
-        x = cli.bateman.PiecewiseSolution.x
-        # The concentrations the verify pass compares, 1e-7 off.
-        monkeypatch.setattr(cli.bateman.PiecewiseSolution, "x",
-                            lambda sol, t: x(sol, t) * (1.0 + 1e-7))
+        superpose = cli.oracle.superpose
+        # The references the verify pass compares with, 1e-7 off.
+        monkeypatch.setattr(cli.oracle, "superpose",
+                            lambda *args: lambda t, f=superpose(*args): f(t) * (1.0 + 1e-7))
         out = tmp_path / "out.csv"
         code = cli.main(["simulate", str(DATA / "oral_equi.json"), "--verify",
                          "--out", str(out)])
@@ -385,6 +385,33 @@ class TestSimulate:
         out = tmp_path / "out.csv"
         assert cli.main(["simulate", str(path), *verify, "--out", str(out)]) == 0
         assert out.read_bytes() == b"t_hours,x_conc,y_mg,cycle\n" + expected
+
+    @pytest.mark.parametrize("rows,evaluations,xs", [(BLOCK_POINTS, 1, 0),
+                                                     (BLOCK_POINTS + 1, 2, 2)])
+    def test_verify_evaluates_a_one_block_grid_once(self, tmp_path, monkeypatch, rows,
+                                                    evaluations, xs):
+        # One block: the verify pass's (x, y, cycle) are written as they are. More
+        # blocks: the verify pass reads x alone, block by block, and the write pass
+        # evaluates each block again, so no more than one block is held.
+        path = tmp_path / "regimen.json"
+        path.write_text(json.dumps({
+            "schema": 1, "model": "oral",
+            "params": {"ka": 1.0, "ke": 0.1, "gamma": 1.0, "volume": 1.0},
+            "schedule": {"equi": {"dose": 100.0, "interval": 6.0}},
+            "horizon": (rows - 1) / 16.0, "sample_step": 1.0 / 16.0}))
+        calls = {"evaluate": [], "x": []}
+        for name in calls:
+            real = getattr(cli.bateman.PiecewiseSolution, name)
+            monkeypatch.setattr(cli.bateman.PiecewiseSolution, name,
+                                lambda sol, t, real=real, seen=calls[name]:
+                                seen.append(np.size(t)) or real(sol, t))
+        out = tmp_path / "out.csv"
+        assert cli.main(["simulate", str(path), "--verify", "--out", str(out)]) == 0
+        assert len(calls["evaluate"]) == evaluations
+        assert len(calls["x"]) == xs
+        assert sum(calls["evaluate"]) == rows
+        monkeypatch.undo()
+        assert out.read_bytes() == run_cli("simulate", str(path)).stdout.encode()
 
     @pytest.mark.parametrize("schedule,horizon,step,verify", [
         ({"equi": {"dose": 250.0, "interval": 12.0}}, 8760.0, 0.00876, []),
@@ -861,6 +888,21 @@ class TestDesignCommand:
         assert cp.returncode == cli.EXIT_NUMERICAL
         assert cp.stderr == "error: target ratio is beyond float range\n"
         assert cp.stdout == ""
+
+    @pytest.mark.parametrize("grid,limits", [([], 2), (["--tau-grid", "2,4,6,8,12,24"], 3)])
+    def test_each_achieved_bound_is_read_once(self, monkeypatch, capsys, grid, limits):
+        # design verifies both bounds from one limiting state, and the payload reads
+        # them, and judges feasibility, from one more for each regimen it reports.
+        calls = []
+        real = cli.steady_state._checked_limit
+        monkeypatch.setattr(cli.steady_state, "_checked_limit",
+                            lambda *args: calls.append(args) or real(*args))
+        assert cli.main(["design", "--ka", "1.0", "--ke", "0.1", "--gamma", "1.0",
+                         "--volume", "1.0", "--mic", "100", "--tc", "250",
+                         "--ss-lower", "120", "--ss-upper", "200", *grid]) == 0
+        assert len(calls) == limits
+        if grid:
+            assert capsys.readouterr().out == (DATA / "golden_design.json").read_text()
 
     def test_round_trip_against_library(self):
         from multidose.steady_state import ss_lower, ss_upper

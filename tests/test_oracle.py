@@ -1,3 +1,6 @@
+import sys
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from multidose.extmodels import (
     fat_multidose,
 )
 from multidose.oracle import superpose, superpose_gut
+from multidose.steady_state import ss_lower
 
 from mpref import NEAR_EQUAL, SPREAD, mp_dose_sum
 from rk4 import OracleConfig, StepTooLarge, integrate_impulses, integrate_ode
@@ -154,8 +158,12 @@ def _matrix_sum(starts, amounts, windows, weight, k_out, k_in, t):
     return weight * np.where(started, amounts * values, 0.0).sum(axis=1)
 
 
-K = 6
-GROUP_EDGE_COUNTS = [1, 2, K - 1, K, K + 1, K * K, K * K + 1]
+# Groups hold K = isqrt(W) + 1 doses, W the window's width. While every dose of
+# `_irregular` lies in the window (n <= 25 for each model), W = n - 1: K = 5 for
+# n = 17..25, and 26 doses leave 5 full groups and one dose, or (oral) need K = 6.
+# 400 doses are more than any window holds.
+K = 5
+GROUP_EDGE_COUNTS = [1, 2, 3, K * (K - 1), K * (K - 1) + 1, K * K, K * K + 1, 400]
 FAT_P = PkParams(0.42, 0.4, 0.00449, 1.0)
 
 
@@ -242,15 +250,85 @@ def test_grouped_equi_window_sum_equals_matrix_sum(n_doses):
     assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(expected)
 
 
-@pytest.mark.parametrize("model", ["oral", "fat", "bolus"])
+def _equi(model):
+    """An EquiDose case: (p, regimen, n_doses, the last dose's time)."""
+    p = PkParams(1.0, 0.1, 1.0, 1.0)
+    return {"equi": (p, EquiDose(100.0, 6.0), None, 6000.0),
+            "equi-capped": (p, EquiDose(100.0, 6.0), 300, 1794.0),
+            "equi-window": (FAT_P, EquiDose(100.0, 6.0, 2.5), None, 6000.0),
+            "equi-bolus": (0.3838, EquiDose(100.0, 6.0), None, 6000.0)}[model]
+
+
+@pytest.mark.parametrize("model", ["oral", "fat", "bolus",
+                                   "equi", "equi-capped", "equi-window", "equi-bolus"])
 def test_value_does_not_depend_on_the_batch(model):
-    p, reg, starts, _ = _irregular(model, 1000, seed=3)
-    ref = superpose(p, reg)
-    t = np.random.default_rng(4).uniform(-10.0, starts[-1] + 50.0, 200)
+    if model.startswith("equi"):
+        p, reg, n_doses, end = _equi(model)
+    else:
+        (p, reg, starts, _), n_doses = _irregular(model, 1000, seed=3), None
+        end = starts[-1]
+    ref = superpose(p, reg, n_doses=n_doses)
+    t = np.random.default_rng(4).uniform(-10.0, end + 50.0, 200)
     batch = ref(t)
     alone = np.array([ref(float(ti)) for ti in t])
     assert np.array_equal(alone, batch)
     assert np.array_equal(ref(t[::-1]), batch[::-1])
+    assert np.array_equal(np.concatenate((ref(t[:37]), ref(t[37:]))), batch)
+    order = np.argsort(t)
+    assert np.array_equal(ref(t[order]), batch[order])
+
+
+def test_slow_elimination_window_drops_old_doses():
+    # ke = 0.02/h: each window reaches back about 2,300 h, some 460 of 1,500 doses
+    # (7,500 h), so every time past 2,300 h drops the doses before its window.
+    p = PkParams(0.5, 0.02, 1.0, 1.0)
+    rng = np.random.default_rng(11)
+    taus, doses = rng.uniform(1.0, 9.0, 1500), rng.choice([100.0, 250.0, 400.0], 1500)
+    starts = np.concatenate(([0.0], np.cumsum(taus)[:-1]))
+    t = np.concatenate((rng.uniform(-5.0, starts[-1] + 40.0, 400), starts[::50]))
+    amplitude = p.ka * p.gamma / (p.volume * (p.ka - p.ke))
+    expected = _matrix_sum(starts, doses, None, amplitude, p.ke, p.ka, t)
+    got = superpose(p, Arbitrary(zip(doses, taus)))(t)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(expected)
+
+
+@pytest.mark.parametrize("n_doses", [None, 2_000_000])
+def test_equi_memory_does_not_grow_with_the_doses(canonical, n_doses):
+    # 2e6 doses, one every hour, at t = 2e6 h: the limiting trough, from a window
+    # of some 440 doses.
+    ref = superpose(canonical, EquiDose(100.0, 1.0), n_doses=n_doses)
+    tracemalloc.start()
+    try:
+        value = ref(2e6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert value == pytest.approx(ss_lower(canonical, 100.0, 1.0), rel=1e-13)
+
+
+def test_window_past_sys_maxsize_is_a_validation_error():
+    # ke = 1e-12/h and a dose every 1e-9 h: a window of about 9e22 doses.
+    with pytest.raises(ValidationError, match=r"oracle window: 8\.99\d+e\+22 doses exceed "
+                                              f"{sys.maxsize}"):
+        superpose(1e-12, EquiDose(1.0, 1e-9))
+    # Capped, the window is the doses there are.
+    assert superpose(1e-12, EquiDose(1.0, 1e-9), n_doses=10)(1e-6) == pytest.approx(10.0)
+
+
+def test_time_past_2_53_doses_is_a_validation_error(canonical):
+    ref = superpose(canonical, EquiDose(100.0, 1.0))
+    with pytest.raises(ValidationError, match=r"query time 1e\+300 h is past 2\*\*53 doses"):
+        ref(np.array([1.0, 1e300]))
+    assert superpose(canonical, EquiDose(100.0, 1.0), n_doses=5)(1e300) == 0.0
+
+
+@pytest.mark.parametrize("build", [
+    lambda p: superpose(p, EquiDose(100.0, 6.0)),
+    lambda p: superpose(p, Arbitrary([(100.0, 3.0), (50.0, 5.0)])),
+], ids=["equi", "arbitrary"])
+def test_empty_query_gives_an_empty_array(canonical, build):
+    assert build(canonical)(np.empty((0, 3))).shape == (0, 3)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
