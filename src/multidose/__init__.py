@@ -28,7 +28,6 @@ from .core import (
 )
 from .bateman import (
     PiecewiseSolution,
-    SingleDoseCurve,
     arbitrary_multidose,
     equi_multidose,
     single_dose,

@@ -23,7 +23,7 @@ A finite schedule's final piece extends to all later times.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
 
 import numpy as np
 
@@ -84,16 +84,6 @@ def decay_sum(k, tau, n):
     """sum_{j<n} e^{-k j tau} = expm1(-k tau n)/expm1(-k tau), in the type of
     k and tau, for n an int, an index array or inf (1/(1 - e^{-k tau}))."""
     return np.expm1(-k * tau * n) / np.expm1(-k * tau)
-
-
-def _least_time(t: np.ndarray):
-    """The least query time in t (0.0 for none); ValidationError if NaN or < 0."""
-    lo = t.min() if t.size else 0.0
-    if math.isnan(lo):
-        raise ValidationError("query time must be finite, got nan")
-    if lo < 0.0:
-        raise ValidationError("trajectory is defined for t >= 0 only")
-    return lo
 
 
 def _shaped_like(t, values: np.ndarray):
@@ -161,34 +151,6 @@ class Bateman:
         zb, zs = -lib.expm1(-self.ke * tau), -lib.expm1(-self.slow * tau)
         e = decay_difference(self.ka, self.ke, tau)
         return x0 * zb / self.ke + self.q * y0 * (zs - self.slow * e) / (self.ka * self.ke)
-
-
-@dataclass(frozen=True)
-class SingleDoseCurve:
-    """Response to one oral dose at t=0, for t >= 0: x rises then falls, y decays."""
-
-    params: PkParams
-    dose: float
-
-    def x(self, t):
-        """The piece entering at (0, dose), as the multi-dose forms read it."""
-        s = np.atleast_1d(np.asarray(t, dtype=float))
-        _least_time(s)
-        return _shaped_like(t, Bateman.of(self.params).x(0.0, self.dose, s))
-
-    def y(self, t):
-        s = np.atleast_1d(np.asarray(t, dtype=float))
-        _least_time(s)
-        return _shaped_like(t, Bateman.of(self.params).y(self.dose, s))
-
-    def __call__(self, t):
-        return self.x(t), self.y(t)
-
-
-def single_dose(p: PkParams, d: float) -> SingleDoseCurve:
-    """Closed-form trajectory for a single dose of d mg at t=0."""
-    validate_params(p)
-    return SingleDoseCurve(p, validate_positive("dose", d))
 
 
 def _equi_state(b: Bateman, d, tau, n):
@@ -307,10 +269,14 @@ class PiecewiseSolution:
         return (n - 1) * self.regimen.interval if self._equi else self._starts[n - 1]
 
     def _lookup(self, t: np.ndarray):
-        """(rows, ends) for a flat query t, checked by `_least_time`: its cycles, least
+        """(rows, ends) for a flat query t, ValidationError if NaN or < 0: its cycles, least
         time's to greatest's, if fewer than its points, and for t sorted (checked a block
         at a time) where each run of points but the last ends (as `_cycles` splits)."""
-        lo = _least_time(t)
+        lo = t.min() if t.size else 0.0
+        if math.isnan(lo):
+            raise ValidationError("query time must be finite, got nan")
+        if lo < 0.0:
+            raise ValidationError("trajectory is defined for t >= 0 only")
         if t.size < 2:  # one point: no range to locate
             return None, None
         first, last = self._cycles(np.array([lo, t.max()])).tolist()
@@ -404,6 +370,12 @@ def validate_oral(sol: PiecewiseSolution) -> PiecewiseSolution:
     if sol.model != "oral":
         raise ValidationError(f"expected an oral solution, got a {sol.model} solution")
     return sol
+
+
+def single_dose(p: PkParams, d: float) -> PiecewiseSolution:
+    """The one-entry solution for d mg at t = 0; its one piece extends to all later times."""
+    validate_params(p)
+    return PiecewiseSolution(p, Arbitrary([(validate_positive("dose", d), sys.float_info.max)]))
 
 
 def equi_multidose(p: PkParams, d: float, tau: float) -> PiecewiseSolution:

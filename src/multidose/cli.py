@@ -154,7 +154,9 @@ class RegimenFile:
 
     def sample_rows(self) -> range:
         """The row indices k of the simulate grid k*sample_step through the horizon."""
-        count = np.floor(self.horizon / self.sample_step + 1e-9) + 1 if self.horizon > 0.0 else 0
+        # q short of a whole k by at most 1e-9, or by 8 ulps where that is more, counts k.
+        q = self.horizon / self.sample_step
+        count = np.floor(q + max(1e-9, 8 * np.spacing(q))) + 1 if self.horizon > 0.0 else 0
         if not count < sys.maxsize:
             raise RegimenFileError(f"horizon/sample_step: {count:g} rows exceed {sys.maxsize}")
         return range(int(count))
@@ -167,7 +169,8 @@ class RegimenFile:
     def n_cycles_in_horizon(self) -> int:
         if not self.equi:
             return len(self.entries)
-        count = np.floor(self.horizon / self.entries[0][1] + 1e-12)
+        q = self.horizon / self.entries[0][1]
+        count = np.floor(q + max(1e-12, 8 * np.spacing(q)))
         if not count < sys.maxsize:
             raise RegimenFileError(f"horizon/interval: {count:g} cycles exceed {sys.maxsize}")
         return max(1, int(count))

@@ -65,9 +65,9 @@ def f_ratio(p: PkParams, tau: float) -> float:
 def f_ratio_excess(p: PkParams, tau: float) -> float:
     """f_ratio(p, tau) - 1, computed without forming f_ratio at short intervals.
 
-    Its relative error peaks at about 6e-9 just above the series threshold
-    (ka + ke)*tau = 1e-4, where peak and trough cancel in the difference
-    formed in EXTENDED; README "Numerical accuracy" has the measurements.
+    Just above the series threshold (ka + ke)*tau = 1e-4, where peak and trough cancel in
+    EXTENDED, its relative error is within about 5e-11*max(ka/ke, ke/ka) (3.6e-9 at ka/ke
+    = 100, 4.1e-7 at 1e-4); README "Numerical accuracy" has the measurements.
     Past float range (a tiny or zero trough) it is inf, without a warning.
     """
     b = steady_state.Bateman.of(validate_params(p), steady_state.EXTENDED)

@@ -247,8 +247,8 @@ def fit_batch(times, values, d: float, v: float, init: PkParams | None = None
 
 
 def _standard_errors(jac: np.ndarray, sse: np.ndarray) -> list[tuple[float, float, float] | None]:
-    """sqrt(diag(sigma^2 (J'J)^-1)) for each row's Jacobian jac (R, m, 3), or None where
-    J'J is not finite, too ill-conditioned at unit diagonal (no unit changes it) or not positive."""
+    """sqrt(diag(sigma^2 (J'J)^-1)) for each row's Jacobian jac (R, m, 3), or None where J'J
+    is not finite, too ill-conditioned at unit diagonal (no unit changes it) or not positive."""
     jtj = jac.transpose(0, 2, 1) @ jac
     norms = np.sqrt(np.diagonal(jtj, axis1=1, axis2=2))
     ok = np.all(np.isfinite(jtj), axis=(1, 2)) & np.all(norms > 0.0, axis=1)

@@ -73,7 +73,8 @@ def cycle_rows(sol: PiecewiseSolution, last: int, first: int = 1) -> Iterator[tu
     return (row for block in cycle_columns(sol, last, first) for row in zip(*block))
 
 
-def cycle_columns(sol: PiecewiseSolution, last: int, first: int = 1) -> Iterator[tuple[list, ...]]:
+def cycle_columns(sol: PiecewiseSolution, last: int,
+                  first: int = 1) -> Iterator[tuple[list, ...]]:
     """CycleMetrics fields of cycles first..last of an oral piecewise solution, a
     list each for every pass of ROWS_PER_PASS cycles, checked once. Bolus and FAT
     solutions are rejected: their cycles are not the single oral piece read here."""

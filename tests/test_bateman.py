@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multidose.core import Arbitrary, EquiDose, PkParams, ValidationError, dose_times
+from multidose.core import (Arbitrary, EqualRateConstants, EquiDose, NonPositiveParameter,
+                            PkParams, ValidationError, dose_times)
 from multidose.bateman import (
+    Bateman,
+    PiecewiseSolution,
     arbitrary_multidose,
     decay_difference,
     equi_multidose,
@@ -66,12 +69,56 @@ class TestSingleDose:
         # and y would exceed the dose.
         curve = single_dose(canonical, 100.0)
         nan = np.where(np.asarray(t) < 0.0, math.nan, t)
-        for call in (curve.x, curve.y, curve):
+        for call in (curve.x, curve.y, curve, curve.evaluate, curve.cycle_index):
             with pytest.raises(ValidationError, match="t >= 0 only"):
                 call(t)
             with pytest.raises(ValidationError, match="query time must be finite, got nan"):
                 call(nan if np.ndim(t) else float(nan))
         assert np.shape(curve.x(np.abs(t))) == np.shape(t)
+
+    def test_is_the_one_entry_solution(self, canonical):
+        curve = single_dose(canonical, 100.0)
+        assert isinstance(curve, PiecewiseSolution) and curve.n_cycles == 1
+        assert curve.cycle_index([0.0, 1e300, math.inf]).tolist() == [1, 1, 1]
+        assert [curve.cycle_index(t) for t in (0.0, 1e300, math.inf)] == [1, 1, 1]
+        assert curve.remainders(0) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("p", [PkParams(1.0, 0.1, 1.0, 1.0), PkParams(0.1, 1.0, 2.0, 5.0),
+                                   PkParams(0.748, 0.2031, 19.1933, 5000.0)],
+                             ids=["normal", "flipflop", "clarithromycin"])
+    def test_evaluate_is_the_piece_kernel_bit_for_bit(self, p):
+        # The piece entering at (0, d), read past its interval to t = inf.
+        b = Bateman.of(p)
+        t = np.array([0.0, float(b.peak(0.0, 250.0)[0]), 1e6, math.inf])
+        x, y, cycle = single_dose(p, 250.0).evaluate(t)
+        assert x.tobytes() == b.x(0.0, 250.0, t).tobytes()
+        assert y.tobytes() == b.y(250.0, t).tobytes()
+        assert cycle.tolist() == [1, 1, 1, 1]
+        for i, s in enumerate(t.tolist()):
+            xs, ys, cs = single_dose(p, 250.0).evaluate(s)
+            assert (type(xs), type(ys), type(cs)) == (float, float, int)
+            assert (xs, ys, cs) == (x[i], y[i], 1)
+
+    @pytest.mark.parametrize("p,d,error,message", [
+        (PkParams(-1.0, 0.1, 1.0, 1.0), 100.0, NonPositiveParameter,
+         "ka must be > 0 and finite, got -1.0"),
+        (PkParams(0.1, 0.1, 1.0, 1.0), 100.0, EqualRateConstants,
+         "ka=0.1 and ke=0.1 are equal within relative tolerance 1e-09"),
+        (PkParams(1.0, 0.1, 1.0, 1.0), math.inf, NonPositiveParameter,
+         "dose must be > 0 and finite, got inf"),
+        (PkParams(1.0, 0.1, 1.0, 1.0), -5.0, NonPositiveParameter,
+         "dose must be > 0 and finite, got -5.0"),
+        (PkParams(1.0, 0.1, 0.0, 1.0), math.nan, NonPositiveParameter,
+         "gamma must be > 0 and finite, got 0.0"),
+        (PkParams(1.0, 0.1, 1.0, math.nan), 0.0, NonPositiveParameter,
+         "volume must be > 0 and finite, got nan"),
+    ], ids=["ka", "equal-rates", "dose-inf", "dose-negative", "gamma-and-dose",
+            "volume-and-dose"])
+    def test_parameters_then_dose_are_checked(self, p, d, error, message):
+        # The parameters first, then the dose: one message, naming the first fault.
+        with pytest.raises(error) as info:
+            single_dose(p, d)
+        assert str(info.value).startswith(message)
 
     def test_flip_flop_label_swap_degeneracy(self):
         # Swapping the rate labels multiplies the curve by ke/ka; scaling

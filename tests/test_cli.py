@@ -611,6 +611,33 @@ class TestSchemaErrors:
         assert cli.main([command, str(path), "--out", os.devnull]) == cli.EXIT_VALIDATION
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
+    @staticmethod
+    def _counts(horizon, step):
+        """(rows, cycles) of oral_equi.json with this horizon, sampled and dosed every step."""
+        doc = json.loads((DATA / "oral_equi.json").read_text())
+        doc["schedule"]["equi"]["interval"] = step
+        regfile = cli.RegimenFile({**doc, "horizon": horizon, "sample_step": step})
+        return len(regfile.sample_rows()), regfile.n_cycles_in_horizon()
+
+    @pytest.mark.parametrize("horizon,step,rows,cycles", [
+        (2048.1, 0.1, 20482, 20481),
+        (9228228.28, 0.01, 922822829, 922822828),
+    ])
+    def test_horizon_on_a_whole_step_counts_its_last_row_and_cycle(self, horizon, step,
+                                                                    rows, cycles):
+        # horizon/step is an ulp or two below the whole count here, past an
+        # absolute 1e-9 (rows) or 1e-12 (cycles): each count lost its last.
+        assert self._counts(horizon, step) == (rows, cycles)
+
+    @pytest.mark.parametrize("step", [0.01, 0.1, 0.2, 0.3, 0.7, 1.1, 1.3, 4.8])
+    def test_whole_horizons_count_at_any_size(self, step):
+        # k*step closes cycle k and ends on row k, from a few cycles to 1e9 rows.
+        rng = np.random.default_rng(30)
+        ks = np.concatenate((np.geomspace(1, 1e9, 200).astype(int),
+                             rng.integers(4_000, 30_000, 200), rng.integers(10**6, 10**9, 200)))
+        for k in ks.tolist():
+            assert self._counts(k * step, step) == (k + 1, k), k
+
     def test_fat_offset_beyond_interval_names_entry(self, tmp_path):
         equi = {"equi": {"dose": 600.0, "interval": 5.0, "fat_offset": 6.0}}
         arbitrary = {"arbitrary": [

@@ -15,7 +15,7 @@ from multidose.dosing import (
 )
 from multidose.steady_state import ss_lower, ss_upper
 
-from mpref import DIGITS, mp_bounds, rel
+from mpref import DIGITS, SPREAD, mp_bounds, rel
 
 PARAM_SETS = [
     PkParams(1.0, 0.1, 1.0, 1.0),
@@ -104,17 +104,21 @@ class TestFRatio:
             assert d == float(1 / mp_bounds(p, 1.0, tau)[0])
         assert type(d) is float
 
-    @pytest.mark.parametrize("p", [PkParams(1.0, 0.1, 1.0, 1.0), PkParams(0.1, 1.0, 1.0, 1.0),
-                                   PkParams(0.9, 0.002, 1.0, 1.0)],
-                             ids=["normal", "flipflop", "ka/ke=450"])
-    def test_excess_against_mpmath_above_the_series_threshold(self, p):
+    @pytest.mark.parametrize("p,bound", [
+        (PkParams(1.0, 0.1, 1.0, 1.0), 1e-8), (PkParams(0.1, 1.0, 1.0, 1.0), 1e-8),
+        (PkParams(0.9, 0.002, 1.0, 1.0), 1e-8),
+    ] + [(p, 1e-8 + 1e-10 * max(p.ka / p.ke, p.ke / p.ka))
+         for p in SPREAD + [PkParams(135.0, 0.3, 1.7, 300.0)]],
+        ids=["normal", "flipflop", "ka/ke=450"] + [repr(p) for p in SPREAD] + ["ka/ke=450,ke=0.3"])
+    def test_excess_against_mpmath_above_the_series_threshold(self, p, bound):
         # Peak and trough cancel in the excess; formed in extended precision
-        # and rounded once it is within 1e-8 (largest seen 6.0e-9).
+        # and rounded once its error grows with the rates' spread, as at most
+        # 5.2e-11*max(ka/ke, ke/ka) here (largest seen 4.1e-7, at ka/ke = 1e-4).
         for scaled in (1.0001e-4, 2e-4, 1e-3, 1e-2):
             tau = scaled / (p.ka + p.ke)
             with mpmath.workdps(DIGITS):
                 lower, upper = mp_bounds(p, 1.0, tau)
-                assert rel(f_ratio_excess(p, tau), (upper - lower) / lower) <= 1e-8, scaled
+                assert rel(f_ratio_excess(p, tau), (upper - lower) / lower) <= bound, scaled
 
 
 class TestDesign:
