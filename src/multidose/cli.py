@@ -224,10 +224,12 @@ def cmd_simulate(args) -> int:
             x = kept[0][1] if kept else sol.x(times)
             deviation = np.maximum(deviation, np.max(np.abs(x - reference), initial=0.0))
             peak = np.maximum(peak, np.max(np.abs(reference), initial=0.0))
-        if deviation > VERIFY_TOLERANCE * max(1.0, peak):
-            print(f"verification failed: closed form deviates from the superposition oracle by "
-                  f"{deviation:.3e} (> {VERIFY_TOLERANCE:g} x max(1, peak {peak:.6g}))",
-                  file=sys.stderr)
+        bad = [f"{name} {value:g}" for name, value in (("deviation", deviation), ("peak", peak))
+               if not np.isfinite(value)]
+        if bad or deviation > VERIFY_TOLERANCE * max(1.0, peak):
+            print("verification failed: " + ("not finite: " + ", ".join(bad) if bad else
+                  f"closed form deviates from the superposition oracle by {deviation:.3e} "
+                  f"(> {VERIFY_TOLERANCE:g} x max(1, peak {peak:.6g}))"), file=sys.stderr)
             return EXIT_NUMERICAL
 
     _write(args.out, _csv_blocks(kept or ((times, *sol.evaluate(times)) for times in blocks())))

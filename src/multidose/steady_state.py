@@ -4,8 +4,8 @@ After many doses the trajectory settles into identical cycles, entered
 at the limiting state (trough, d/(1 - alpha)). This module computes that
 cycle's trough and peak (the asymptotic range), its width, its AUC
 checked against the single-dose AUC, the exact cycle-to-cycle sup gap
-with an envelope, and, in one array pass bounded by the envelope, the
-first cycle index whose gap stays below epsilon.
+with an envelope, and, by one search over the exact gaps from the peak's
+cycle on, the first cycle index whose gap stays below epsilon.
 
 The bounds are the trough and the peak of the piece entering the
 limiting state, cycle n's closed-form state at n = inf in EXTENDED
@@ -16,7 +16,6 @@ converge, callers pass the limiting (dose, interval) explicitly.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -26,10 +25,6 @@ from .core import (EquiDose, PkParams, ValidationError, validate_cycle, validate
                    validate_positive)
 from .bateman import (EXTENDED, Bateman, PiecewiseSolution, _equi_state, equi_multidose,
                       validate_oral)
-from .pkmetrics import auc_single
-
-#: Cycles n_epsilon may scan before it reports that no steady state is near.
-N_EPSILON_MAX_CYCLES = 100_000
 
 #: Below (ka + ke) * tau = 1e-4 the excess uses its quadratic leading term;
 #: direct evaluation would drown in cancellation there.
@@ -56,15 +51,15 @@ def _limit(b: Bateman, d: float, tau: float):
     return _equi_state(b, d, EXTENDED(tau), math.inf)
 
 
-def _excess(b: Bateman, tau: float, d: float = 1.0):
-    """(peak - trough)/trough of the limiting cycle of d every tau (b as in `_limit`,
-    d and tau > 0) in EXTENDED: ka*ke*tau**2/8 below the series threshold, inf for
-    a zero trough. Strictly increasing in tau; `dosing` inverts it, width scales it."""
+def _excess(b: Bateman, tau: float, state=None):
+    """(peak - trough)/trough in EXTENDED of the limiting cycle at tau > 0 (b as in `_limit`,
+    state its (trough, gut), by default dose 1's): ka*ke*tau**2/8 below the series threshold,
+    inf for a zero trough. Strictly increasing in tau; `dosing` inverts it, width scales it."""
     ka, ke = float(b.ka), float(b.ke)
     with np.errstate(over="ignore"):
         if (ka + ke) * tau < _SERIES_THRESHOLD:
             return ka * ke * tau * tau / 8.0
-        trough, gut = _limit(b, d, tau)
+        trough, gut = _limit(b, 1.0, tau) if state is None else state
         return (b.peak(trough, gut)[1] - trough) / trough if trough else math.inf
 
 
@@ -93,9 +88,12 @@ def _bounds(p: PkParams, d: float, tau: float) -> tuple[float, float]:
 def width(p: PkParams, d: float, tau: float) -> float:
     """Peak-to-trough span of the limiting cycle, the trough times the excess
     rounded once (peak - trough where the trough is 0 or inf); inf past float range."""
-    b, trough, gut = _checked_limit(p, d, tau)
+    return _width(*_checked_limit(p, d, tau), tau)
+
+
+def _width(b: Bateman, trough, gut, tau: float) -> float:
     if 0.0 < trough < math.inf:
-        return float(trough * _excess(b, tau, d))
+        return float(trough * _excess(b, tau, (trough, gut)))
     return float(b.peak(trough, gut)[1] - trough)
 
 
@@ -113,7 +111,7 @@ def gap_envelope(p: PkParams, d: float, tau: float, n):
     and E(t) <= h(t) = e^{-slow t}*min(t, 1/|ka - ke|), which rises until
     min(1/slow, 1/|ka - ke|) and falls after. So h at the later of (n-1)tau
     and that turn never increases in n, with no 1/|ka - ke| scale; 1 + 1e-12
-    keeps it above the rounded gaps where h/E -> 1."""
+    keeps it above the rounded gaps where h/E -> 1; n_epsilon does not read it."""
     validate_params(p)
     validate_positive("dose", d)
     validate_positive("interval", tau)
@@ -134,8 +132,7 @@ def periodicity_gap(sol: PiecewiseSolution, n):
     a table's is the difference of its EXTENDED states, rounded once. Bolus
     and FAT solutions are rejected: their cycles are not one oral piece.
     """
-    validate_oral(sol)
-    m, b = np.asarray(validate_cycle(n, last=sol.n_cycles)), sol.bateman
+    m, b = np.asarray(validate_cycle(n, last=validate_oral(sol).n_cycles)), sol.bateman
     if isinstance(sol.regimen, EquiDose):
         d, tau = sol.regimen.dose, sol.regimen.interval
         dx, dy = b.x(0.0, d, (m - 1) * tau), b.y(d, (m - 1) * tau)
@@ -149,27 +146,32 @@ def periodicity_gap(sol: PiecewiseSolution, n):
 
 
 def n_epsilon(p: PkParams, d: float, tau: float, eps: float = 1e-6) -> int:
-    """First cycle from which every later sup gap stays below eps.
+    """First cycle from which every later sup gap stays below eps (gaps start at cycle 2).
 
-    Gaps start at cycle 2. The envelope dominates them and never
-    increases in n: unless it is below eps within N_EPSILON_MAX_CYCLES,
-    the error names the slow rate. Else one periodicity_gap call gives
-    the exact gaps before its first cycle below eps, found by bisection,
-    and the answer starts their trailing run below eps.
-    """
+    Cycle n's gap is the sup over [(n-1)tau, n*tau] of the single-dose curve, which rises
+    once and then falls: from the cycle holding its peak on, gaps never increase. One
+    search reads them (periodicity_gap) at doubling offsets, then 64 cycles per call.
+    Past 2**53 cycles, where cycle numbers are no longer exact, ValidationError."""
     validate_positive("eps", eps)
-    if gap_envelope(p, d, tau, N_EPSILON_MAX_CYCLES) >= eps:
-        name, rate = ("elimination", "ke") if p.ke <= p.ka else ("absorption", "ka")
-        raise ValidationError(
-            f"no steady state within {N_EPSILON_MAX_CYCLES} cycles at "
-            f"eps={eps:g}: {name} is slow relative to the dosing interval "
-            f"({rate}*tau={min(p.ka, p.ke) * tau:.3g})"
-        )
-    below = bisect.bisect(range(N_EPSILON_MAX_CYCLES), False, lo=1,
-                          key=lambda k: gap_envelope(p, d, tau, k) < eps)
-    n = np.arange(2, below)
-    failing = n[periodicity_gap(equi_multidose(p, d, tau), n) >= eps]
-    return int(failing[-1]) + 1 if failing.size else 2
+    sol = equi_multidose(p, d, tau)
+    t_peak, top = sol.bateman.peak(0.0, d)
+    with np.errstate(over="ignore"):  # t_peak/tau and (k-1)*tau past float range are inf
+        if (peak_cycles := t_peak / tau) < 2 ** 53 - 1:
+            # gap(lo) >= eps (lo = start - 1 before any is seen); k's last gap is below eps.
+            lo = (start := max(1, math.ceil(peak_cycles))) - 1
+            k = np.minimum(lo + 2 ** np.arange(54), 2 ** 53)
+            while (below := periodicity_gap(sol, k) < eps)[-1]:
+                i = int(below.argmax())
+                lo, hi = (k[i - 1] if i else lo), k[i]
+                if hi - lo == 1:
+                    return int(hi) if hi > start else 2
+                k = lo - (lo - hi) * np.arange(1, 65) // 64
+        elif top < eps:
+            return 2
+    name, rate = ("elimination", "ke") if p.ke <= p.ka else ("absorption", "ka")
+    raise ValidationError(
+        f"no steady state within 2**53 cycles at eps={eps:g}: {name} is slow relative "
+        f"to the dosing interval ({rate}*tau={min(p.ka, p.ke) * tau:.3g})")
 
 
 def auc_equality_check(p: PkParams, d: float, tau: float
@@ -180,25 +182,20 @@ def auc_equality_check(p: PkParams, d: float, tau: float
     of the piece entering at the limiting state (ss_lower, d/za) over one
     interval; the identity holds to rounding.
     """
-    total = auc_single(p, d)
-    b, *state = _checked_limit(p, d, tau)
-    limiting = float(b.area(*state, tau))
+    return _auc_check(d, tau, *_checked_limit(p, d, tau))
+
+
+def _auc_check(d: float, tau: float, b: Bateman, trough, gut):
+    total, limiting = float(b.area(0.0, d, math.inf)), float(b.area(trough, gut, tau))
     denom = max(abs(total), abs(limiting))
-    rel = abs(total - limiting) / denom if denom else 0.0
-    return total, limiting, rel
+    return total, limiting, abs(total - limiting) / denom if denom else 0.0
 
 
 def summarize(p: PkParams, d: float, tau: float,
               eps: float = 1e-6) -> SteadyStateSummary:
-    """Full steady-state summary for an equi-dose regimen."""
-    total, limiting, rel = auc_equality_check(p, d, tau)
-    return SteadyStateSummary(
-        ss_lower=ss_lower(p, d, tau),
-        ss_upper=ss_upper(p, d, tau),
-        width=width(p, d, tau),
-        auc_ss=limiting,
-        auc_single=total,
-        auc_rel_diff=rel,
-        n_epsilon=n_epsilon(p, d, tau, eps),
-        epsilon=eps,
-    )
+    """Full steady-state summary for an equi-dose regimen, its fields in order:
+    bounds, width and AUC check all read from one limiting state."""
+    b, trough, gut = limit = _checked_limit(p, d, tau)
+    total, limiting, rel = _auc_check(d, tau, *limit)
+    return SteadyStateSummary(float(trough), float(b.peak(trough, gut)[1]), _width(*limit, tau),
+                              limiting, total, rel, n_epsilon(p, d, tau, eps), eps)

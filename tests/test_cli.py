@@ -241,6 +241,21 @@ class TestSimulate:
                          "--out", str(out)]) == cli.EXIT_NUMERICAL
         assert out.read_bytes() == b"earlier output\n"
 
+    def test_verify_fails_on_what_is_not_finite(self, tmp_path):
+        # volume 5e-324 makes the gain ka*gamma/V inf, so every value and the
+        # deviation are NaN; a NaN deviation compares False with the tolerance.
+        # No -W error here: the RuntimeWarnings run on to the verdict.
+        doc = json.loads((DATA / "oral_equi.json").read_text())
+        doc["params"]["volume"] = 5e-324
+        path, out = tmp_path / "tiny_volume.json", tmp_path / "out.csv"
+        path.write_text(json.dumps(doc))
+        cmd = [sys.executable, "-m", "multidose", "simulate", str(path), "--verify",
+               "--out", str(out)]
+        cp = subprocess.run(cmd, capture_output=True, text=True)
+        assert cp.returncode == cli.EXIT_NUMERICAL, cp.stderr
+        assert "verification failed: not finite: deviation nan, peak nan" in cp.stderr
+        assert not out.exists()
+
     def test_verify_scales_tolerance_with_the_peak(self, capsys, tmp_path):
         # 1,000 irregular bolus doses near a peak of 9e5: the closed form is
         # within 1e-13 of it, but about 4e-8 away in absolute terms.
@@ -1001,13 +1016,13 @@ class TestAnalyzeCommand:
         path = tmp_path / "slow.json"
         path.write_text(json.dumps({
             "schema": 1, "model": "oral",
-            "params": {"ka": 1.0, "ke": 1e-6, "gamma": 1.0, "volume": 1.0},
+            "params": {"ka": 1.0, "ke": 1e-15, "gamma": 1.0, "volume": 1.0},
             "schedule": {"equi": {"dose": 100.0, "interval": 1.0}},
             "horizon": 10.0, "sample_step": 1.0}))
         out = tmp_path / "out.json"
         argv = ["analyze", str(path), "--out", str(out)]
         assert cli.main(argv) == cli.EXIT_VALIDATION
-        assert "no steady state within 100000 cycles" in capsys.readouterr().err
+        assert "no steady state within 2**53 cycles" in capsys.readouterr().err
         assert not out.exists()
         # An existing output is not even opened: it keeps every byte.
         out.write_bytes(b"earlier output\n")

@@ -392,34 +392,72 @@ class TestNEpsilon:
         eps = 10.0 * gap_envelope(canonical, 100.0, 6.0, 1)
         assert n_epsilon(canonical, 100.0, 6.0, eps) == 2
 
-    def test_slow_elimination_fails_before_scanning(self, monkeypatch, canonical):
+    def test_slow_elimination_fails_past_2_53_cycles(self, monkeypatch, canonical):
         from multidose import steady_state
 
         calls = []
         kernel = steady_state.periodicity_gap
         monkeypatch.setattr(steady_state, "periodicity_gap",
                             lambda *args: calls.append(args) or kernel(*args))
-        p = PkParams(1.0, 5e-5, 1.0, 1.0)
-        with pytest.raises(ValidationError, match=r"ke\*tau=5e-05"):
+        p = PkParams(1.0, 1e-15, 1.0, 1.0)
+        with pytest.raises(ValidationError, match=r"within 2\*\*53 cycles .*\(ke\*tau=1e-15\)"):
             n_epsilon(p, 100.0, 1.0, 1e-6)
-        assert calls == []
-        # The spy does see the gaps of a scan that runs.
+        # One call reads the gap at cycle 2**53, still above eps, and stops.
+        assert len(calls) == 1 and calls[0][1][-1] == 2 ** 53
+        # The spy does see the gaps of a search that answers.
+        calls.clear()
         assert n_epsilon(canonical, 100.0, 6.0, 1e-6) == 32 and calls
+
+    def test_answers_past_100000_cycles(self):
+        # Seeded regimens whose gaps settle only after 100,000 cycles: each
+        # answer n is certified by the exact gaps at n - 1, n, n + 1 and n + 1000.
+        rng = np.random.default_rng(20261021)
+        answers = []
+        while len(answers) < 500:
+            ka, ke = 10 ** rng.uniform(-3.0, 1.0, 2)
+            p = PkParams(ka, ke, rng.uniform(0.2, 5.0), 10 ** rng.uniform(0.0, 3.7))
+            d, tau = 10 ** rng.uniform(-1.0, 4.0), 10 ** rng.uniform(-2.0, -0.5)
+            eps = 10 ** rng.uniform(-9.0, -1.0)
+            if gap_envelope(p, d, tau, 100_000) < eps:
+                continue  # settled within the first 100,000 cycles
+            if (n := n_epsilon(p, d, tau, eps)) <= 100_000:
+                continue
+            gaps = periodicity_gap(equi_multidose(p, d, tau), np.array([-1, 0, 1, 1000]) + n)
+            assert gaps[0] >= eps and max(gaps[1:]) < eps, (p, d, tau, eps, n)
+            answers.append(n)
+        assert max(answers) > 1_000_000
+
+    def test_answers_18_million_cycles(self):
+        p = PkParams(1.0, 1e-6, 1.0, 1.0)
+        assert n_epsilon(p, 100.0, 1.0, 1e-6) == 18_420_683
+
+    @pytest.mark.parametrize("p", PARAM_SETS[::2], ids=["canonical", "flipflop"])
+    @pytest.mark.parametrize("tau", EXTREME_TAUS)
+    @pytest.mark.parametrize("eps", [1e-6, 1e6])
+    def test_extreme_intervals_give_a_cycle_or_a_typed_error(self, p, tau, eps):
+        # 1e6 is above every gap of a 100 mg dose, so it answers 2 at any interval.
+        try:
+            n = n_epsilon(p, 100.0, tau, eps)
+        except ValidationError as exc:
+            assert eps < 1.0 and "within 2**53 cycles" in str(exc)
+            return
+        assert isinstance(n, int) and n >= 2
+        if tau >= 1e300 or eps > 1.0:
+            assert n == 2
 
     def test_underflowing_increments(self):
         assert n_epsilon(*UNDERFLOW) == scan_reference(*UNDERFLOW) == 1002
 
     @pytest.mark.parametrize("ke,separation", [(0.003, 1e-8), (0.002, 1e-4)])
     def test_converging_near_equal_rates(self, ke, separation):
-        # The envelope carries no 1/|ka - ke|, so regimens that converge
-        # within the cap are scanned, not rejected.
+        # The search reads the exact gaps, so rates 1e-8 apart answer as
+        # any others do.
         case = PkParams(ke * (1.0 + separation), ke, 1.0, 1000.0), 100.0, 0.1, 1e-6
         assert n_epsilon(*case) == scan_reference(*case)
 
     def test_converging_separated_rates_near_the_cap(self):
-        # Late gaps are q*d*E with E -> e^{-slow t}/|ka - ke|: an envelope
-        # looser than that by a constant factor rejects this regimen, whose
-        # gaps fall below eps at cycle 98,544, inside the cap.
+        # Late gaps are q*d*E with E -> e^{-slow t}/|ka - ke|; this regimen's
+        # fall below eps only at cycle 98,544.
         case = PkParams(1.0, 0.1, 1.0, 1.0), 100.0, 1.88e-3, 1e-6
         assert n_epsilon(*case) == scan_reference(*case) == 98_544
 
