@@ -13,7 +13,8 @@ and finite-absorption-time (y0 = 0 once the window closes) models of
 `extmodels` are those pieces with other dose rules, so one evaluator
 serves all three models. States, and the rows and limits read from
 them, are EXTENDED and round once to floats; trajectories evaluate
-pieces in float64 from the rounded states.
+pieces in float64 from the rounded states. Every piece form calls numpy:
+a float gives an np.float64 with the bits of an array holding it.
 
 Evaluation exactly at a dose time t_n returns the incoming cycle's
 values: the (continuous) concentration and the post-dose gut amount.
@@ -41,15 +42,10 @@ EXTENDED = np.longdouble
 BLOCK_POINTS = 16_384
 
 
-def _lib(*values):
-    """numpy for any numpy value, else math: numpy's exp and log differ from libm."""
-    return np if any(isinstance(v, (np.ndarray, np.generic)) for v in values) else math
-
-
-def _difference(slow_decay, gap: float, t, lib):
+def _difference(slow_decay, gap: float, t):
     """E(t) from e^{-min(ka, ke) t} and gap = |ka - ke|, a new value (an array
     is scaled in place; trajectories pass one block of points at a time)."""
-    e = lib.expm1(-gap * t)
+    e = np.expm1(-gap * t)
     e *= slow_decay
     e /= -gap
     return e
@@ -70,14 +66,13 @@ def _decay_differences(ka, ke, t):
         phi2[series] = np.polyval([1 / math.factorial(k) for k in range(10, 1, -1)], z[series])
         rest[series] = 1.0 - (1.0 - z[series]) * phi2[series]
     scale = t * (t * slow)
-    return _difference(slow, gap, t, np), scale * phi2, scale * rest
+    return _difference(slow, gap, t), scale * phi2, scale * rest
 
 
 def decay_difference(ka: float, ke: float, t):
     """(e^{-ke t} - e^{-ka t}) / (ka - ke) for t >= 0, a float or an array:
     through the slower rate and expm1, so positive and exact as ka -> ke."""
-    lib = _lib(ka, t)
-    return _difference(lib.exp(-min(ka, ke) * t), abs(ka - ke), t, lib)
+    return _difference(np.exp(-min(ka, ke) * t), abs(ka - ke), t)
 
 
 def decay_sum(k, tau, n):
@@ -100,9 +95,8 @@ class Bateman:
         self.ka, self.ke, self.q = ka, ke, q
         self.delta, self.slow, self.gap = ka - ke, min(ka, ke), abs(ka - ke)
         # log(ka/ke): through log1p near ka = ke, where ka/ke rounds.
-        lib = _lib(ka)
-        self.log_ratio = (lib.log1p(self.delta / ke) if 2.0 * self.gap < ke
-                          else lib.log(ka / ke) if ka else -math.inf)
+        self.log_ratio = (np.log1p(self.delta / ke) if 2.0 * self.gap < ke
+                          else np.log(ka / ke) if ka else -math.inf)
 
     @classmethod
     def of(cls, p: PkParams, kind=float) -> Bateman:
@@ -114,12 +108,11 @@ class Bateman:
         """x s hours into the piece entering at (x0, y0), scalars or shaped like s
         (a few temporaries the size of s, updated in place; trajectories pass
         one block of points at a time); with q = 0 it decays alone."""
-        lib = _lib(self.ka, s)
-        decay_b = lib.exp(-self.ke * s)
+        decay_b = np.exp(-self.ke * s)
         if not self.q:
             return x0 * decay_b
-        slow = decay_b if self.ke <= self.ka else lib.exp(-self.ka * s)
-        e = _difference(slow, self.gap, s, lib)
+        slow = decay_b if self.ke <= self.ka else np.exp(-self.ka * s)
+        e = _difference(slow, self.gap, s)
         e *= self.q * y0
         decay_b *= x0
         decay_b += e
@@ -128,7 +121,7 @@ class Bateman:
     def y(self, y0, s):
         """y s hours into the piece entering with y0 in the gut; with ka = 0
         (the bolus) y0 at every s, s = inf too, where -ka*s is NaN."""
-        return y0 * _lib(self.ka, s).exp(-self.ka * s) if self.ka else y0 * np.ones_like(s)
+        return y0 * np.exp(-self.ka * s) if self.ka else y0 * np.ones_like(s)
 
     def peak(self, x0, y0, tau=math.inf):
         """(s, x): where on [0, tau] x peaks, and x there, for x0 >= 0 < y0.
@@ -147,8 +140,7 @@ class Bateman:
         """Integral of x over [0, tau]: x0*zb/ke + q*y0*(zs - ks*E(tau))/(ka*ke),
         z = 1 - e^{-k tau} and ks the slower rate; zs - ks*E(tau) = ks*integral
         of e^{-kf(tau-u)}(1 - e^{-ks u}) cancels only where kf*tau is small."""
-        lib = _lib(self.ka, tau)
-        zb, zs = -lib.expm1(-self.ke * tau), -lib.expm1(-self.slow * tau)
+        zb, zs = -np.expm1(-self.ke * tau), -np.expm1(-self.slow * tau)
         e = decay_difference(self.ka, self.ke, tau)
         return x0 * zb / self.ke + self.q * y0 * (zs - self.slow * e) / (self.ka * self.ke)
 

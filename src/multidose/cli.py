@@ -472,6 +472,9 @@ def cmd_analyze(args) -> int:
     sol, n_cycles = regfile.solution(), regfile.n_cycles_in_horizon()
     # A convergent schedule settles into its limiting entry's cycle.
     dose, interval = regfile.entries[-1][:2]
+    # Bolus and FAT rows read the solution's accessors a pass of cycles at a time.
+    passes = (np.arange(lo, min(lo + pkmetrics.ROWS_PER_PASS, n_cycles + 1))
+              for lo in range(1, n_cycles + 1, pkmetrics.ROWS_PER_PASS))
     if regfile.model == "oral":
         keys = ("auc", "n", "peak_in_cycle", "t_max", "x_max")
         blocks = ((auc, n, ["true" if p else "false" for p in peak], t_max, x_max)
@@ -485,27 +488,19 @@ def cmd_analyze(args) -> int:
         payload = {"asymptote_of": {"delta": dose, "interval": interval},
                    "steady_state": {"remainder_limit": limit}}
         keys = ("n", "remainder", "start_value")
-        blocks = ((n, end, start) for n, start, end in _cycle_states(sol, n_cycles))
+        blocks = ((n.tolist(), sol.remainder(n).tolist(), sol.start_value(n).tolist())
+                  for n in passes)
     else:
         payload = {}
         if regfile.equi:
             cutoff, end = extmodels.fat_equi_limits(regfile.rates, *regfile.entries[0])
             payload["steady_state"] = {"cutoff_limit": cutoff, "end_limit": end}
         keys = ("cutoff_value", "end_value", "n")
-        blocks = ((cutoff, end, n) for n, _, cutoff, end in _cycle_states(sol, n_cycles))
+        blocks = ((sol.cutoff_value(n).tolist(), sol.end_value(n).tolist(), n.tolist())
+                  for n in passes)
     payload = {"model": regfile.model, "schema": SCHEMA_VERSION, **payload}
     _write(args.out, _json_with_cycles(payload, keys, blocks))
     return EXIT_OK
-
-
-def _cycle_states(sol, n_cycles: int) -> Iterator[list]:
-    """[n, x entering each piece of cycle n, x closing it] as lists, for each
-    block of pkmetrics.ROWS_PER_PASS cycles of 1..n_cycles, read once (`_pieces`)."""
-    for lo in range(1, n_cycles + 1, pkmetrics.ROWS_PER_PASS):
-        n = np.arange(lo, min(lo + pkmetrics.ROWS_PER_PASS, n_cycles + 1))
-        pieces = sol._pieces(n)
-        closing = sol._closing(n, pieces)[0].astype(float)
-        yield [n.tolist(), *pieces[0].astype(float).T.tolist(), closing.tolist()]
 
 
 def _json_with_cycles(payload: dict, keys: tuple[str, ...], blocks) -> Iterator[bytes]:

@@ -337,6 +337,32 @@ class TestRemainders:
             assert got_x == pytest.approx(rem_x, rel=1e-12)
 
 
+#: NEAR_EQUAL, SPREAD and 46 seeded rate pairs from 1e-3 to 10 per h, as Python floats.
+ONE_PATH_PARAMS = NEAR_EQUAL + SPREAD + [
+    PkParams(*rates, 1.7, 300.0)
+    for rates in (10.0 ** np.random.default_rng(32).uniform(-3.0, 1.0, (46, 2))).tolist()]
+
+
+class TestOnePath:
+    """Every piece form runs through numpy: a Python float gives the bits of an
+    array holding it, at 40 seeded times from 1e-6 to 1e3 h and states from
+    1e-3 to 1e3 per rate pair."""
+
+    @pytest.mark.parametrize("i, p", list(enumerate(ONE_PATH_PARAMS)))
+    def test_float_gives_the_bits_of_an_array(self, i, p):
+        rng = np.random.default_rng([32, i])
+        t = 10.0 ** rng.uniform(-6.0, 3.0, 40)
+        x0, y0 = 10.0 ** rng.uniform(-3.0, 3.0, (2, 40))
+        b, cases = Bateman.of(p), list(zip(x0.tolist(), y0.tolist(), t.tolist()))
+        forms = {"decay_difference": (lambda x0, y0, s: decay_difference(p.ka, p.ke, s)),
+                 "x": b.x, "y": lambda x0, y0, s: b.y(y0, s), "area": b.area,
+                 "peak time": lambda *a: b.peak(*a)[0], "peak": lambda *a: b.peak(*a)[1]}
+        for name, form in forms.items():
+            floats = np.array([form(*case) for case in cases])
+            np.testing.assert_array_equal(floats, form(x0, y0, t), err_msg=name)
+        assert b.log_ratio == Bateman.of(p, np.float64).log_ratio
+
+
 class TestInvariants:
     @settings(max_examples=30, deadline=None)
     @given(p=params_st, entries=entries_st)

@@ -1147,15 +1147,21 @@ class TestAnalyzeRowTemplate:
         assert cli.main(["analyze", str(DATA / f"{name}.json"), "--out", str(out)]) == 0
         assert out.read_text() == self.encoder_output(DATA / f"{name}.json")
 
-    @pytest.mark.parametrize("name", ["oral_equi", "bolus_equi_100k", "fat_equi_100k"])
+    @pytest.mark.parametrize("name", ["oral_equi", "bolus_equi_100k", "fat_equi_100k",
+                                      "bolus_mixed", "fat_mixed"])
     def test_pass_boundaries(self, tmp_path, name):
-        # Cycle counts on each side of one pass of ROWS_PER_PASS cycles, and past two.
+        # Cycle counts on each side of one pass of ROWS_PER_PASS cycles, and past two:
+        # the horizon of a constant interval, or a table of the file's entries repeated.
         doc = json.loads((DATA / f"{name}.json").read_text())
-        interval = doc["schedule"]["equi"]["interval"]
+        schedule = doc["schedule"]
         for count in (ROWS_PER_PASS - 1, ROWS_PER_PASS, ROWS_PER_PASS + 1,
                       2 * ROWS_PER_PASS + 1):
             path, out = tmp_path / f"{count}.json", tmp_path / f"{count}.out"
-            path.write_text(json.dumps({**doc, "horizon": count * interval}))
+            if "equi" in schedule:
+                doc["horizon"] = count * schedule["equi"]["interval"]
+            else:
+                doc["schedule"] = {"arbitrary": (schedule["arbitrary"] * count)[:count]}
+            path.write_text(json.dumps(doc))
             assert load_regimen_file(str(path)).n_cycles_in_horizon() == count
             assert cli.main(["analyze", str(path), "--out", str(out)]) == 0
             assert out.read_text() == self.encoder_output(path), count

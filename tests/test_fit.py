@@ -385,6 +385,14 @@ class TestPredict:
         ss_tot = float(np.sum((c - c.mean()) ** 2))
         assert 1.0 - ss_res / ss_tot == pytest.approx(result.r2, abs=1e-12)
 
+    def test_other_volume(self, clarithromycin):
+        # At another volume: the single-dose curve of the fitted rates and gamma there.
+        result = fit_single_dose(synth_series(clarithromycin), 250.0, 5000.0)
+        fitted = predict(SAMPLE_TIMES, result, 250.0, 10_000.0)
+        ka, ke, gamma = result.params.ka, result.params.ke, result.params.gamma
+        curve = single_dose(PkParams(ka, ke, gamma, 10_000.0), 250.0)
+        np.testing.assert_array_equal(fitted.values_array(), curve.x(SAMPLE_TIMES))
+
 
 class TestNearEqualRecovery:
     # Noise-free series at ke = 0.3 per h, gamma = 0.8, V = 10, d = 100,
